@@ -28,15 +28,12 @@ from .encoder import (
     formula_size, ground_forall, run_external, sat_solve,
 )
 from .model import (
-    Configuration, Edge, ResourceStructure, granted_edges, restrict, to_dot,
+    Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
+    restrict, to_dot,
 )
 from .templates import (
     MenuTemplate, SingletonTemplate, Template, dnf_template,
 )
-
-
-class SynthesisError(RuntimeError):
-    pass
 
 
 @dataclass

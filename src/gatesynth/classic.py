@@ -21,7 +21,7 @@ from .formulas import (
     Formula, Not, Requirement, Top, conj, target_equiv, target_sat,
 )
 from .checker import holds, model_check
-from .model import Configuration, Edge, ResourceStructure
+from .model import Configuration, Edge, ResourceStructure, SynthesisError
 from .templates import MenuTemplate, simplify_policy
 
 MANY_EDGES = 16
@@ -114,7 +114,9 @@ def s_cs_detailed(S: ResourceStructure, reqs: Sequence[Requirement]) -> ClassicO
 
     config = {e: simplify_policy(raw[e], S.sig) for e in controlled}
     report = holds(S, config, reqs)
-    assert report.ok, "edge-set synthesis produced a configuration that fails its own requirements"
+    if not report.ok:
+        raise SynthesisError("edge-set synthesis produced a configuration "
+                             "that fails its own requirements")
     return ClassicOutcome(config, raw, True, iterations, searches, dropped=dropped)
 
 

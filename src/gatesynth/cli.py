@@ -2,7 +2,9 @@
 
 Exit codes: 0 when synthesis finds a configuration or verification
 passes, 1 when the answer is a definite no (unsatisfiable, requirement
-violated, formula false), 2 for usage or input errors.
+violated, formula false), 2 for usage or input errors, 3 when an
+internal soundness check fails (SynthesisError: for instance the
+independent checker rejected a synthesized configuration).
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .app import SynthesisError, minimal_conflict, simulate, synth, verify
+from .app import minimal_conflict, simulate, synth, verify
 from .classic import MANY_EDGES, MANY_REQUIREMENTS
 from .encoder import SolverError
 from .formulas import BOTTOM, Requirement, format_value
 from .model import (
-    ModelError, config_from_json, config_to_json, load_config, load_model,
-    save_config, save_model, scale_replicate,
+    ModelError, SynthesisError, config_from_json, config_to_json, load_config,
+    load_model, save_config, save_model, scale_replicate,
 )
 from .rules import (
     ParseError, format_requirement, format_target, parse_constraint,
@@ -258,7 +260,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, ParseError, SolverError, SynthesisError, ValueError,
+    except SynthesisError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
+    except (ModelError, ParseError, SolverError, ValueError,
             OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -5,7 +5,10 @@ placeholders for "the policy of this edge grants the request". A
 template then expands each guard into its symbolic policy over control
 variables, ground_forall() instantiates the request attributes with one
 representative per region, and the result is a pure control-variable
-formula that a solver can search for a model of.
+formula that a solver can search for a model of. Expansion, grounding
+and evaluation are all one walk, substitute(), which rebuilds a formula
+with its leaves replaced; one printer, _sexp(), renders control
+formulas as SMT-LIB terms for both script forms.
 
 The until rewrites unroll simple paths, tracking the set of spaces
 already visited. For the existential until this is exact on every
@@ -23,7 +26,9 @@ import subprocess
 import tempfile
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .formulas import (
     AU, AX, BOTTOM, BOOLEAN, ENUM, EU, EX, NUMERIC, AccessRequest, And,
@@ -347,31 +352,43 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     return tau(phi, start)
 
 
-def expand_guards(f: ControlFormula, template) -> ControlFormula:
-    """Replace every edge guard by the template's symbolic policy for
-    that edge (fixed edges expand to their fixed policy)."""
+def substitute(f: ControlFormula,
+               leaf: Callable[[ControlFormula], ControlFormula]) -> ControlFormula:
+    """Rebuild f with every leaf node replaced by leaf(node).
+
+    Connectives are rebuilt through the smart constructors, so constant
+    leaves fold away on the way up. Each shared node is visited once.
+    """
     memo: Dict[int, ControlFormula] = {}
 
     def walk(g: ControlFormula) -> ControlFormula:
         got = memo.get(id(g))
         if got is not None:
             return got
-        if isinstance(g, CGuard):
-            out = template.edge_policy_formula(g.edge)
-        elif isinstance(g, CNot):
-            out = cnot(walk(g.sub))
-        elif isinstance(g, CAnd):
+        kind = type(g)      # node classes are final; this is the hot loop of grounding
+        if kind is CAnd:
             out = cand([walk(a) for a in g.args])
-        elif isinstance(g, COr):
+        elif kind is COr:
             out = cor([walk(a) for a in g.args])
-        elif isinstance(g, CImplies):
+        elif kind is CNot:
+            out = cnot(walk(g.sub))
+        elif kind is CImplies:
             out = cimplies(walk(g.left), walk(g.right))
         else:
-            out = g
+            out = leaf(g)
         memo[id(g)] = out
         return out
 
     return walk(f)
+
+
+def expand_guards(f: ControlFormula, template) -> ControlFormula:
+    """Replace every edge guard by the template's symbolic policy for
+    that edge (fixed edges expand to their fixed policy)."""
+    def leaf(g: ControlFormula) -> ControlFormula:
+        return template.edge_policy_formula(g.edge) if isinstance(g, CGuard) else g
+
+    return substitute(f, leaf)
 
 
 def collect_catoms(f: ControlFormula) -> List[CAtom]:
@@ -385,28 +402,13 @@ def collect_catoms(f: ControlFormula) -> List[CAtom]:
 
 
 def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
-    memo: Dict[int, ControlFormula] = {}
-
-    def walk(g: ControlFormula) -> ControlFormula:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
+    """Decide every attribute test under the request q."""
+    def leaf(g: ControlFormula) -> ControlFormula:
         if isinstance(g, CAtom):
-            out: ControlFormula = CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
-        elif isinstance(g, CNot):
-            out = cnot(walk(g.sub))
-        elif isinstance(g, CAnd):
-            out = cand([walk(a) for a in g.args])
-        elif isinstance(g, COr):
-            out = cor([walk(a) for a in g.args])
-        elif isinstance(g, CImplies):
-            out = cimplies(walk(g.left), walk(g.right))
-        else:
-            out = g
-        memo[id(g)] = out
-        return out
+            return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
+        return g
 
-    return walk(f)
+    return substitute(f, leaf)
 
 
 def ground_forall(f: ControlFormula, sig: AttributeSignature) -> ControlFormula:
@@ -434,26 +436,16 @@ def eval_formula(f: ControlFormula, q: AccessRequest, m: Dict[str, int],
     if template is not None:
         f = expand_guards(f, template)
 
-    def walk(g: ControlFormula) -> bool:
-        if isinstance(g, CTrue):
-            return True
-        if isinstance(g, CFalse):
-            return False
+    def leaf(g: ControlFormula) -> ControlFormula:
         if isinstance(g, CAtom):
-            return q.get(g.attr, BOTTOM) in g.values
+            return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
         if isinstance(g, CVarEq):
-            return m.get(g.var, 0) == g.value
-        if isinstance(g, CNot):
-            return not walk(g.sub)
-        if isinstance(g, CAnd):
-            return all(walk(a) for a in g.args)
-        if isinstance(g, COr):
-            return any(walk(a) for a in g.args)
-        if isinstance(g, CImplies):
-            return (not walk(g.left)) or walk(g.right)
-        raise TypeError("guard left unexpanded: %r" % (g,))
+            return CTrue() if m.get(g.var, 0) == g.value else CFalse()
+        if isinstance(g, CGuard):
+            raise TypeError("guard left unexpanded: %r" % (g,))
+        return g
 
-    return walk(f)
+    return isinstance(substitute(f, leaf), CTrue)
 
 
 # ---------------------------------------------------------------------------
@@ -786,22 +778,54 @@ def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
 # SMT-LIB emission and external solvers
 # ---------------------------------------------------------------------------
 
-def _sexp_control(f: ControlFormula) -> str:
-    if isinstance(f, CTrue):
-        return "true"
-    if isinstance(f, CFalse):
-        return "false"
-    if isinstance(f, CVarEq):
-        return "(= %s %d)" % (f.var, f.value)
-    if isinstance(f, CNot):
-        return "(not %s)" % _sexp_control(f.sub)
-    if isinstance(f, CAnd):
-        return "(and %s)" % " ".join(_sexp_control(a) for a in f.args)
-    if isinstance(f, COr):
-        return "(or %s)" % " ".join(_sexp_control(a) for a in f.args)
-    if isinstance(f, CImplies):
-        return "(=> %s %s)" % (_sexp_control(f.left), _sexp_control(f.right))
-    raise ValueError("cannot emit node %r in a grounded script" % (f,))
+def _sexp(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None,
+          names: Optional[Dict[ControlFormula, str]] = None) -> str:
+    """The SMT-LIB term for f. `atom` renders attribute tests; without
+    it (grounded scripts) they are an error. Subterms listed in `names`
+    print as the name they were bound to."""
+    names = names or {}
+
+    def term(g: ControlFormula) -> str:
+        name = names.get(g)
+        if name is not None:
+            return name
+        if isinstance(g, CTrue):
+            return "true"
+        if isinstance(g, CFalse):
+            return "false"
+        if isinstance(g, CVarEq):
+            return "(= %s %d)" % (g.var, g.value)
+        if isinstance(g, CAtom) and atom is not None:
+            return atom(g)
+        if isinstance(g, CNot):
+            return "(not %s)" % term(g.sub)
+        if isinstance(g, CAnd):
+            return "(and %s)" % " ".join(term(a) for a in g.args)
+        if isinstance(g, COr):
+            return "(or %s)" % " ".join(term(a) for a in g.args)
+        if isinstance(g, CImplies):
+            return "(=> %s %s)" % (term(g.left), term(g.right))
+        raise ValueError("cannot emit node %r in a grounded script" % (g,))
+
+    return term(f)
+
+
+def _shared_definitions(f: ControlFormula) -> Tuple[List[str], Dict[ControlFormula, str]]:
+    """One define-fun per connective with two or more parents, children
+    before parents, so that every shared subterm prints once."""
+    order = list(c_subformulas(f))
+    parents: Dict[ControlFormula, int] = {}
+    for g in order:
+        for ch in c_children(g):
+            parents[ch] = parents.get(ch, 0) + 1
+    lines: List[str] = []
+    names: Dict[ControlFormula, str] = {}
+    for g in order:
+        if parents.get(g, 0) >= 2 and c_children(g):
+            name = "_s%d" % len(names)
+            lines.append("(define-fun %s () Bool %s)" % (name, _sexp(g, names=names)))
+            names[g] = name
+    return lines, names
 
 
 def _int_ranges(values: Iterable[int]) -> List[Tuple[int, int]]:
@@ -881,19 +905,6 @@ class _QuantifiedEmitter:
             return tests[0]
         return "(or %s)" % " ".join(tests)
 
-    def body(self, f: ControlFormula) -> str:
-        if isinstance(f, CAtom):
-            return self.atom(f)
-        if isinstance(f, CNot):
-            return "(not %s)" % self.body(f.sub)
-        if isinstance(f, CAnd):
-            return "(and %s)" % " ".join(self.body(a) for a in f.args)
-        if isinstance(f, COr):
-            return "(or %s)" % " ".join(self.body(a) for a in f.args)
-        if isinstance(f, CImplies):
-            return "(=> %s %s)" % (self.body(f.left), self.body(f.right))
-        return _sexp_control(f)
-
 
 def emit_smtlib(f: ControlFormula,
                 variables: Sequence[ControlVar],
@@ -921,7 +932,7 @@ def emit_smtlib(f: ControlFormula,
         binders = emitter.binders(attrs)
         guards = ["(<= 0 %s_value)" % d.name
                   for d in sig.request_attrs() if d.kind == NUMERIC]
-        body = emitter.body(f)
+        body = _sexp(f, atom=emitter.atom)
         if guards:
             body = "(=> (and %s) %s)" % (" ".join(guards), body) if len(guards) > 1 \
                 else "(=> %s %s)" % (guards[0], body)
@@ -930,7 +941,9 @@ def emit_smtlib(f: ControlFormula,
         else:
             lines.append("(assert %s)" % body)
     else:
-        lines.append("(assert %s)" % _sexp_control(f))
+        definitions, names = _shared_definitions(f)
+        lines.extend(definitions)
+        lines.append("(assert %s)" % _sexp(f, names=names))
     lines.append("(check-sat)")
     if variables:
         lines.append("(get-value (%s))" % " ".join(v.name for v in variables))

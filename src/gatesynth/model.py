@@ -36,6 +36,11 @@ class ModelError(ValueError):
     pass
 
 
+class SynthesisError(RuntimeError):
+    """A soundness check failed: synthesis produced a policy or a
+    configuration that does not do what it was built to do."""
+
+
 @dataclass
 class ResourceStructure:
     sig: AttributeSignature
@@ -151,18 +156,10 @@ def validate_configuration(S: ResourceStructure, c: Configuration) -> None:
 def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest) -> ResourceStructure:
     """The structure the subject of request `q` experiences: only edges
     whose policy grants `q`, pruned to what the entry still reaches."""
-    granted = {e: p for e, p in S.edges.items()
-               if eval_target(q, policy_of(S, c, e))}
-    seen = {S.entry}
-    stack = [S.entry]
-    while stack:
-        r = stack.pop()
-        for (a, b) in granted:
-            if a == r and b not in seen:
-                seen.add(b)
-                stack.append(b)
+    granted = S.with_edges(granted_edges(S, c, q))
+    seen = granted.reachable()
     labels = {r: S.labels[r] for r in seen}
-    edges = {e: p for e, p in granted.items() if e[0] in seen and e[1] in seen}
+    edges = {e: p for e, p in granted.edges.items() if e[0] in seen and e[1] in seen}
     return ResourceStructure(S.sig, S.entry, labels, edges)
 
 
@@ -231,17 +228,27 @@ def scale_replicate(S: ResourceStructure, copies: int) -> ResourceStructure:
 # ---------------------------------------------------------------------------
 
 _KINDS = {BOOLEAN, NUMERIC, ENUM}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind`, else a ModelError."""
+    if not isinstance(value, kind):
+        raise ModelError("%s must be %s, got %r" % (what, _JSON_TYPES[kind], value))
+    return value
 
 
 def _decl_from_json(name: str, cls: str, spec: dict) -> AttributeDecl:
     if not _IDENT_RE.match(name) or name in RESERVED:
         raise ModelError("attribute name %r is not a usable identifier" % name)
+    if not isinstance(spec, dict):
+        raise ModelError("attribute %r must be an object, got %r" % (name, spec))
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelError("attribute %r: unknown kind %r" % (name, kind))
     symbols: Tuple[str, ...] = ()
     if kind == ENUM:
-        symbols = tuple(spec.get("values", ()))
+        symbols = tuple(_expect(spec.get("values", []), list, "values of %r" % name))
         for s in symbols:
             if not isinstance(s, str) or not _IDENT_RE.match(s) or s in RESERVED:
                 raise ModelError("attribute %r: bad symbol %r" % (name, s))
@@ -252,11 +259,14 @@ def _decl_from_json(name: str, cls: str, spec: dict) -> AttributeDecl:
 
 def signature_from_json(doc: dict) -> AttributeSignature:
     decls: List[AttributeDecl] = []
-    attrs = doc.get("attributes", {})
+    attrs = _expect(doc.get("attributes", {}), dict, "attributes")
     for cls in (SUBJECT, CONTEXTUAL, RESOURCE):
-        for name, spec in attrs.get(cls, {}).items():
+        for name, spec in _expect(attrs.get(cls, {}), dict, "%s attributes" % cls).items():
             decls.append(_decl_from_json(name, cls, spec))
-    return AttributeSignature(decls)
+    try:
+        return AttributeSignature(decls)
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
 
 
 def _value_from_json(v) -> Value:
@@ -272,31 +282,37 @@ def _value_to_json(v: Value):
 
 
 def model_from_json(doc: dict) -> ResourceStructure:
-    sig = signature_from_json(doc)
+    sig = signature_from_json(_expect(doc, dict, "a model"))
     if "entry" not in doc:
         raise ModelError("model misses the entry space")
+    entry = _expect(doc["entry"], str, "the entry")
     labels: Dict[str, Dict[str, Value]] = {}
-    for res in doc.get("resources", []):
-        rid = res.get("id")
+    for res in _expect(doc.get("resources", []), list, "resources"):
+        rid = res.get("id") if isinstance(res, dict) else None
         if not isinstance(rid, str) or not rid:
             raise ModelError("every resource needs a non-empty id")
         if rid in labels:
             raise ModelError("duplicate resource id %r" % rid)
-        labels[rid] = {k: _value_from_json(v) for k, v in res.get("labels", {}).items()}
+        lab = res.get("labels", {})
+        if not isinstance(lab, dict):
+            raise ModelError("labels of %r must be an object, got %r" % (rid, lab))
+        labels[rid] = {k: _value_from_json(v) for k, v in lab.items()}
     edges: Dict[Edge, Optional[Formula]] = {}
-    for spec in doc.get("edges", []):
-        a, b = spec.get("from"), spec.get("to")
+    for spec in _expect(doc.get("edges", []), list, "edges"):
+        a, b = (spec.get("from"), spec.get("to")) if isinstance(spec, dict) else (None, None)
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ModelError("an edge needs a \"from\" and a \"to\" space, got %r" % (spec,))
         if (a, b) in edges:
             raise ModelError("duplicate edge (%s, %s)" % (a, b))
         mode = spec.get("mode", "controlled")
         if mode == "controlled":
             edges[(a, b)] = None
         elif isinstance(mode, dict) and set(mode) == {"fixed"}:
-            edges[(a, b)] = parse_target(mode["fixed"], sig)
+            edges[(a, b)] = parse_target(_expect(mode["fixed"], str, "a fixed policy"), sig)
         else:
             raise ModelError("edge (%s, %s): mode must be \"controlled\" "
                              "or {\"fixed\": \"<policy>\"}" % (a, b))
-    S = ResourceStructure(sig, doc["entry"], labels, edges)
+    S = ResourceStructure(sig, entry, labels, edges)
     S.validate(as_given=True)
     return S
 
@@ -345,12 +361,14 @@ def _parse_edge_key(key: str) -> Edge:
 
 def config_from_json(doc: dict, S: ResourceStructure) -> Configuration:
     c: Configuration = {}
-    for key, text in doc.items():
+    for key, text in _expect(doc, dict, "a configuration").items():
         e = _parse_edge_key(key)
         if e not in S.edges:
             raise ModelError("configuration names unknown edge %r" % key)
         if S.edges[e] is not None:
             raise ModelError("edge %r is fixed, its policy is not configurable" % key)
+        if not isinstance(text, str):
+            raise ModelError("the policy of %r must be a string, got %r" % (key, text))
         c[e] = parse_target(text, S.sig)
     validate_configuration(S, c)
     return c
@@ -381,16 +399,7 @@ def to_dot(S: ResourceStructure, c: Optional[Configuration] = None,
     given, edges outside it are drawn red (denied) and spaces the entry
     no longer reaches are greyed out."""
     lines = ["digraph \"%s\" {" % title, "  rankdir=LR;"]
-    live: Optional[Set[str]] = None
-    if granted is not None:
-        live = {S.entry}
-        stack = [S.entry]
-        while stack:
-            r = stack.pop()
-            for (a, b) in granted:
-                if a == r and b not in live and (a, b) in S.edges:
-                    live.add(b)
-                    stack.append(b)
+    live = S.with_edges(granted).reachable() if granted is not None else None
     for r in S.nodes:
         opts = ["shape=doublecircle"] if r == S.entry else ["shape=circle"]
         if live is not None and r not in live:

@@ -118,6 +118,15 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, self.text, self.line_no, tok.col)
 
+    def validated(self, check, f: Formula) -> Formula:
+        """f once `check` accepts it under the signature; a rejection,
+        such as a value outside an attribute's domain, is a parse error."""
+        try:
+            check(f, self.sig)
+        except ValueError as exc:
+            self.fail(str(exc), self.tokens[0])
+        return f
+
     # -- entry points ------------------------------------------------
 
     def requirement(self) -> Requirement:
@@ -129,9 +138,9 @@ class _Parser:
         constraint, polarity = self.body()
         if self.peek().kind != "end":
             self.fail("trailing input after requirement")
-        validate_target(target, self.sig)
-        validate_constraint(constraint, self.sig)
-        return Requirement(target, constraint, polarity, source=self.text.strip())
+        return Requirement(self.validated(validate_target, target),
+                           self.validated(validate_constraint, constraint),
+                           polarity, source=self.text.strip())
 
     def body(self) -> Tuple[Formula, str]:
         t = self.peek()
@@ -161,15 +170,13 @@ class _Parser:
         f = self.expression(False)
         if self.peek().kind != "end":
             self.fail("trailing input after target")
-        validate_target(f, self.sig)
-        return f
+        return self.validated(validate_target, f)
 
     def constraint_only(self) -> Formula:
         f, _ = self.body()
         if self.peek().kind != "end":
             self.fail("trailing input after formula")
-        validate_constraint(f, self.sig)
-        return f
+        return self.validated(validate_constraint, f)
 
     # -- expression grammar ------------------------------------------
     # temporal: whether temporal operators are allowed (constraints).
@@ -296,6 +303,7 @@ class _Parser:
             while True:
                 t = self.peek()
                 if t.kind == "num":
+                    self._require_numeric(decl, t)      # before a range expands
                     lo = int(self.next().value)
                     if self.accept(".."):
                         hi = self._number()
@@ -355,8 +363,18 @@ class _Parser:
 # Public parsing API
 # ---------------------------------------------------------------------------
 
+def _parse(text: str, sig: AttributeSignature, line_no: int, entry):
+    """Run one entry point of the parser. Nesting deeper than the
+    interpreter's recursion limit is reported as a parse error."""
+    parser = _Parser(text, sig, line_no)
+    try:
+        return entry(parser)
+    except RecursionError:
+        raise ParseError("formula nested too deeply", text, line_no, 1) from None
+
+
 def parse_requirement(text: str, sig: AttributeSignature, line_no: int = 1) -> Requirement:
-    return _Parser(text, sig, line_no).requirement()
+    return _parse(text, sig, line_no, _Parser.requirement)
 
 
 def parse_requirements(text: str, sig: AttributeSignature) -> List[Requirement]:
@@ -370,11 +388,11 @@ def parse_requirements(text: str, sig: AttributeSignature) -> List[Requirement]:
 
 
 def parse_target(text: str, sig: AttributeSignature) -> Formula:
-    return _Parser(text, sig).target_only()
+    return _parse(text, sig, 1, _Parser.target_only)
 
 
 def parse_constraint(text: str, sig: AttributeSignature) -> Formula:
-    return _Parser(text, sig).constraint_only()
+    return _parse(text, sig, 1, _Parser.constraint_only)
 
 
 def parse_request(text: str, sig: AttributeSignature) -> AccessRequest:

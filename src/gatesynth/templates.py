@@ -23,7 +23,7 @@ from .formulas import (
     Not, Requirement, Top, Value, build_regions, collect_atoms, conj, disj,
     falsum, target_equiv, validate_target,
 )
-from .model import Configuration, Edge, ResourceStructure
+from .model import Configuration, Edge, ResourceStructure, SynthesisError
 from .encoder import (
     CAtom, ControlAssignment, ControlFormula, ControlVar, CTrue, CVarEq,
     cand, cnot, cor, target_to_control, var_bits,
@@ -35,10 +35,12 @@ def simplify_policy(t: Formula, sig: AttributeSignature) -> Formula:
 
     Constant subterms are folded, duplicate conjuncts dropped, and
     membership tests on the same attribute merged. The result is
-    checked to grant exactly the same requests as the input.
+    checked to grant exactly the same requests as the input; a mismatch
+    raises SynthesisError.
     """
     out = _simp(t, sig)
-    assert target_equiv(t, out, sig), "simplification changed the policy"
+    if not target_equiv(t, out, sig):
+        raise SynthesisError("simplification changed the policy %r into %r" % (t, out))
     return out
 
 

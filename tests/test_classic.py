@@ -7,7 +7,8 @@ from gatesynth.checker import holds
 from gatesynth.formulas import (
     And, Atom, Not, Top, conj, deny, grant, target_equiv, target_sat,
 )
-from gatesynth.model import ResourceStructure
+from gatesynth import classic
+from gatesynth.model import ResourceStructure, SynthesisError
 from gatesynth.rules import parse_requirement, parse_target
 
 
@@ -65,6 +66,15 @@ def test_class_walk_on_two_office_rules(office, office_reqs):
                            ("lob", "cor"): 0, ("out", "cor"): 1,
                            ("out", "lob"): 1}
     assert holds(office, out.configuration, picked).ok
+
+
+def test_class_walk_raises_when_its_result_fails_the_checker(office, office_reqs,
+                                                            monkeypatch):
+    failing = holds(office, {e: Top() for e in office.controlled_edges()}, office_reqs)
+    assert not failing.ok
+    monkeypatch.setattr(classic, "holds", lambda *args: failing)
+    with pytest.raises(SynthesisError, match="fails its own requirements"):
+        s_cs_detailed(office, [office_reqs[1], office_reqs[4]])
 
 
 def test_class_walk_handles_all_office_rules(office, office_reqs):

@@ -4,8 +4,9 @@ import pytest
 
 from gatesynth import data
 from gatesynth.app import verify
+from gatesynth import cli
 from gatesynth.cli import main
-from gatesynth.model import load_config, load_model, save_model
+from gatesynth.model import SynthesisError, load_config, load_model, save_model
 
 OFFICE = data.path(data.OFFICE_MODEL)
 OFFICE_RULES = data.path(data.OFFICE_REQUIREMENTS)
@@ -156,3 +157,23 @@ def test_error_exit_codes(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["conjure", OFFICE])
+
+
+def test_malformed_json_exits_with_code_2(tmp_path, capsys):
+    not_a_model = tmp_path / "list.json"
+    not_a_model.write_text("[]")
+    assert main(["synth", str(not_a_model), OFFICE_RULES]) == 2
+    assert "model must be an object" in capsys.readouterr().err
+
+    bad_config = tmp_path / "config.json"
+    bad_config.write_text(json.dumps({"out->lob": 3}))
+    assert main(["verify", OFFICE, OFFICE_RULES, str(bad_config)]) == 2
+    assert "must be a string" in capsys.readouterr().err
+
+
+def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
+    def broken_synth(*args, **kwargs):
+        raise SynthesisError("solver model failed independent verification")
+    monkeypatch.setattr(cli, "synth", broken_synth)
+    assert main(["synth", OFFICE, OFFICE_RULES]) == 3
+    assert "internal error: solver model failed" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatesynth.checker import check_at, holds
 from gatesynth.encoder import (
@@ -230,21 +232,101 @@ def test_sat_solve_rejects_bad_input():
         sat_solve(cguard(("a", "b")), [])
 
 
-def random_control_formula(rng, vars_, depth):
+def random_control_formula(rng, vars_, depth, atoms=()):
+    """A random formula over control variables and, when `atoms` are
+    given, half of the time over those attribute tests instead."""
     if depth <= 0 or rng.random() < 0.3:
+        if atoms and rng.random() < 0.5:
+            return rng.choice(atoms)
         v = rng.choice(vars_)
         return CVarEq(v.name, rng.randrange(v.size + 1))   # may exceed the size
+    sub = lambda: random_control_formula(rng, vars_, depth - 1, atoms)
     roll = rng.random()
     if roll < 0.25:
-        return cnot(random_control_formula(rng, vars_, depth - 1))
+        return cnot(sub())
     if roll < 0.5:
-        return cand([random_control_formula(rng, vars_, depth - 1)
-                     for _ in range(rng.randint(1, 3))])
+        return cand([sub() for _ in range(rng.randint(1, 3))])
     if roll < 0.75:
-        return cor([random_control_formula(rng, vars_, depth - 1)
-                    for _ in range(rng.randint(1, 3))])
-    return cimplies(random_control_formula(rng, vars_, depth - 1),
-                    random_control_formula(rng, vars_, depth - 1))
+        return cor([sub() for _ in range(rng.randint(1, 3))])
+    return cimplies(sub(), sub())
+
+
+def reference_eval(f, q, m):
+    """Plain recursive evaluation, one visit per occurrence."""
+    if isinstance(f, CTrue):
+        return True
+    if isinstance(f, CFalse):
+        return False
+    if isinstance(f, CAtom):
+        return q.get(f.attr, BOTTOM) in f.values
+    if isinstance(f, CVarEq):
+        return m.get(f.var, 0) == f.value
+    if isinstance(f, CNot):
+        return not reference_eval(f.sub, q, m)
+    if isinstance(f, CAnd):
+        return all(reference_eval(a, q, m) for a in f.args)
+    if isinstance(f, COr):
+        return any(reference_eval(a, q, m) for a in f.args)
+    if isinstance(f, CImplies):
+        return (not reference_eval(f.left, q, m)) or reference_eval(f.right, q, m)
+    raise TypeError(f)
+
+
+ATOMS = (CAtom("role", frozenset(["visitor"])),
+         CAtom("role", frozenset([BOTTOM, "employee"])),
+         CAtom("correct_pin", frozenset([True])),
+         CAtom("time", frozenset([BOTTOM, 3, 4])))
+REQUESTS = [{a: v for a, v in (("role", r), ("correct_pin", p), ("time", t))
+             if v is not BOTTOM}                 # unset attributes read as bottom
+            for r in (BOTTOM, "visitor", "employee")
+            for p in (BOTTOM, False, True) for t in (BOTTOM, 0, 3)]
+
+
+@st.composite
+def shared_control_formulas(draw):
+    """Two random formulas over variables and attribute tests, each
+    used twice in the result, so that walks meet shared nodes."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    vars_ = [ControlVar("v%d" % i, rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
+    a = random_control_formula(rng, vars_, rng.randint(0, 4), ATOMS)
+    b = random_control_formula(rng, vars_, rng.randint(0, 4), ATOMS)
+    f = cand([cor([a, b]), cimplies(a, cnot(b))]) if rng.random() < 0.7 else a
+    return f, vars_
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_control_formulas(), st.sampled_from(REQUESTS), st.data())
+def test_eval_formula_and_fold_atoms_agree_with_a_reference(case, q, data):
+    f, vars_ = case
+    m = {v.name: data.draw(st.integers(0, v.size)) for v in vars_}
+    want = reference_eval(f, q, m)
+    assert eval_formula(f, q, m) == want
+    folded = fold_atoms(f, q)
+    assert not collect_catoms(folded)
+    assert eval_formula(folded, {}, m) == want
+
+
+def shared_chain(levels):
+    """Each level uses the one below twice: the tree doubles per level."""
+    f = x_eq(0)
+    for i in range(levels):
+        f = cor([cand([f, y_eq(i % 2)]), cand([cnot(f), x_eq(1)])])
+    return f
+
+
+def chain_value(levels, m):
+    """What shared_chain(levels) evaluates to, level by level."""
+    v = m["x"] == 0
+    for i in range(levels):
+        v = (v and m["y"] == i % 2) or (not v and m["x"] == 1)
+    return v
+
+
+def test_evaluation_visits_shared_nodes_once():
+    f = shared_chain(60)                     # 2^60 paths from the root
+    for x, y in itertools.product((0, 1), repeat=2):
+        m = {"x": x, "y": y}
+        assert eval_formula(f, {}, m) == chain_value(60, m)
 
 
 def test_sat_solve_agrees_with_brute_force():
@@ -297,6 +379,77 @@ def test_emit_smtlib_quantified(office):
     assert "(= time_value 9)" in script
     with pytest.raises(ValueError, match="signature"):
         emit_smtlib(f, [], quantified=True)
+
+
+def smt_holds(script, m):
+    """Whether every assertion of a grounded script holds when each
+    declared constant takes its value from m: a reader for the subset
+    of SMT-LIB that emit_smtlib writes."""
+    tokens = re.findall(r"\(|\)|[^\s()]+", script)
+    stack = [[]]
+    for tok in tokens:
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop()
+            stack[-1].append(done)
+        else:
+            stack[-1].append(tok)
+    defined = {}
+    assertions = []
+
+    def value(t):
+        if isinstance(t, str):
+            if t in ("true", "false"):
+                return t == "true"
+            if t in defined:
+                return defined[t]
+            return m[t] if t in m else int(t)
+        op, args = t[0], [value(a) for a in t[1:]]
+        if op == "and":
+            return all(args)
+        if op == "or":
+            return any(args)
+        if op == "not":
+            return not args[0]
+        if op == "=>":
+            return (not args[0]) or args[1]
+        if op == "=":
+            return args[0] == args[1]
+        if op == "<=":
+            return args[0] <= args[1]
+        if op == "<":
+            return args[0] < args[1]
+        raise ValueError(op)
+
+    for command in stack[0]:
+        if command[0] == "define-fun":
+            assert command[2] == [] and command[3] == "Bool"
+            defined[command[1]] = value(command[4])
+        elif command[0] == "assert":
+            assertions.append(value(command[1]))
+    return all(assertions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_control_formulas())
+def test_grounded_script_means_the_formula(case):
+    f, vars_ = case
+    f = fold_atoms(f, {"role": "visitor", "time": 3})
+    script = emit_smtlib(f, vars_)
+    for combo in itertools.product(*(range(v.size) for v in vars_)):
+        m = {v.name: c for v, c in zip(vars_, combo)}
+        assert smt_holds(script, m) == eval_formula(f, {}, m), (script, m)
+
+
+def test_grounded_script_prints_shared_subterms_once():
+    x, y = ControlVar("x", 2), ControlVar("y", 2)
+    small, large = (emit_smtlib(shared_chain(n), [x, y]) for n in (10, 20))
+    # one definition per level that has two parents: all but the root
+    assert large.count("(define-fun ") == 19
+    assert len(large) < 2.2 * len(small)     # printed as a tree: 2^10 times
+    for m in ({"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}):
+        assert smt_holds(large, m) == chain_value(20, m)
 
 
 def fake_solver(tmp_path, body):

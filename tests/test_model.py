@@ -1,6 +1,9 @@
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatesynth.formulas import (
     BOOLEAN, BOTTOM, ENUM, RESOURCE, SUBJECT, Atom, AttributeDecl,
@@ -12,9 +15,9 @@ from gatesynth.model import (
     granted_edges, model_from_json, model_to_json, restrict,
     scale_replicate, to_dot, validate_configuration,
 )
-from gatesynth.rules import parse_request, parse_target
+from gatesynth.rules import ParseError, parse_request, parse_target
 
-from genutil import random_model
+from genutil import random_config, random_model, random_request
 
 
 def tiny_sig():
@@ -103,6 +106,30 @@ def test_restrict_prunes_to_reachable(office, office_published):
     assert set(sub.labels) == {"out", "lob", "cor", "mr"}
     assert ("out", "cor") not in sub.edges and ("cor", "bur") not in sub.edges
     assert ("cor", "mr") in sub.edges and ("lob", "out") in sub.edges
+
+
+def test_restrict_and_to_dot_agree_with_a_naive_search():
+    rng = random.Random(31)
+    for _ in range(60):
+        S = random_model(rng, rng.randint(2, 7), backbone_fixed_true=rng.random() < 0.3)
+        c = random_config(rng, S)
+        q = random_request(rng, S.sig)
+        granted = granted_edges(S, c, q)
+        live = {S.entry}
+        grew = True
+        while grew:                       # scan every granted edge until nothing new
+            grew = False
+            for a, b in granted:
+                if a in live and b not in live:
+                    live.add(b)
+                    grew = True
+        sub = restrict(S, c, q)
+        assert set(sub.labels) == live
+        assert set(sub.edges) == {(a, b) for a, b in granted if a in live}
+        dot = to_dot(S, c, granted=granted)
+        greyed = {name for name, opts in re.findall(r'^  "([^"]+)" \[(.*)\];$', dot, re.M)
+                  if "color=grey" in opts}
+        assert greyed == set(S.nodes) - live
 
 
 def test_granted_edges_ignores_reachability(office, office_published):
@@ -216,3 +243,82 @@ def test_to_dot_marks_modes_and_denied_edges(office, office_published):
     assert "color=red" in snap                           # denied door
     assert "color=grey" in snap                          # unreachable space
     assert snap.startswith("digraph \"t\" {")
+
+
+# -- malformed input: only ModelError/ParseError may escape ----------------
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 30)
+                | st.sampled_from(["", "out", "lob", "enum", "boolean", "numeric",
+                                   "controlled", "true", "role = visitor", "x->y"])
+                | st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "kind", "values", "from", "to", "mode",
+                                       "fixed", "labels", "entry", "subject"])
+                      | st.text(max_size=3), kids, max_size=3),
+    max_leaves=8)
+
+
+def _paths(doc, prefix=()):
+    """Every position inside a JSON document, as key/index tuples."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _mutated(doc, data):
+    """`doc` with one to three positions replaced by random JSON values."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(_JSON)
+        if not path:
+            return value
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_model_json_raises_model_errors(office, data):
+    doc = _mutated(model_to_json(office), data)
+    try:
+        model_from_json(doc)
+    except (ModelError, ParseError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_malformed_config_json_raises_model_errors(office, office_published, data):
+    doc = _mutated(config_to_json(office, office_published), data)
+    try:
+        config_from_json(doc, office)
+    except (ModelError, ParseError):
+        pass
+
+
+def test_wrong_json_types_are_model_errors(office, office_published):
+    doc = model_to_json(office)
+    with pytest.raises(ModelError, match="model must be an object"):
+        model_from_json([])
+    bad = json.loads(json.dumps(doc))
+    bad["attributes"]["subject"]["role"] = "enum"
+    with pytest.raises(ModelError, match="attribute 'role' must be an object"):
+        model_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["resources"][0]["labels"] = ["id"]
+    with pytest.raises(ModelError, match="labels of .* must be an object"):
+        model_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["edges"][0]["from"] = ["out"]
+    with pytest.raises(ModelError, match="edge needs a \"from\" and a \"to\""):
+        model_from_json(bad)
+    with pytest.raises(ModelError, match="must be a string"):
+        config_from_json({"out->lob": 3}, office)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, NEGATIVE, POSITIVE, UNKNOWN, And, Atom, Not,
@@ -209,3 +210,65 @@ def test_format_target_emits_sugar_only_for_exact_shapes(office):
     mixed = And(Not(Atom("time", frozenset(range(0, 8)))),
                 Atom("correct_pin", frozenset([True])))
     assert "<=" not in format_target(mixed, office.sig).split("and")[1]
+
+
+
+# Random requirement lines: well-formed in shape, but attributes, values
+# and operators are drawn regardless of class or kind, and a drawn line
+# may be cut short or have a token spliced in.
+_ATTRS = st.sampled_from(["role", "time", "correct_pin", "id", "sec_zone", "nobody"])
+_VALUES = st.sampled_from(["visitor", "employee", "mr", "bot", "true", "false", "0",
+                           "20", "{visitor, 3}", "{1..4}", "{}", "{mr, bot}"])
+_ATOMS = st.one_of(
+    _ATTRS,
+    st.builds("{} {} {}".format, _ATTRS, st.sampled_from(["=", "!=", "<=", ">=", "in"]),
+              _VALUES),
+    st.builds("{} <= {} <= {}".format, st.integers(0, 30), _ATTRS, st.integers(0, 30)))
+_FORMULAS = st.recursive(
+    _ATOMS | st.sampled_from(["true", "false"]),
+    lambda f: st.one_of(
+        st.builds("not {}".format, f), st.builds("({})".format, f),
+        st.builds("{} and {}".format, f, f), st.builds("{} or {}".format, f, f),
+        st.builds("{} -> {}".format, f, f),
+        st.builds("{} {}".format, st.sampled_from(["EX", "AX", "EF", "AG"]), f),
+        st.builds("{}[{} {} {}]".format, st.sampled_from(["E", "A"]), f,
+                  st.sampled_from(["U", "R"]), f)),
+    max_leaves=5)
+_BODIES = st.one_of(
+    _FORMULAS,
+    st.builds("{}({})".format, st.sampled_from(["grant", "deny"]), _FORMULAS),
+    st.builds("{}({}, {})".format, st.sampled_from(["waypoint", "blocking"]),
+              _FORMULAS, _FORMULAS))
+_TOKENS = st.sampled_from(["=>", "(", ")", "]", ",", "and", "not", "#", "\n", "U"]) \
+    | st.text(max_size=3)
+
+
+@st.composite
+def _requirement_lines(draw):
+    line = "%s => %s" % (draw(_FORMULAS), draw(_BODIES))
+    cut = draw(st.integers(0, len(line)))
+    if draw(st.booleans()):
+        line = line[:cut] + " " + draw(_TOKENS) + " " + line[cut:]
+    elif draw(st.booleans()):
+        line = line[:cut]
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_requirement_lines(), min_size=1, max_size=3).map("\n".join))
+def test_malformed_requirements_raise_parse_errors(office, text):
+    try:
+        parse_requirements(text, office.sig)
+    except ParseError:
+        pass
+
+
+def test_validation_failures_and_deep_nesting_are_parse_errors(office):
+    for text in ["id = mr => grant(id = mr)", "role in {3} => deny(sec_zone)",
+                 "role = visitor => grant(role = visitor)",
+                 "(" * 500 + "true" + ")" * 500 + " => deny(sec_zone)",
+                 "true => " + " -> ".join(["sec_zone"] * 2000)]:
+        with pytest.raises(ParseError):
+            parse_requirements(text, office.sig)
+    with pytest.raises(ParseError, match="not numeric"):
+        parse_requirements("role in {0..3} => deny(sec_zone)", office.sig)

@@ -8,6 +8,8 @@ from gatesynth.formulas import (
     BOTTOM, And, Atom, Not, Top, conj, disj, eval_target, falsum,
     target_equiv,
 )
+from gatesynth import templates
+from gatesynth.model import SynthesisError
 from gatesynth.templates import (
     DnfTemplate, MenuTemplate, SingletonTemplate, dnf_template,
     interval_candidates, simplify_policy,
@@ -45,6 +47,12 @@ def test_simplify_constants(office):
     # numeric attributes have no finite full domain to detect
     five = Atom("time", frozenset(range(6)))
     assert simplify_policy(five, sig) == five
+
+
+def test_simplify_raises_when_the_equivalence_check_fails(office, monkeypatch):
+    monkeypatch.setattr(templates, "target_equiv", lambda *args: False)
+    with pytest.raises(SynthesisError, match="simplification changed the policy"):
+        simplify_policy(vis(), office.sig)
 
 
 def test_simplify_merges_membership_tests(office):
