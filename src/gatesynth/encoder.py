@@ -8,7 +8,11 @@ representative per region, and the result is a pure control-variable
 formula that a solver can search for a model of. Expansion, grounding
 and evaluation are all one walk, substitute(), which rebuilds a formula
 with its leaves replaced; one printer, _sexp(), renders control
-formulas as SMT-LIB terms for both script forms.
+formulas as SMT-LIB terms for both script forms. Both forms print each
+shared connective once: grounded scripts bind it with define-fun,
+quantified ones with let inside the quantifier, because there it
+mentions the request variables. Numeric attribute tests print as
+bounds read off the intervals of their IntervalSet.
 
 The until rewrites unroll simple paths, tracking the set of spaces
 already visited. For the existential until this is exact on every
@@ -25,6 +29,7 @@ import shlex
 import subprocess
 import tempfile
 import os
+import weakref
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -33,7 +38,7 @@ from typing import (
 from .formulas import (
     AU, AX, BOTTOM, BOOLEAN, ENUM, EU, EX, NUMERIC, AccessRequest, And,
     Atom, AttributeSignature, Formula, Not, Requirement, Top, Value,
-    build_regions,
+    build_regions, intervals_of, value_set,
 )
 from .model import Edge, ResourceStructure
 
@@ -91,10 +96,10 @@ class CAtom(_CNode):
     __slots__ = ("attr", "values", "_hash")
     _fields = ("attr", "values")
 
-    def __init__(self, attr: str, values: FrozenSet[Value]):
+    def __init__(self, attr: str, values: Iterable[Value]):
         self.attr = attr
-        self.values = values
-        self._hash = hash(("catom", attr, values))
+        self.values = value_set(values)
+        self._hash = hash(("catom", attr, self.values))
 
 
 class CVarEq(_CNode):
@@ -110,7 +115,7 @@ class CVarEq(_CNode):
 
 class CGuard(_CNode):
     """Placeholder: the policy of this edge grants the request."""
-    __slots__ = ("edge", "_hash")
+    __slots__ = ("edge", "_hash", "__weakref__")
     _fields = ("edge",)
 
     def __init__(self, edge: Edge):
@@ -259,7 +264,8 @@ def target_to_control(t: Formula) -> ControlFormula:
     raise TypeError("not a target node: %r" % (t,))
 
 
-_GUARDS: Dict[Edge, CGuard] = {}
+# Weak values: a guard stays cached while some live formula holds it.
+_GUARDS: "weakref.WeakValueDictionary[Edge, CGuard]" = weakref.WeakValueDictionary()
 
 
 def cguard(edge: Edge) -> CGuard:
@@ -289,6 +295,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     shared, so the result is a compact DAG."""
     memo: Dict[Tuple[int, str], ControlFormula] = {}
     memo_u: Dict[Tuple[int, str, FrozenSet[str]], ControlFormula] = {}
+    guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
         v = S.labels[r].get(a.attr, BOTTOM)
@@ -308,10 +315,10 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         elif isinstance(f, And):
             out = cand([tau(f.left, r), tau(f.right, r)])
         elif isinstance(f, EX):
-            out = cor([cand([cguard((r, s)), tau(f.sub, s)])
+            out = cor([cand([guard[(r, s)], tau(f.sub, s)])
                        for s in S.successors(r)])
         elif isinstance(f, AX):
-            out = cand([cimplies(cguard((r, s)), tau(f.sub, s))
+            out = cand([cimplies(guard[(r, s)], tau(f.sub, s))
                         for s in S.successors(r)])
         elif isinstance(f, EU):
             out = tau_eu(f, r, frozenset())
@@ -328,7 +335,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         if got is not None:
             return got
         here = tau(f.right, r)
-        step = cor([cand([cguard((r, s)), tau_eu(f, s, visited | {r})])
+        step = cor([cand([guard[(r, s)], tau_eu(f, s, visited | {r})])
                     for s in S.successors(r) if s not in visited])
         out = cor([here, cand([tau(f.left, r), step])])
         memo_u[key] = out
@@ -342,9 +349,9 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         here = tau(f.right, r)
         fresh = [s for s in S.successors(r) if s not in visited]
         stale = [s for s in S.successors(r) if s in visited]
-        all_fresh = cand([cimplies(cguard((r, s)), tau_au(f, s, visited | {r}))
+        all_fresh = cand([cimplies(guard[(r, s)], tau_au(f, s, visited | {r}))
                           for s in fresh])
-        no_loop_back = cand([cnot(cguard((r, s))) for s in stale])
+        no_loop_back = cand([cnot(guard[(r, s)]) for s in stale])
         out = cor([here, cand([tau(f.left, r), all_fresh, no_loop_back])])
         memo_u[key] = out
         return out
@@ -810,33 +817,28 @@ def _sexp(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None,
     return term(f)
 
 
-def _shared_definitions(f: ControlFormula) -> Tuple[List[str], Dict[ControlFormula, str]]:
-    """One define-fun per connective with two or more parents, children
-    before parents, so that every shared subterm prints once."""
+def _shared_definitions(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None
+                        ) -> Tuple[List[Tuple[int, str, str]], Dict[ControlFormula, str]]:
+    """A name for every connective with two or more parents, so that
+    every shared subterm prints once: (level, name, term) triples,
+    children before parents, and the names. A term refers only to names
+    of lower levels, so the names of one level can be bound together."""
     order = list(c_subformulas(f))
     parents: Dict[ControlFormula, int] = {}
     for g in order:
         for ch in c_children(g):
             parents[ch] = parents.get(ch, 0) + 1
-    lines: List[str] = []
+    definitions: List[Tuple[int, str, str]] = []
     names: Dict[ControlFormula, str] = {}
+    level: Dict[ControlFormula, int] = {}     # highest level a reference needs bound
     for g in order:
+        level[g] = max((level[ch] for ch in c_children(g)), default=0)
         if parents.get(g, 0) >= 2 and c_children(g):
             name = "_s%d" % len(names)
-            lines.append("(define-fun %s () Bool %s)" % (name, _sexp(g, names=names)))
+            level[g] += 1
+            definitions.append((level[g], name, _sexp(g, atom, names)))
             names[g] = name
-    return lines, names
-
-
-def _int_ranges(values: Iterable[int]) -> List[Tuple[int, int]]:
-    nums = sorted(values)
-    out: List[Tuple[int, int]] = []
-    for n in nums:
-        if out and n == out[-1][1] + 1:
-            out[-1] = (out[-1][0], n)
-        else:
-            out.append((n, n))
-    return out
+    return definitions, names
 
 
 class _QuantifiedEmitter:
@@ -886,8 +888,7 @@ class _QuantifiedEmitter:
             parts = []
             if BOTTOM in a.values:
                 parts.append("(not %s_known)" % a.attr)
-            ints = [v for v in a.values if isinstance(v, int)]
-            for lo, hi in _int_ranges(ints):
+            for lo, hi in intervals_of(a.values):
                 if lo == hi:
                     bound = "(= %s_value %d)" % (a.attr, lo)
                 else:
@@ -917,7 +918,8 @@ def emit_smtlib(f: ControlFormula,
     tests stay symbolic, each finite attribute becomes a dedicated sort
     with an explicit constructor for the unset value, numeric attributes
     become a known-flag plus an Int, and the whole body is wrapped in a
-    universal quantifier over one request.
+    universal quantifier over one request. In both forms every connective
+    with two or more parents is named once.
     """
     lines = ["(set-option :produce-models true)"]
     for v in variables:
@@ -932,7 +934,14 @@ def emit_smtlib(f: ControlFormula,
         binders = emitter.binders(attrs)
         guards = ["(<= 0 %s_value)" % d.name
                   for d in sig.request_attrs() if d.kind == NUMERIC]
-        body = _sexp(f, atom=emitter.atom)
+        # shared subterms mention the bound request variables, so they
+        # are bound inside the quantifier, one let per level
+        definitions, names = _shared_definitions(f, emitter.atom)
+        levels: Dict[int, List[str]] = {}
+        for lvl, name, term in definitions:
+            levels.setdefault(lvl, []).append("(%s %s)" % (name, term))
+        lets = ["(let (%s) " % " ".join(levels[lvl]) for lvl in sorted(levels)]
+        body = "".join(lets) + _sexp(f, emitter.atom, names) + ")" * len(lets)
         if guards:
             body = "(=> (and %s) %s)" % (" ".join(guards), body) if len(guards) > 1 \
                 else "(=> %s %s)" % (guards[0], body)
@@ -942,7 +951,8 @@ def emit_smtlib(f: ControlFormula,
             lines.append("(assert %s)" % body)
     else:
         definitions, names = _shared_definitions(f)
-        lines.extend(definitions)
+        lines.extend("(define-fun %s () Bool %s)" % (name, term)
+                     for _, name, term in definitions)
         lines.append("(assert %s)" % _sexp(f, names=names))
     lines.append("(check-sat)")
     if variables:

@@ -15,6 +15,7 @@ manipulates bottoms out in the same Atom node.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -70,6 +71,131 @@ def format_value(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+# ---------------------------------------------------------------------------
+# Value sets
+# ---------------------------------------------------------------------------
+
+class IntervalSet:
+    """A set of numbers, and possibly the unset value, held as a sorted
+    tuple of disjoint, non-adjacent inclusive (lo, hi) intervals plus an
+    unset flag. Its size does not grow with its bounds, so `time <= 10**18`
+    costs what `time <= 20` costs. It has no len(): the member count of a
+    20-digit bound does not fit in one."""
+
+    __slots__ = ("intervals", "unset", "_los", "_hash")
+
+    def __init__(self, intervals: Iterable[Tuple[int, int]] = (), unset: bool = False):
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in sorted(iv for iv in intervals if iv[0] <= iv[1]):
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        self.intervals: Tuple[Tuple[int, int], ...] = tuple(merged)
+        self.unset = bool(unset)
+        self._los = tuple(lo for lo, _ in merged)
+        self._hash = hash((IntervalSet, self.intervals, self.unset))
+
+    def __contains__(self, v) -> bool:
+        if type(v) is int:      # not bool: true and false are no numbers
+            i = bisect_right(self._los, v)
+            return i > 0 and v <= self.intervals[i - 1][1]
+        return v is BOTTOM and self.unset
+
+    def __iter__(self) -> Iterator[Value]:
+        if self.unset:
+            yield BOTTOM
+        for lo, hi in self.intervals:
+            yield from range(lo, hi + 1)
+
+    def __bool__(self) -> bool:
+        return self.unset or bool(self.intervals)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return self._hash == other._hash and self.intervals == other.intervals \
+            and self.unset == other.unset
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return "IntervalSet(%r, unset=%r)" % (self.intervals, self.unset)
+
+    def __or__(self, other) -> "IntervalSet":
+        other = _as_interval_set(other)
+        if other is None:
+            return NotImplemented
+        return IntervalSet(self.intervals + other.intervals, self.unset or other.unset)
+
+    def __sub__(self, other) -> "IntervalSet":
+        other = _as_interval_set(other)
+        if other is None:
+            return NotImplemented
+        out: List[Tuple[int, int]] = []
+        for lo, hi in self.intervals:
+            for olo, ohi in other.intervals:
+                if ohi < lo or olo > hi:
+                    continue
+                if olo > lo:
+                    out.append((lo, olo - 1))
+                lo = ohi + 1
+            if lo <= hi:
+                out.append((lo, hi))
+        return IntervalSet(out, self.unset and not other.unset)
+
+    def __and__(self, other) -> "IntervalSet":
+        other = _as_interval_set(other)
+        if other is None:
+            return NotImplemented
+        return self - (self - other)
+
+    def __rsub__(self, other) -> "IntervalSet":
+        other = _as_interval_set(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    __ror__ = __or__
+    __rand__ = __and__
+
+
+def _as_interval_set(values) -> Optional[IntervalSet]:
+    """values as an IntervalSet, or None if it holds something other
+    than numbers and the unset value."""
+    if isinstance(values, IntervalSet):
+        return values
+    if isinstance(values, (set, frozenset)) \
+            and all(type(v) is int or v is BOTTOM for v in values):
+        return IntervalSet([(v, v) for v in values if v is not BOTTOM], BOTTOM in values)
+    return None
+
+
+ValueSet = Union[FrozenSet[Value], IntervalSet]
+
+
+def value_set(values: Iterable[Value]) -> ValueSet:
+    """The normal form of a membership set. A set that holds a number,
+    and otherwise only unset values, is an IntervalSet; every other set,
+    empty or {bot} included, is a frozenset. Each set therefore has one
+    form, and equal sets compare and hash equal."""
+    if isinstance(values, IntervalSet):
+        if values.intervals:
+            return values
+        return frozenset([BOTTOM]) if values.unset else frozenset()
+    if not isinstance(values, frozenset):
+        values = frozenset(values)
+    if any(type(v) is int for v in values):
+        return _as_interval_set(values) or values
+    return values
+
+
+def intervals_of(values: ValueSet) -> Tuple[Tuple[int, int], ...]:
+    """The number intervals of a membership set; none for a frozenset."""
+    return values.intervals if isinstance(values, IntervalSet) else ()
 
 
 @dataclass(frozen=True)
@@ -156,13 +282,13 @@ class Top:
 
 @dataclass(frozen=True)
 class Atom:
-    """Membership test: the named attribute's value lies in `values`."""
+    """Membership test: the named attribute's value lies in `values`,
+    which is held in the normal form of value_set()."""
     attr: str
-    values: FrozenSet[Value]
+    values: ValueSet
 
     def __post_init__(self):
-        if not isinstance(self.values, frozenset):
-            object.__setattr__(self, "values", frozenset(self.values))
+        object.__setattr__(self, "values", value_set(self.values))
 
 
 @dataclass(frozen=True)
@@ -383,7 +509,11 @@ def validate_constraint(f: Formula, sig: AttributeSignature) -> None:
 
 
 def _validate_atom_values(a: Atom, d: AttributeDecl) -> None:
-    for v in a.values:
+    values = a.values
+    if isinstance(values, IntervalSet):
+        # an interval's members are admissible exactly when its ends are
+        values = [v for interval in values.intervals for v in interval]
+    for v in values:
         if not d.admits(v):
             raise ValueError("value %r not in the domain of %r" % (v, a.attr))
 
@@ -451,36 +581,29 @@ class RegionSet:
         return n
 
 
-def _numeric_cells(sets: List[FrozenSet[Value]]) -> List[Cell]:
-    mentioned = sorted({v for s in sets for v in s
-                        if isinstance(v, int) and not isinstance(v, bool)})
-    cells = [Cell(rep=BOTTOM)]
-    if not mentioned:
-        # Mentioned only through bottom or empty sets: every proper
-        # number behaves the same.
-        cells.append(Cell(rep=0, lo=0, hi=None))
-        return cells
-    breaks = sorted({0} | set(mentioned) | {m + 1 for m in mentioned})
+def _numeric_cells(sets: List[ValueSet]) -> List[Cell]:
+    # Verdicts change only where an interval starts or ends, so the
+    # spans between consecutive endpoints have constant verdict vectors.
+    breaks = {0}
+    for s in sets:
+        for lo, hi in intervals_of(s):
+            breaks.update((lo, hi + 1))
+    breaks = sorted(breaks)
 
     def signature(v: int):
         return tuple(v in s for s in sets)
 
-    spans: List[Tuple[int, Optional[int]]] = []
-    for i, b in enumerate(breaks):
+    cells = [Cell(rep=BOTTOM)]
+    for i, lo in enumerate(breaks):
         hi = breaks[i + 1] - 1 if i + 1 < len(breaks) else None
-        spans.append((b, hi))
-    merged: List[Tuple[int, Optional[int]]] = []
-    for lo, hi in spans:
-        if merged and signature(merged[-1][0]) == signature(lo):
-            merged[-1] = (merged[-1][0], hi)
+        if len(cells) > 1 and signature(cells[-1].lo) == signature(lo):
+            cells[-1] = Cell(rep=cells[-1].lo, lo=cells[-1].lo, hi=hi)
         else:
-            merged.append((lo, hi))
-    for lo, hi in merged:
-        cells.append(Cell(rep=lo, lo=lo, hi=hi))
+            cells.append(Cell(rep=lo, lo=lo, hi=hi))
     return cells
 
 
-def _finite_cells(domain: List[Value], sets: List[FrozenSet[Value]]) -> List[Cell]:
+def _finite_cells(domain: List[Value], sets: List[ValueSet]) -> List[Cell]:
     cells = [Cell(rep=BOTTOM)]
     groups: List[Tuple[Tuple[bool, ...], Value]] = []
     for v in domain:
@@ -496,7 +619,7 @@ def _finite_cells(domain: List[Value], sets: List[FrozenSet[Value]]) -> List[Cel
 
 
 def build_regions(sig: AttributeSignature, atoms: Iterable[Atom]) -> RegionSet:
-    by_attr: Dict[str, List[FrozenSet[Value]]] = {}
+    by_attr: Dict[str, List[ValueSet]] = {}
     for a in atoms:
         d = sig.get(a.attr)
         if d.cls == RESOURCE:

@@ -16,8 +16,11 @@ Membership shorthands, all desugared at parse time:
     a <= n       numeric upper bound       a >= n      numeric lower bound
     n <= a <= m  bounded interval
 
-An unset attribute (bottom) satisfies `a >= n` but no bounded interval;
-this falls out of the desugaring, which encodes lower bounds negatively.
+Numeric sets are IntervalSets: the parser builds their intervals from
+the bounds directly, and the printer reads them back, so a bound of any
+size costs the same. An unset attribute (bottom) satisfies `a >= n` but
+no bounded interval; this falls out of the desugaring, which encodes
+lower bounds negatively.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from typing import List, Optional, Tuple
 from .formulas import (
     AU, AX, BOOLEAN, BOTTOM, ENUM, EU, EX, NEGATIVE, NUMERIC,
     POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom,
-    AttributeSignature, Formula, Not, Requirement, Top, Value,
-    blocking, deny, disj, falsum, format_value, grant, implies,
-    is_deadlock_freeness, validate_constraint, validate_target, value_key,
-    waypoint,
+    AttributeSignature, Formula, IntervalSet, Not, Requirement, Top, Value,
+    ValueSet, blocking, deny, disj, falsum, format_value, grant, implies,
+    intervals_of, is_deadlock_freeness, validate_constraint, validate_target,
+    value_key, waypoint,
 )
 
 RESERVED = {
@@ -269,7 +272,7 @@ class _Parser:
             self.fail("expected a number", hi_tok)
         hi = int(hi_tok.value)
         attr = self._numeric_attr(name_tok)
-        return And(self._at_least(attr, lo), Atom(attr, frozenset(range(0, hi + 1))))
+        return And(self._at_least(attr, lo), Atom(attr, IntervalSet([(0, hi)])))
 
     def atom(self) -> Formula:
         name_tok = self.next()
@@ -284,7 +287,7 @@ class _Parser:
         if self.accept("<="):
             n = self._number()
             self._require_numeric(decl, name_tok)
-            return Atom(name, frozenset(range(0, n + 1)))
+            return Atom(name, IntervalSet([(0, n)]))
         if self.accept(">="):
             n = self._number()
             self._require_numeric(decl, name_tok)
@@ -296,27 +299,32 @@ class _Parser:
                       "stand alone" % name, name_tok)
         return Atom(name, frozenset([True]))
 
-    def set_literal(self, decl) -> frozenset:
+    def set_literal(self, decl) -> ValueSet:
         self.expect("{")
         items: List[Value] = []
+        spans: List[Tuple[int, int]] = []
         if not self.at("}"):
             while True:
                 t = self.peek()
                 if t.kind == "num":
-                    self._require_numeric(decl, t)      # before a range expands
-                    lo = int(self.next().value)
+                    self._require_numeric(decl, t)
+                    lo = hi = int(self.next().value)
                     if self.accept(".."):
                         hi = self._number()
                         if hi < lo:
                             self.fail("empty range %d..%d" % (lo, hi), t)
-                        items.extend(range(lo, hi + 1))
-                    else:
-                        items.append(lo)
+                    spans.append((lo, hi))
                 else:
-                    items.append(self.value(decl))
+                    v = self.value(decl)
+                    if decl.kind == NUMERIC and v is not BOTTOM:
+                        # numeric sets hold numbers and bot only
+                        self.fail("value %r not in the domain of %r" % (v, decl.name), t)
+                    items.append(v)
                 if not self.accept(","):
                     break
         self.expect("}")
+        if decl.kind == NUMERIC:
+            return IntervalSet(spans, BOTTOM in items)
         return frozenset(items)
 
     def value(self, decl) -> Value:
@@ -356,7 +364,7 @@ class _Parser:
 
     @staticmethod
     def _at_least(attr: str, n: int) -> Formula:
-        return Not(Atom(attr, frozenset(range(0, n))))
+        return Not(Atom(attr, IntervalSet([(0, n - 1)])))
 
 
 # ---------------------------------------------------------------------------
@@ -436,40 +444,43 @@ _PREC_OR = 1
 _PREC_IMPL = 0
 
 
-def _is_zero_run(values: frozenset) -> Optional[int]:
-    """If values == {0..n}, return n."""
-    if not values or BOTTOM in values:
+def _single_member(values: ValueSet) -> Optional[Value]:
+    """v if values == {v}, else None."""
+    if isinstance(values, IntervalSet):
+        if not values.unset and len(values.intervals) == 1 \
+                and values.intervals[0][0] == values.intervals[0][1]:
+            return values.intervals[0][0]
         return None
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-        return None
-    n = max(values)
-    return n if len(values) == n + 1 and min(values) == 0 else None
+    return next(iter(values)) if len(values) == 1 else None
 
 
-def _format_set(values: frozenset) -> str:
-    parts = []
-    ints = sorted(v for v in values if isinstance(v, int) and not isinstance(v, bool))
-    rest = sorted((v for v in values if not isinstance(v, int) or isinstance(v, bool)),
-                  key=value_key)
-    i = 0
-    while i < len(ints):
-        j = i
-        while j + 1 < len(ints) and ints[j + 1] == ints[j] + 1:
-            j += 1
-        parts.append(str(ints[i]) if i == j else "%d..%d" % (ints[i], ints[j]))
-        i = j + 1
+def _upper_bound(values: ValueSet) -> Optional[int]:
+    """n if values == {0..n}, the `<= n` desugaring."""
+    if isinstance(values, IntervalSet) and not values.unset \
+            and len(values.intervals) == 1 and values.intervals[0][0] == 0:
+        return values.intervals[0][1]
+    return None
+
+
+def _format_set(values: ValueSet) -> str:
+    parts = [str(lo) if lo == hi else "%d..%d" % (lo, hi)
+             for lo, hi in intervals_of(values)]
+    if isinstance(values, IntervalSet):
+        rest = [BOTTOM] if values.unset else []
+    else:
+        rest = sorted(values, key=value_key)
     parts.extend(format_value(v) for v in rest)
     return "{%s}" % ", ".join(parts)
 
 
 def _atom_str(f: Atom, sig: Optional[AttributeSignature]) -> str:
-    if len(f.values) == 1:
-        v = next(iter(f.values))
+    v = _single_member(f.values)
+    if v is not None:
         if v is True and sig is not None and f.attr in sig \
                 and sig.get(f.attr).kind == BOOLEAN:
             return f.attr
         return "%s = %s" % (f.attr, format_value(v))
-    n = _is_zero_run(f.values)
+    n = _upper_bound(f.values)
     if n is not None:
         return "%s <= %d" % (f.attr, n)
     return "%s in %s" % (f.attr, _format_set(f.values))
@@ -480,7 +491,7 @@ def _lower_bound_of(f: Formula) -> Optional[Tuple[str, int]]:
     if isinstance(f, Not) and isinstance(f.sub, Atom):
         if not f.sub.values:
             return f.sub.attr, 0
-        n = _is_zero_run(f.sub.values)
+        n = _upper_bound(f.sub.values)
         if n is not None:
             return f.sub.attr, n + 1
     return None
@@ -502,8 +513,8 @@ def _fmt_prec(f: Formula, sig) -> Tuple[str, int]:
     if isinstance(f, Not):
         if isinstance(f.sub, Top):
             return "false", _PREC_ATOMIC
-        if isinstance(f.sub, Atom) and len(f.sub.values) == 1:
-            v = next(iter(f.sub.values))
+        v = _single_member(f.sub.values) if isinstance(f.sub, Atom) else None
+        if v is not None:
             return "%s != %s" % (f.sub.attr, format_value(v)), _PREC_ATOMIC
         lb = _lower_bound_of(f)
         if lb is not None:
@@ -527,7 +538,7 @@ def _fmt_prec(f: Formula, sig) -> Tuple[str, int]:
     if isinstance(f, And):
         lb = _lower_bound_of(f.left)
         if lb is not None and isinstance(f.right, Atom) and f.right.attr == lb[0]:
-            hi = _is_zero_run(f.right.values)
+            hi = _upper_bound(f.right.values)
             if hi is not None:
                 return "%d <= %s <= %d" % (lb[1], lb[0], hi), _PREC_ATOMIC
         return ("%s and %s" % (_fmt(f.left, sig, _PREC_AND),

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     BOOLEAN, BOTTOM, ENUM, NUMERIC, And, Atom, AttributeSignature, Formula,
-    Not, Requirement, Top, Value, build_regions, collect_atoms, conj, disj,
-    falsum, target_equiv, validate_target,
+    IntervalSet, Not, Requirement, Top, Value, build_regions, collect_atoms,
+    conj, disj, falsum, target_equiv, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure, SynthesisError
 from .encoder import (
@@ -355,12 +355,12 @@ class DnfTemplate(Template):
     def _lower_formula(self, attr: str, lo: int) -> ControlFormula:
         if lo == 0:
             return CTrue()
-        return cnot(CAtom(attr, frozenset(range(lo))))
+        return cnot(CAtom(attr, IntervalSet([(0, lo - 1)])))
 
     def _upper_formula(self, attr: str, hi: Optional[int]) -> ControlFormula:
         if hi is None:
             return CTrue()
-        return CAtom(attr, frozenset(range(hi + 1)))
+        return CAtom(attr, IntervalSet([(0, hi)]))
 
     def _test_formula(self, ei: int, j: int, t: int, attr: str) -> ControlFormula:
         decl = self.sig.get(attr)
@@ -413,9 +413,9 @@ class DnfTemplate(Template):
             hi = uppers[m.get(self._name("hi", ei, j, t, attr), 0)]
             parts: List[Formula] = []
             if lo > 0:
-                parts.append(Not(Atom(attr, frozenset(range(lo)))))
+                parts.append(Not(Atom(attr, IntervalSet([(0, lo - 1)]))))
             if hi is not None:
-                parts.append(Atom(attr, frozenset(range(hi + 1))))
+                parts.append(Atom(attr, IntervalSet([(0, hi)])))
             return conj(parts)
         dom = self._value_domain(attr)
         v = dom[m.get(self._name("val", ei, j, t, attr), 0)]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import re
@@ -17,7 +18,8 @@ from gatesynth.encoder import (
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top,
 )
-from gatesynth.model import restrict
+from gatesynth import encoder
+from gatesynth.model import restrict, scale_replicate
 from gatesynth.templates import SingletonTemplate
 
 from genutil import (
@@ -61,6 +63,16 @@ def test_node_equality_and_hashing():
     assert CAnd((x_eq(1), y_eq(0))) != CAnd((y_eq(0), x_eq(1)))
     assert cguard(("a", "b")) is cguard(("a", "b"))          # interned
     assert cguard(("a", "b")) == CGuard(("a", "b"))
+
+
+def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
+    gc.collect()
+    before = len(encoder._GUARDS)
+    f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
+    assert len(encoder._GUARDS) > before
+    del f
+    gc.collect()
+    assert len(encoder._GUARDS) == before
 
 
 def test_formula_size_counts_distinct_subterms():
@@ -381,10 +393,11 @@ def test_emit_smtlib_quantified(office):
         emit_smtlib(f, [], quantified=True)
 
 
-def smt_holds(script, m):
-    """Whether every assertion of a grounded script holds when each
-    declared constant takes its value from m: a reader for the subset
-    of SMT-LIB that emit_smtlib writes."""
+def smt_holds(script, m, requests=()):
+    """Whether every assertion of a script holds when each declared
+    constant takes its value from m: a reader for the subset of SMT-LIB
+    that emit_smtlib writes. A forall holds when its body holds under
+    every binding of its variables in `requests`."""
     tokens = re.findall(r"\(|\)|[^\s()]+", script)
     stack = [[]]
     for tok in tokens:
@@ -396,16 +409,24 @@ def smt_holds(script, m):
         else:
             stack[-1].append(tok)
     defined = {}
+    constructors = set()        # datatype constructors stand for themselves
     assertions = []
 
-    def value(t):
+    def value(t, env):
         if isinstance(t, str):
             if t in ("true", "false"):
                 return t == "true"
-            if t in defined:
-                return defined[t]
-            return m[t] if t in m else int(t)
-        op, args = t[0], [value(a) for a in t[1:]]
+            for scope in (env, defined, m):
+                if t in scope:
+                    return scope[t]
+            return t if t in constructors else int(t)
+        if t[0] == "let":
+            inner = dict(env)
+            inner.update((name, value(term, env)) for name, term in t[1])
+            return value(t[2], inner)
+        if t[0] == "forall":
+            return all(value(t[2], dict(env, **q)) for q in requests)
+        op, args = t[0], [value(a, env) for a in t[1:]]
         if op == "and":
             return all(args)
         if op == "or":
@@ -423,12 +444,22 @@ def smt_holds(script, m):
         raise ValueError(op)
 
     for command in stack[0]:
-        if command[0] == "define-fun":
+        if command[0] == "declare-datatype":
+            constructors.update(c[0] for c in command[2])
+        elif command[0] == "define-fun":
             assert command[2] == [] and command[3] == "Bool"
-            defined[command[1]] = value(command[4])
+            defined[command[1]] = value(command[4], {})
         elif command[0] == "assert":
-            assertions.append(value(command[1]))
+            assertions.append(value(command[1], {}))
     return all(assertions)
+
+
+def smt_request(q):
+    """The quantified script's request variables bound as q sets them."""
+    ctor = lambda a: "%s_%s" % (a, "unset" if q.get(a, BOTTOM) is BOTTOM
+                                else str(q[a]).lower())
+    return {"role": ctor("role"), "correct_pin": ctor("correct_pin"),
+            "time_known": "time" in q, "time_value": q.get("time", 0)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,6 +481,31 @@ def test_grounded_script_prints_shared_subterms_once():
     assert len(large) < 2.2 * len(small)     # printed as a tree: 2^10 times
     for m in ({"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}):
         assert smt_holds(large, m) == chain_value(20, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_control_formulas())
+def test_quantified_script_means_the_formula(office, case):
+    f, vars_ = case
+    script = emit_smtlib(f, vars_, sig=office.sig, quantified=True)
+    # a negative time is outside every request, so it cannot falsify
+    bindings = [smt_request(q) for q in REQUESTS] + [
+        dict(smt_request({}), time_known=True, time_value=-1)]
+    for combo in itertools.product(*(range(v.size) for v in vars_)):
+        m = {v.name: c for v, c in zip(vars_, combo)}
+        want = all(eval_formula(f, q, m) for q in REQUESTS)
+        assert smt_holds(script, m, bindings) == want, (script, m)
+
+
+def test_quantified_script_prints_shared_subterms_once(office):
+    x, y = ControlVar("x", 2), ControlVar("y", 2)
+    small, large = (emit_smtlib(shared_chain(n), [x, y], sig=office.sig,
+                                quantified=True) for n in (10, 20))
+    # one binding per level that has two parents: all but the root
+    assert large.count("(let ") == 19
+    assert len(large) < 2.2 * len(small)     # printed as a tree: 2^10 times
+    for m in ({"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}):
+        assert smt_holds(large, m, [smt_request({})]) == chain_value(20, m)
 
 
 def fake_solver(tmp_path, body):

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gatesynth.encoder import CAtom
 from gatesynth.formulas import (
     AU, AX, BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, EU, EX, NUMERIC, RESOURCE,
     SUBJECT, AG, EF, And, Atom, AttributeDecl, AttributeSignature, Cell,
@@ -7,7 +9,7 @@ from gatesynth.formulas import (
     deadlock_free_constraint, deny, disj, eval_target, falsum, format_value,
     grant, implies, is_deadlock_freeness, release, strict_deadlock_free_constraint,
     subformulas, target_equiv, target_sat, validate_constraint,
-    validate_target, value_key, waypoint, blocking,
+    validate_target, value_key, waypoint, blocking, IntervalSet, value_set,
 )
 
 
@@ -79,9 +81,17 @@ def test_eval_target_reads_missing_attributes_as_bottom():
 
 
 def test_atom_values_coerced_to_frozenset():
+    # Numeric sets take the interval normal form, finite ones stay
+    # frozensets, and list input is coerced either way.
     a = Atom("time", [1, 2])
-    assert isinstance(a.values, frozenset)
+    assert isinstance(a.values, IntervalSet)
+    assert a.values.intervals == ((1, 2),)
     assert a == Atom("time", frozenset([2, 1]))
+    assert Atom("time", frozenset(range(0, 21))) == Atom("time", IntervalSet([(0, 20)]))
+    r = Atom("role", ["visitor"])
+    assert isinstance(r.values, frozenset)
+    assert r == Atom("role", frozenset(["visitor"]))
+    assert Atom("time", [BOTTOM]).values == frozenset([BOTTOM])
 
 
 def test_numeric_regions_from_interval_atoms():
@@ -204,3 +214,77 @@ def test_validate_constraint_rejections():
     with pytest.raises(ValueError, match="domain"):
         validate_constraint(Atom("door", frozenset(["z"])), SIG)
     validate_constraint(AU(Top(), Atom("door", frozenset(["a"]))), SIG)
+
+
+# Differential tests: IntervalSet against the explicit frozensets it
+# replaced, over the universe {unset, 0..40}.
+UNIVERSE = [BOTTOM] + list(range(41))
+
+
+@st.composite
+def interval_sets(draw):
+    """An IntervalSet built from random, possibly overlapping, adjacent
+    or empty intervals, with the frozenset of its members."""
+    spans = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=4))
+    unset = draw(st.booleans())
+    members = {v for lo, hi in spans for v in range(lo, hi + 1)}
+    return IntervalSet(spans, unset), frozenset(members | ({BOTTOM} if unset else set()))
+
+
+def members(values):
+    return frozenset(v for v in UNIVERSE if v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_interval_sets_agree_with_frozensets(a, b):
+    (ia, fa), (ib, fb) = a, b
+    assert members(ia) == fa and frozenset(ia) == fa
+    assert bool(ia) == bool(fa)
+    for op in (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x - y):
+        want = op(fa, fb)
+        assert members(op(ia, ib)) == want
+        assert members(op(ia, fb)) == want and members(op(fa, ib)) == want
+    # one normal form per set: equal sets are equal atoms with equal hashes
+    na, nb = value_set(fa), value_set(fb)
+    assert value_set(ia) == na and hash(value_set(ia)) == hash(na)
+    assert (na == nb) == (fa == fb)
+    if na == nb:
+        assert hash(na) == hash(nb)
+    assert Atom("time", ia) == Atom("time", fa)
+    assert CAtom("time", ia) == CAtom("time", fa)
+    assert hash(CAtom("time", ia)) == hash(CAtom("time", fa))
+
+
+def per_value_numeric_cells(sets):
+    """The cells of a numeric attribute found by testing every mentioned
+    value and its successor, as the explicit-set regions did."""
+    mentioned = sorted({v for s in sets for v in s if v is not BOTTOM})
+    cells = [Cell(rep=BOTTOM)]
+    if not mentioned:
+        cells.append(Cell(rep=0, lo=0, hi=None))
+        return cells
+    breaks = sorted({0} | set(mentioned) | {m + 1 for m in mentioned})
+
+    def signature(v):
+        return tuple(v in s for s in sets)
+
+    merged = []
+    for i, b in enumerate(breaks):
+        hi = breaks[i + 1] - 1 if i + 1 < len(breaks) else None
+        if merged and signature(merged[-1][0]) == signature(b):
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((b, hi))
+    return cells + [Cell(rep=lo, lo=lo, hi=hi) for lo, hi in merged]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(interval_sets(), min_size=1, max_size=5))
+def test_numeric_regions_agree_with_per_value_regions(sets):
+    atoms = [Atom("time", i) for i, _ in sets]
+    distinct = []
+    for _, f in sets:
+        if f not in distinct:
+            distinct.append(f)
+    assert build_regions(SIG, atoms).attr_cells("time") == per_value_numeric_cells(distinct)

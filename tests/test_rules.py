@@ -1,8 +1,14 @@
+import json
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gatesynth import data
+from gatesynth.app import synth, verify
+from gatesynth.model import config_to_json
 from gatesynth.formulas import (
-    AU, AX, BOTTOM, EU, EX, NEGATIVE, POSITIVE, UNKNOWN, And, Atom, Not,
+    AU, AX, BOTTOM, EU, EX, NEGATIVE, POSITIVE, UNKNOWN, And, Atom, IntervalSet, Not,
     Top, deadlock_free_constraint, strict_deadlock_free_constraint,
 )
 from gatesynth.rules import (
@@ -217,13 +223,19 @@ def test_format_target_emits_sugar_only_for_exact_shapes(office):
 # and operators are drawn regardless of class or kind, and a drawn line
 # may be cut short or have a token spliced in.
 _ATTRS = st.sampled_from(["role", "time", "correct_pin", "id", "sec_zone", "nobody"])
-_VALUES = st.sampled_from(["visitor", "employee", "mr", "bot", "true", "false", "0",
-                           "20", "{visitor, 3}", "{1..4}", "{}", "{mr, bot}"])
+_NUMBERS = st.integers(0, 10 ** 20)
+_VALUES = st.one_of(
+    st.sampled_from(["visitor", "employee", "mr", "bot", "true", "false", "0",
+                     "20", "{visitor, 3}", "{1..4}", "{}", "{mr, bot}"]),
+    _NUMBERS.map(str),
+    st.builds("{{{}..{}}}".format, _NUMBERS, _NUMBERS),
+    st.builds("{{{}, {}..{}, bot}}".format, _NUMBERS, _NUMBERS, _NUMBERS),
+    st.builds("{{visitor, {}..{}}}".format, _NUMBERS, _NUMBERS))
 _ATOMS = st.one_of(
     _ATTRS,
     st.builds("{} {} {}".format, _ATTRS, st.sampled_from(["=", "!=", "<=", ">=", "in"]),
               _VALUES),
-    st.builds("{} <= {} <= {}".format, st.integers(0, 30), _ATTRS, st.integers(0, 30)))
+    st.builds("{} <= {} <= {}".format, _NUMBERS, _ATTRS, _NUMBERS))
 _FORMULAS = st.recursive(
     _ATOMS | st.sampled_from(["true", "false"]),
     lambda f: st.one_of(
@@ -272,3 +284,45 @@ def test_validation_failures_and_deep_nesting_are_parse_errors(office):
             parse_requirements(text, office.sig)
     with pytest.raises(ParseError, match="not numeric"):
         parse_requirements("role in {0..3} => deny(sec_zone)", office.sig)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_NUMBERS, _NUMBERS), max_size=3), st.booleans())
+def test_numeric_sets_print_back_exactly(office, spans, unset):
+    values = IntervalSet(spans, unset)
+    for f in (Atom("time", values), Not(Atom("time", values)),
+              And(Not(Atom("time", values)), Atom("time", values))):
+        assert t(office, format_target(f, office.sig)) == f
+
+
+VISITOR_WINDOW = "role = visitor and 8 <= time <= 20 => grant(id = mr)"
+
+
+def test_large_bounds_cost_what_small_ones_do(office):
+    """A bound of any size is two interval ends: the office with an 18-
+    and a 20-digit visitor window synthesizes the same doors as with
+    `<= 20`, verifies, prints back exactly, and stays small in memory."""
+    with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
+        text = fh.read()
+    assert VISITOR_WINDOW in text
+
+    def run(hi):
+        line = VISITOR_WINDOW.replace("<= 20", "<= %d" % hi)
+        tracemalloc.start()
+        try:
+            reqs = parse_requirements(text.replace(VISITOR_WINDOW, line), office.sig)
+            result = synth(office, reqs)
+            ok = verify(office, reqs, result.configuration).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert format_requirement(reqs[0], office.sig) == line
+        return json.dumps(config_to_json(office, result.configuration)), ok, peak
+
+    run(20)                                  # warm-up: caches and imports
+    want, ok, base_peak = run(20)
+    assert ok
+    for hi in (10 ** 18, 98765432109876543210):
+        got, ok, peak = run(hi)
+        assert got == want and ok
+        assert peak < 2 * base_peak, (hi, peak, base_peak)
