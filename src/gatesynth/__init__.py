@@ -34,13 +34,11 @@ from .checker import (
     HoldsReport, RequirementVerdict, check_at, holds, label_structure,
     model_check,
 )
-from .classic import (
-    CapExceeded, ClassicOutcome, complete_menu, complete_template, cs,
-    s_cs, s_cs_detailed,
-)
+from .classic import ClassicOutcome, cs, s_cs, s_cs_detailed
 from .templates import (
-    DnfTemplate, MenuTemplate, SingletonTemplate, Template, dnf_template,
-    interval_candidates, simplify_policy,
+    CapExceeded, ClassTemplate, DnfTemplate, MenuTemplate, SingletonTemplate,
+    Template, complete_template, dnf_template, interval_candidates,
+    simplify_policy,
 )
 from .encoder import (
     CAnd, CAtom, CFalse, CGuard, CImplies, CNot, COr, CTrue, CVarEq,

@@ -4,9 +4,10 @@ synth() glues the pipeline together: inject the deadlock-freeness
 requirement when universal untils call for it, optionally add a
 deny-by-default floor, encode the requirements over a template, ground,
 solve, extract a configuration, and verify it with the independent
-checker before handing it back. When a clause template family runs out
-of room it escalates to the complete per-class menu, whose failure
-refutes every configuration, not just the searched family.
+checker before handing it back. When the clause templates run out of
+room it escalates to the complete class template (one bit per door and
+request class), whose failure refutes every configuration, not just the
+searched family. Every template tried is recorded in stats["attempts"].
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
-    AX, AccessRequest, Atom, AttributeSignature, BOTTOM, Formula, NEGATIVE,
-    POSITIVE, Not, Requirement, Top, UNKNOWN, conj, contains_au,
-    deadlock_free_constraint, falsum,
+    AX, AccessRequest, Atom, BOTTOM, Formula, NEGATIVE, POSITIVE, Not,
+    Requirement, Top, UNKNOWN, conj, contains_au, deadlock_free_constraint,
+    falsum,
 )
 from .checker import HoldsReport, holds
-from .classic import CapExceeded, complete_template
 from .encoder import (
     ControlFormula, SolverError, cand, emit_smtlib, encode, expand_guards,
     formula_size, ground_forall, run_external, sat_solve,
@@ -31,14 +31,14 @@ from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
     restrict, to_dot,
 )
-from .templates import (
-    MenuTemplate, SingletonTemplate, Template, dnf_template,
-)
+from .templates import CapExceeded, Template, complete_template, dnf_template
 
 
 @dataclass
 class SynthesisResult:
-    outcome: str                     # "configuration" | "unsat" | "cap-exceeded"
+    # "configuration", "unsat", or "cap-exceeded" (template="complete"
+    # with more request classes than complete_cap allows)
+    outcome: str
     configuration: Optional[Configuration] = None
     report: Optional[HoldsReport] = None
     requirements: List[Requirement] = field(default_factory=list)
@@ -134,26 +134,36 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
              stats: Dict[str, object]):
+    """Encode, ground and solve over one template. Its sizes and seconds
+    go into stats["attempts"]; the top-level keys sum the seconds over
+    all attempts and keep the sizes of the latest one."""
     t0 = time.perf_counter()
     guard_formula = cand([encode(S, r) for r in reqs])
     expanded = expand_guards(guard_formula, template)
     t1 = time.perf_counter()
     grounded = ground_forall(expanded, S.sig)
     t2 = time.perf_counter()
-    stats["encode_seconds"] = stats.get("encode_seconds", 0.0) + (t1 - t0)
-    stats["ground_seconds"] = stats.get("ground_seconds", 0.0) + (t2 - t1)
-    stats["guard_formula_size"] = formula_size(guard_formula)
-    stats["expanded_size"] = formula_size(expanded)
-    stats["grounded_size"] = formula_size(grounded)
-    stats["control_vars"] = len(template.control_vars())
-    stats["control_bits"] = template.bit_count()
+    attempt: Dict[str, object] = {
+        "template": template.describe(),
+        "guard_formula_size": formula_size(guard_formula),
+        "expanded_size": formula_size(expanded),
+        "grounded_size": formula_size(grounded),
+        "control_vars": len(template.control_vars()),
+        "control_bits": template.bit_count(),
+        "encode_seconds": t1 - t0,
+        "ground_seconds": t2 - t1,
+    }
+    stats.setdefault("attempts", []).append(attempt)
     if emit_smt:
         with open(emit_smt, "w") as fh:
             fh.write(emit_smtlib(expanded, template.control_vars(),
                                  sig=S.sig, quantified=True))
     model = _solve(grounded, template, solver, solver_cmd, timeout, stats)
-    t3 = time.perf_counter()
-    stats["solve_seconds"] = stats.get("solve_seconds", 0.0) + (t3 - t2)
+    attempt["solve_seconds"] = time.perf_counter() - t2
+    for key, value in attempt.items():
+        if key.endswith("_seconds"):
+            value += stats.get(key, 0.0)
+        stats[key] = value
     return model
 
 
@@ -172,10 +182,15 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     """Find a configuration making every requirement hold, or report
     that none exists in the searched space.
 
-    template may be "dnf" (clause templates of growing size, then the
-    complete menu as a last resort), "complete" (the per-class menu
-    directly), or a Template instance.
+    template may be "dnf" (clause templates of up to max_k clauses, then
+    the complete class template as a last resort), "complete" (the class
+    template directly), or a Template instance. complete_cap bounds the
+    number of request classes the class template may have.
     """
+    if max_k < 0:
+        raise ValueError("max_k must be at least 0, got %d" % max_k)
+    if complete_cap < 1:
+        raise ValueError("complete_cap must be at least 1, got %d" % complete_cap)
     eff = effective_requirements(S, reqs, deadlock_free, deny_by_default,
                                  entry_label)
     stats: Dict[str, object] = {"solver": solver, "requirements": len(eff)}
@@ -201,46 +216,34 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
                                message=message, stats=stats)
 
     if isinstance(template, Template):
-        stats["template"] = template.describe()
         model = _attempt(S, eff, template, solver, solver_cmd, timeout,
                          emit_smt, stats)
         if model is not None:
             return finish_sat(template, model)
         return finish_unsat(False, "no candidate in the given template works")
 
-    if template == "complete":
-        try:
-            tpl = complete_template(S, eff, complete_cap)
-        except CapExceeded as exc:
-            stats["total_seconds"] = time.perf_counter() - t_start
-            return SynthesisResult("cap-exceeded", requirements=eff,
-                                   message=str(exc), stats=stats)
-        stats["template"] = tpl.describe()
-        model = _attempt(S, eff, tpl, solver, solver_cmd, timeout,
-                         emit_smt, stats)
-        if model is not None:
-            return finish_sat(tpl, model)
-        return finish_unsat(True, "no configuration at all can satisfy these requirements")
-
-    if template != "dnf":
+    if template not in ("dnf", "complete"):
         raise ValueError("template must be 'dnf', 'complete', or a Template")
 
-    for k in range(1, max_k + 1):
-        tpl = dnf_template(S, eff, k, availability)
-        stats["template"] = tpl.describe()
-        stats["clauses_reached"] = k
-        model = _attempt(S, eff, tpl, solver, solver_cmd, timeout,
-                         emit_smt, stats)
-        if model is not None:
-            return finish_sat(tpl, model)
+    if template == "dnf":
+        for k in range(1, max_k + 1):
+            tpl = dnf_template(S, eff, k, availability)
+            stats["clauses_reached"] = k
+            model = _attempt(S, eff, tpl, solver, solver_cmd, timeout,
+                             emit_smt, stats)
+            if model is not None:
+                return finish_sat(tpl, model)
 
     try:
         tpl = complete_template(S, eff, complete_cap)
     except CapExceeded as exc:
+        if template == "complete":
+            stats["total_seconds"] = time.perf_counter() - t_start
+            return SynthesisResult("cap-exceeded", requirements=eff,
+                                   message=str(exc), stats=stats)
         return finish_unsat(False,
                             "no clause policy with up to %d clauses works, and the "
-                            "complete menu is out of reach (%s)" % (max_k, exc))
-    stats["template"] = tpl.describe()
+                            "complete template is out of reach (%s)" % (max_k, exc))
     model = _attempt(S, eff, tpl, solver, solver_cmd, timeout, emit_smt, stats)
     if model is not None:
         return finish_sat(tpl, model)

@@ -7,7 +7,8 @@ and accumulates per-edge policies as conjunctions of negated targets.
 Both walks are deterministic, so results are reproducible. The cost is
 exponential in the number of controlled edges and doubly driven by the
 number of requirements, which keeps this usable only on small models;
-the template-based synthesizer is the scalable path.
+the template-based synthesizer is the scalable path, and this module
+is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .formulas import (
-    Formula, Not, Requirement, Top, conj, target_equiv, target_sat,
+    Formula, Not, Requirement, SynthesisError, Top, conj, simplify_policy,
+    target_equiv, target_sat,
 )
 from .checker import holds, model_check
-from .model import Configuration, Edge, ResourceStructure, SynthesisError
-from .templates import MenuTemplate, simplify_policy
+from .model import Configuration, Edge, ResourceStructure
 
 MANY_EDGES = 16
 MANY_REQUIREMENTS = 12
@@ -118,56 +119,3 @@ def s_cs_detailed(S: ResourceStructure, reqs: Sequence[Requirement]) -> ClassicO
         raise SynthesisError("edge-set synthesis produced a configuration "
                              "that fails its own requirements")
     return ClassicOutcome(config, raw, True, iterations, searches, dropped=dropped)
-
-
-class CapExceeded(Exception):
-    """The complete candidate menu would be too large to build."""
-
-    def __init__(self, needed: int, cap: int):
-        super().__init__("complete menu needs %d candidates per edge, cap is %d"
-                         % (needed, cap))
-        self.needed = needed
-        self.cap = cap
-
-
-def complete_menu(S: ResourceStructure, reqs: Sequence[Requirement],
-                  cap: int = 4096) -> List[Formula]:
-    """Every policy any requirement set over these targets could need:
-    all conjunctions of negated request classes, deduplicated.
-
-    Any configuration whatsoever is equivalent, request-class by
-    request-class, to one built from this menu, so an unsatisfiable
-    search over it refutes every configuration. Nontrivial fixed-edge
-    policies refine the classes, since the structure a request sees
-    depends on them too.
-    """
-    reqs = list(reqs)
-    pseudo = [S.edges[e] for e in S.fixed_edges()
-              if not target_equiv(S.edges[e], Top(), S.sig)]
-    splitters: List[Formula] = [r.target for r in reqs] + pseudo
-    n = len(splitters)
-    needed = 1 << (1 << n)
-    if needed > cap:
-        raise CapExceeded(needed, cap)
-    class_targets: List[Formula] = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        rest = [i for i in range(n) if not mask >> i & 1]
-        t = conj([splitters[i] for i in members]
-                 + [Not(splitters[i]) for i in rest])
-        class_targets.append(t)
-    sat_classes = [t for t in class_targets if target_sat(t, S.sig) is not None]
-
-    menu: List[Formula] = []
-    for excluded_mask in range(1 << len(sat_classes)):
-        t = conj([Not(sat_classes[i]) for i in range(len(sat_classes))
-                  if excluded_mask >> i & 1])
-        if not any(target_equiv(t, prior, S.sig) for prior in menu):
-            menu.append(t)
-    return [simplify_policy(t, S.sig) for t in menu]
-
-
-def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
-                      cap: int = 4096) -> MenuTemplate:
-    menu = complete_menu(S, reqs, cap)
-    return MenuTemplate(S, {e: menu for e in S.controlled_edges()})

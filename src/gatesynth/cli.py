@@ -18,7 +18,7 @@ from . import __version__
 from .app import minimal_conflict, simulate, synth, verify
 from .classic import MANY_EDGES, MANY_REQUIREMENTS
 from .encoder import SolverError
-from .formulas import BOTTOM, Requirement, format_value
+from .formulas import BOTTOM, RESOURCE, Requirement, format_value
 from .model import (
     ModelError, SynthesisError, config_from_json, config_to_json, load_config,
     load_model, save_config, save_model, scale_replicate,
@@ -41,7 +41,12 @@ def _parse_label_value(text: str, sig):
     attr, raw = text.split("=", 1)
     attr = attr.strip()
     raw = raw.strip()
+    if attr not in sig:
+        raise ValueError("unknown attribute %r" % attr)
     decl = sig.get(attr)
+    if decl.cls != RESOURCE:
+        raise ValueError("%s is not a resource attribute, so it labels no space"
+                         % attr)
     if raw == "bot":
         return attr, BOTTOM
     if raw in ("true", "false"):
@@ -215,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--entry-label",
                     help="attr=value identifying the entry, for --deny-by-default")
     ps.add_argument("--cap", type=int, default=4096,
-                    help="candidate cap for the complete menu (default 4096)")
+                    help="request-class cap for the complete template (default 4096)")
     ps.add_argument("-o", "--output", help="write the configuration as JSON")
     ps.add_argument("--emit-smt", metavar="FILE",
                     help="also write the constraint as an SMT-LIB script")

@@ -9,7 +9,9 @@ Two formula classes share one node set:
   A-until plus negation and conjunction).
 
 Edge policies are targets as well, so everything the synthesizer
-manipulates bottoms out in the same Atom node.
+manipulates bottoms out in the same Atom node. Targets are decided over
+finitely many request regions (target_sat, target_equiv) and shrunk
+without changing their meaning by simplify_policy.
 """
 
 from __future__ import annotations
@@ -657,3 +659,131 @@ def target_equiv(t1: Formula, t2: Formula, sig: AttributeSignature) -> bool:
         if eval_target(q, t1) != eval_target(q, t2):
             return False
     return True
+
+
+class SynthesisError(RuntimeError):
+    """A soundness check failed: synthesis produced a policy or a
+    configuration that does not do what it was built to do."""
+
+
+def simplify_policy(t: Formula, sig: AttributeSignature) -> Formula:
+    """Equivalent but smaller form of a policy or target.
+
+    Constant subterms are folded, duplicate conjuncts dropped, and
+    membership tests on the same attribute merged. The result is
+    checked to grant exactly the same requests as the input; a mismatch
+    raises SynthesisError.
+    """
+    out = _simp(t, sig)
+    if not target_equiv(t, out, sig):
+        raise SynthesisError("simplification changed the policy %r into %r" % (t, out))
+    return out
+
+
+def _full_domain(sig: AttributeSignature, attr: str) -> Optional[frozenset]:
+    d = sig.get(attr)
+    if d.kind == BOOLEAN:
+        return frozenset([BOTTOM, False, True])
+    if d.kind == ENUM:
+        return frozenset([BOTTOM]) | frozenset(d.symbols)
+    return None
+
+
+def _simp(t: Formula, sig: AttributeSignature) -> Formula:
+    if isinstance(t, Top):
+        return t
+    if isinstance(t, Atom):
+        if not t.values:
+            return falsum()
+        full = _full_domain(sig, t.attr)
+        if full is not None and t.values >= full:
+            return Top()
+        return t
+    if isinstance(t, Not):
+        s = _simp(t.sub, sig)
+        if isinstance(s, Not):
+            return s.sub
+        return Not(s)
+    if isinstance(t, And):
+        return _simp_and(t, sig)
+    raise TypeError("not a policy node: %r" % (t,))
+
+
+def _flatten_and(t: Formula) -> List[Formula]:
+    if isinstance(t, And):
+        return _flatten_and(t.left) + _flatten_and(t.right)
+    return [t]
+
+
+def _simp_and(t: And, sig: AttributeSignature) -> Formula:
+    parts = []
+    for p in _flatten_and(t):
+        s = _simp(p, sig)
+        if isinstance(s, And):
+            parts.extend(_flatten_and(s))
+        else:
+            parts.append(s)
+
+    false = falsum()
+    pos: Dict[str, frozenset] = {}
+    negv: Dict[str, frozenset] = {}
+    order: List[Tuple[str, object]] = []   # ('pos', attr) / ('neg', attr) / ('other', i)
+    others: List[Formula] = []
+
+    for p in parts:
+        if isinstance(p, Top):
+            continue
+        if p == false:
+            return false
+        if isinstance(p, Atom):
+            if p.attr in pos:
+                pos[p.attr] = pos[p.attr] & p.values
+            else:
+                pos[p.attr] = p.values
+                order.append(("pos", p.attr))
+            continue
+        if isinstance(p, Not) and isinstance(p.sub, Atom):
+            a = p.sub
+            if a.attr in negv:
+                negv[a.attr] = negv[a.attr] | a.values
+            else:
+                negv[a.attr] = a.values
+                order.append(("neg", a.attr))
+            continue
+        if p not in others:
+            order.append(("other", len(others)))
+            others.append(p)
+
+    for attr in list(pos):
+        if attr in negv:
+            pos[attr] = pos[attr] - negv[attr]
+            del negv[attr]
+
+    out: List[Formula] = []
+    for kind, key in order:
+        if kind == "pos":
+            values = pos[key]
+            if not values:
+                return false
+            full = _full_domain(sig, key)
+            if full is not None and values >= full:
+                continue
+            out.append(Atom(key, values))
+        elif kind == "neg":
+            if key not in negv:
+                continue    # absorbed into the positive test
+            values = negv[key]
+            if not values:
+                continue    # nothing excluded
+            full = _full_domain(sig, key)
+            if full is not None and values >= full:
+                return false
+            out.append(Not(Atom(key, values)))
+        else:
+            out.append(others[key])
+
+    for p in out:
+        if isinstance(p, Not) and p.sub in out:
+            return false
+
+    return conj(out)

@@ -21,8 +21,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .formulas import (
     BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, NUMERIC, RESOURCE, SUBJECT,
-    AccessRequest, AttributeDecl, AttributeSignature, Formula, Top,
-    Value, eval_target, validate_target,
+    AccessRequest, AttributeDecl, AttributeSignature, Formula, SynthesisError,
+    Top, Value, eval_target, validate_target,
 )
 from .rules import RESERVED, format_target, parse_target
 
@@ -34,11 +34,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 class ModelError(ValueError):
     pass
-
-
-class SynthesisError(RuntimeError):
-    """A soundness check failed: synthesis produced a policy or a
-    configuration that does not do what it was built to do."""
 
 
 @dataclass

@@ -5,13 +5,16 @@ policies addressed by finite-domain control variables. Synthesis then
 searches for one control assignment whose derived configuration makes
 all requirements hold.
 
-Three families are provided. A singleton template wraps one known
+Four families are provided. A singleton template wraps one known
 configuration (used to verify or to re-encode an existing policy set).
 A menu template picks each edge's policy from an explicit candidate
 list. A clause template builds policies as a disjunction of up to k
 clauses, each a conjunction of up to k attribute tests, with equality
 and disequality on finite attributes (the unset value is a first-class
-candidate) and interval bounds on numeric attributes.
+candidate) and interval bounds on numeric attributes. A class template
+gives every edge one bit per request class, saying whether the edge
+denies that class; it can express every configuration up to request
+class, so a failed search over it refutes them all.
 """
 
 from __future__ import annotations
@@ -19,143 +22,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
-    BOOLEAN, BOTTOM, ENUM, NUMERIC, And, Atom, AttributeSignature, Formula,
-    IntervalSet, Not, Requirement, Top, Value, build_regions, collect_atoms,
-    conj, disj, falsum, target_equiv, validate_target,
+    BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, Formula, IntervalSet,
+    Not, Requirement, Top, Value, build_regions, collect_atoms, conj, disj,
+    eval_target, falsum, simplify_policy, target_equiv, validate_target,
 )
-from .model import Configuration, Edge, ResourceStructure, SynthesisError
+from .model import Configuration, Edge, ResourceStructure
 from .encoder import (
     CAtom, ControlAssignment, ControlFormula, ControlVar, CTrue, CVarEq,
     cand, cnot, cor, target_to_control, var_bits,
 )
-
-
-def simplify_policy(t: Formula, sig: AttributeSignature) -> Formula:
-    """Equivalent but smaller form of a policy or target.
-
-    Constant subterms are folded, duplicate conjuncts dropped, and
-    membership tests on the same attribute merged. The result is
-    checked to grant exactly the same requests as the input; a mismatch
-    raises SynthesisError.
-    """
-    out = _simp(t, sig)
-    if not target_equiv(t, out, sig):
-        raise SynthesisError("simplification changed the policy %r into %r" % (t, out))
-    return out
-
-
-def _full_domain(sig: AttributeSignature, attr: str) -> Optional[frozenset]:
-    d = sig.get(attr)
-    if d.kind == BOOLEAN:
-        return frozenset([BOTTOM, False, True])
-    if d.kind == ENUM:
-        return frozenset([BOTTOM]) | frozenset(d.symbols)
-    return None
-
-
-def _simp(t: Formula, sig: AttributeSignature) -> Formula:
-    if isinstance(t, Top):
-        return t
-    if isinstance(t, Atom):
-        if not t.values:
-            return falsum()
-        full = _full_domain(sig, t.attr)
-        if full is not None and t.values >= full:
-            return Top()
-        return t
-    if isinstance(t, Not):
-        s = _simp(t.sub, sig)
-        if isinstance(s, Not):
-            return s.sub
-        return Not(s)
-    if isinstance(t, And):
-        return _simp_and(t, sig)
-    raise TypeError("not a policy node: %r" % (t,))
-
-
-def _flatten_and(t: Formula) -> List[Formula]:
-    if isinstance(t, And):
-        return _flatten_and(t.left) + _flatten_and(t.right)
-    return [t]
-
-
-def _simp_and(t: And, sig: AttributeSignature) -> Formula:
-    parts = []
-    for p in _flatten_and(t):
-        s = _simp(p, sig)
-        if isinstance(s, And):
-            parts.extend(_flatten_and(s))
-        else:
-            parts.append(s)
-
-    false = falsum()
-    pos: Dict[str, frozenset] = {}
-    negv: Dict[str, frozenset] = {}
-    order: List[Tuple[str, object]] = []   # ('pos', attr) / ('neg', attr) / ('other', i)
-    others: List[Formula] = []
-
-    for p in parts:
-        if isinstance(p, Top):
-            continue
-        if p == false:
-            return false
-        if isinstance(p, Atom):
-            if p.attr in pos:
-                pos[p.attr] = pos[p.attr] & p.values
-            else:
-                pos[p.attr] = p.values
-                order.append(("pos", p.attr))
-            continue
-        if isinstance(p, Not) and isinstance(p.sub, Atom):
-            a = p.sub
-            if a.attr in negv:
-                negv[a.attr] = negv[a.attr] | a.values
-            else:
-                negv[a.attr] = a.values
-                order.append(("neg", a.attr))
-            continue
-        if p not in others:
-            order.append(("other", len(others)))
-            others.append(p)
-
-    for attr in list(pos):
-        if attr in negv:
-            pos[attr] = pos[attr] - negv[attr]
-            del negv[attr]
-
-    out: List[Formula] = []
-    for kind, key in order:
-        if kind == "pos":
-            values = pos[key]
-            if not values:
-                return false
-            full = _full_domain(sig, key)
-            if full is not None and values >= full:
-                continue
-            out.append(Atom(key, values))
-        elif kind == "neg":
-            if key not in negv:
-                continue    # absorbed into the positive test
-            values = negv[key]
-            if not values:
-                continue    # nothing excluded
-            full = _full_domain(sig, key)
-            if full is not None and values >= full:
-                return false
-            out.append(Not(Atom(key, values)))
-        else:
-            out.append(others[key])
-
-    for p in out:
-        if isinstance(p, Not) and p.sub in out:
-            return false
-
-    return conj(out)
-
-
-# ---------------------------------------------------------------------------
-# Template classes
-# ---------------------------------------------------------------------------
 
 class Template:
     """Shared behaviour: fixed edges always expand to their fixed policy."""
@@ -479,3 +354,79 @@ def interval_candidates(sig: AttributeSignature, reqs: Sequence[Requirement]
 def dnf_template(S: ResourceStructure, reqs: Sequence[Requirement], k: int,
                  availability: Optional[Dict[Edge, List[str]]] = None) -> DnfTemplate:
     return DnfTemplate(S, k, interval_candidates(S.sig, reqs), availability)
+
+
+class ClassTemplate(Template):
+    """One bit per controlled edge and request class; a set bit means
+    the edge denies that class.
+
+    Requests in one class satisfy the same requirement targets and the
+    same fixed-edge policies, so they face the same constraints on the
+    same structure. Any configuration therefore does, class by class,
+    what some configuration of this family does: the one that denies a
+    class exactly where the given one denies a member of it. The
+    all-zero assignment grants everyone everywhere.
+    """
+
+    def __init__(self, S: ResourceStructure, classes: Sequence[Formula]):
+        super().__init__(S)
+        self.classes = list(classes)
+        self._in_class = [target_to_control(t) for t in self.classes]
+        self._bits: Dict[Edge, List[ControlVar]] = {
+            e: [ControlVar("deny_%d_%d" % (ei, ci), 2)
+                for ci in range(len(self.classes))]
+            for ei, e in enumerate(S.controlled_edges())}
+
+    def control_vars(self) -> List[ControlVar]:
+        return [v for bits in self._bits.values() for v in bits]
+
+    def _controlled_policy(self, e: Edge) -> ControlFormula:
+        return cor([cand([CVarEq(v.name, 0), c])
+                    for v, c in zip(self._bits[e], self._in_class)])
+
+    def derive(self, m: ControlAssignment) -> Configuration:
+        return {e: simplify_policy(conj([Not(t) for v, t in zip(bits, self.classes)
+                                         if m.get(v.name, 0)]), self.sig)
+                for e, bits in self._bits.items()}
+
+    def describe(self) -> Dict[str, object]:
+        d = super().describe()
+        d["classes"] = len(self.classes)
+        return d
+
+
+class CapExceeded(Exception):
+    """The complete template would need more request classes than allowed."""
+
+    def __init__(self, needed: int, cap: int):
+        super().__init__("complete template needs at least %d request classes, "
+                         "cap is %d" % (needed, cap))
+        self.needed = needed
+        self.cap = cap
+
+
+def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
+                      cap: int = 4096) -> ClassTemplate:
+    """The class template over every non-empty request class.
+
+    Requests are split by the requirement targets and by every fixed-edge
+    policy that does not grant everyone, since the structure a request
+    sees depends on those too. Each distinct vector of verdicts over
+    these splitters among the region representatives is one class, whose
+    target conjoins each splitter or its negation. More than cap classes
+    raise CapExceeded.
+    """
+    splitters = [r.target for r in reqs] + [
+        S.edges[e] for e in S.fixed_edges()
+        if not target_equiv(S.edges[e], Top(), S.sig)]
+    atoms = [a for t in splitters for a in collect_atoms(t)]
+    classes: Dict[Tuple[bool, ...], Formula] = {}
+    for q in build_regions(S.sig, atoms).representatives():
+        verdicts = tuple(eval_target(q, t) for t in splitters)
+        if verdicts in classes:
+            continue
+        if len(classes) == cap:
+            raise CapExceeded(cap + 1, cap)
+        classes[verdicts] = conj([t if v else Not(t)
+                                  for t, v in zip(splitters, verdicts)])
+    return ClassTemplate(S, list(classes.values()))

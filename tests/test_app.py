@@ -74,6 +74,51 @@ def test_synth_cap_exceeded(triangle):
     assert res.message
 
 
+def test_synth_rejects_bad_bounds(triangle):
+    reqs = [vis_grants_vault(triangle)]
+    with pytest.raises(ValueError, match="max_k"):
+        synth(triangle, reqs, max_k=-1)
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="complete_cap"):
+            synth(triangle, reqs, complete_cap=cap)
+    # no clause templates at all: straight to the class template
+    res = synth(triangle, reqs, max_k=0)
+    assert res.ok
+    assert [a["template"]["kind"] for a in res.stats["attempts"]] == ["ClassTemplate"]
+    assert "clauses_reached" not in res.stats
+
+
+def test_complete_template_synthesizes_the_bundled_models(office, office_reqs,
+                                                          firm, firm_reqs):
+    for S, reqs, classes in ((office, office_reqs, 7), (firm, firm_reqs, 17)):
+        res = synth(S, reqs, template="complete")
+        assert res.ok
+        assert res.stats["template"]["classes"] == classes
+        assert res.stats["control_bits"] == classes * len(S.controlled_edges())
+        assert verify(S, reqs, res.configuration, deadlock_free="auto").ok
+
+
+def test_synth_records_every_attempt(office):
+    clash = [
+        Requirement(Atom("role", frozenset(["visitor"])),
+                    grant(Atom("id", frozenset(["bur"]))), POSITIVE),
+        Requirement(Atom("role", frozenset(["visitor"])),
+                    deny(Atom("sec_zone", frozenset([True]))), NEGATIVE),
+    ]
+    res = synth(office, clash)
+    assert res.outcome == "unsat" and res.exhaustive
+    attempts = res.stats["attempts"]
+    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate"] * 3 + ["ClassTemplate"]
+    assert [a["template"].get("clauses") for a in attempts] == [1, 2, 3, None]
+    for key in ("encode_seconds", "ground_seconds", "solve_seconds"):
+        assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts))
+    last = attempts[-1]
+    for key in ("guard_formula_size", "expanded_size", "grounded_size",
+                "control_vars", "control_bits", "template"):
+        assert res.stats[key] == last[key]
+    assert attempts[0]["control_bits"] < attempts[1]["control_bits"]
+
+
 def test_synth_rejects_unknown_arguments(triangle):
     with pytest.raises(ValueError, match="template"):
         synth(triangle, [], template="fancy")
@@ -252,11 +297,17 @@ def test_synth_with_external_solver(tmp_path, office, office_reqs,
     unsat = tmp_path / "naysayer.sh"
     unsat.write_text("#!/bin/sh\necho unsat\n")
     unsat.chmod(unsat.stat().st_mode | stat.S_IEXEC)
-    res = synth(office, office_reqs, solver="external", solver_cmd=str(unsat))
+    # the office has 7 request classes: with a cap below that the
+    # complete template is out of reach, so the verdict only covers the
+    # searched clause templates
+    res = synth(office, office_reqs, solver="external", solver_cmd=str(unsat),
+                complete_cap=6)
     assert res.outcome == "unsat"
-    # the complete-menu fallback is out of reach here, so the verdict
-    # only covers the searched clause templates
     assert not res.exhaustive and "out of reach" in res.message
+    # without the cap the complete template is searched as well
+    res = synth(office, office_reqs, solver="external", solver_cmd=str(unsat))
+    assert res.outcome == "unsat" and res.exhaustive
+    assert res.stats["attempts"][-1]["template"]["classes"] == 7
 
 
 def test_synth_emits_a_quantified_script(tmp_path, office, office_reqs):

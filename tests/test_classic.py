@@ -1,15 +1,22 @@
-import pytest
+import random
 
-from gatesynth.classic import (
-    CapExceeded, complete_menu, complete_template, cs, s_cs, s_cs_detailed,
-)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gatesynth.app import effective_requirements, synth
+from gatesynth.classic import cs, s_cs, s_cs_detailed
 from gatesynth.checker import holds
+from gatesynth.encoder import eval_formula, target_to_control
 from gatesynth.formulas import (
-    And, Atom, Not, Top, conj, deny, grant, target_equiv, target_sat,
+    And, Atom, Not, Top, conj, deny, eval_target, grant, simplify_policy,
+    target_equiv, target_sat,
 )
 from gatesynth import classic
 from gatesynth.model import ResourceStructure, SynthesisError
-from gatesynth.rules import parse_requirement, parse_target
+from gatesynth.rules import parse_request, parse_requirement, parse_target
+from gatesynth.templates import CapExceeded, MenuTemplate, complete_template
+
+from genutil import random_model, random_pattern_requirement, random_policy
 
 
 def test_edge_set_search_keeps_the_most_doors(triangle):
@@ -111,29 +118,43 @@ def test_class_walk_requires_open_fixed_doors(office):
         s_cs(S, [])
 
 
+def class_of(tpl, q):
+    """Index of the one class of the template the request falls into."""
+    hits = [i for i, t in enumerate(tpl.classes) if eval_target(q, t)]
+    assert len(hits) == 1, (q, hits)
+    return hits[0]
+
+
 def test_complete_menu_for_one_target(office):
+    # The complete fallback is the class template: one deny bit per
+    # controlled door and request class.
     req = parse_requirement("role = visitor => deny(sec_zone)", office.sig)
-    menu = complete_menu(office, [req])
-    # classes: visitor / not visitor; menus: exclude neither, either, both
-    assert len(menu) == 4
-    for i in range(len(menu)):
-        for j in range(i + 1, len(menu)):
-            assert not target_equiv(menu[i], menu[j], office.sig)
-    kinds = {
-        "true": any(target_equiv(m, Top(), office.sig) for m in menu),
-        "false": any(target_sat(m, office.sig) is None for m in menu),
-        "vis": any(target_equiv(m, parse_target("role = visitor", office.sig),
-                                office.sig) for m in menu),
-        "notvis": any(target_equiv(m, parse_target("role != visitor", office.sig),
-                                   office.sig) for m in menu),
-    }
-    assert all(kinds.values())
+    tpl = complete_template(office, [req])
+    vis = parse_target("role = visitor", office.sig)
+    assert len(tpl.classes) == 2
+    assert {target_equiv(t, vis, office.sig) for t in tpl.classes} == {True, False}
+    assert target_equiv(tpl.classes[0], Not(tpl.classes[1]), office.sig)
+    e = ("cor", "bur")
+    bits = {v.name: 0 for v in tpl.control_vars()}
+    assert all(target_equiv(p, Top(), office.sig)
+               for p in tpl.derive(bits).values())
+    # the four choices at one door: grant all, deny either class, deny both
+    for deny_first in (0, 1):
+        for deny_second in (0, 1):
+            m = dict(bits)
+            m["deny_%d_0" % office.controlled_edges().index(e)] = deny_first
+            m["deny_%d_1" % office.controlled_edges().index(e)] = deny_second
+            want = conj(([Not(tpl.classes[0])] if deny_first else [])
+                        + ([Not(tpl.classes[1])] if deny_second else []))
+            assert target_equiv(tpl.derive(m)[e], want, office.sig)
 
 
 def test_complete_menu_cap(office, office_reqs):
+    # visitors in opening hours, other visitors, everyone else
+    assert len(complete_template(office, office_reqs[:2], cap=3).classes) == 3
     with pytest.raises(CapExceeded) as ei:
-        complete_menu(office, office_reqs[:2], cap=8)
-    assert ei.value.needed == 16 and ei.value.cap == 8
+        complete_template(office, office_reqs[:2], cap=2)
+    assert ei.value.needed == 3 and ei.value.cap == 2
 
 
 def test_nontrivial_fixed_doors_refine_the_menu(office):
@@ -142,24 +163,92 @@ def test_nontrivial_fixed_doors_refine_the_menu(office):
     S.edges[("mr", "cor")] = parse_target("correct_pin", office.sig)
     req = parse_requirement("role = visitor => deny(sec_zone)", office.sig)
     # two splitters now: the target and the fixed policy
+    assert len(complete_template(office, [req]).classes) == 2
+    tpl = complete_template(S, [req])
+    assert len(tpl.classes) == 4
     with pytest.raises(CapExceeded):
-        complete_menu(S, [req], cap=8)
-    menu = complete_menu(S, [req], cap=65536)
+        complete_template(S, [req], cap=3)
+    # denying the classes without the pin leaves exactly the pin holders
     pin = parse_target("correct_pin", office.sig)
-    assert any(target_equiv(m, pin, office.sig) for m in menu)
+    ei = S.controlled_edges().index(("cor", "bur"))
+    m = {"deny_%d_%d" % (ei, ci): int(target_sat(And(t, pin), office.sig) is None)
+         for ci, t in enumerate(tpl.classes)}
+    assert target_equiv(tpl.derive(m)[("cor", "bur")], pin, office.sig)
 
 
 def test_class_walk_policies_come_from_the_complete_menu(office, office_reqs):
+    # every policy of the class walk grants whole classes of the template
     picked = [office_reqs[1], office_reqs[4]]
     out = s_cs_detailed(office, picked)
-    menu = complete_menu(office, picked)
+    tpl = complete_template(office, picked)
     for e, pol in out.configuration.items():
-        assert any(target_equiv(pol, m, office.sig) for m in menu), e
+        for t in tpl.classes:
+            granted = target_sat(And(t, pol), office.sig) is not None
+            denied = target_sat(And(t, Not(pol)), office.sig) is not None
+            assert granted != denied, (e, t)
 
 
 def test_complete_template_spans_all_controlled_edges(office, office_reqs):
     tpl = complete_template(office, office_reqs[:2])
-    assert set(tpl.menus) == set(office.controlled_edges())
-    sizes = {len(m) for m in tpl.menus.values()}
-    assert len(sizes) == 1
-    assert tpl.count_configurations() == (sizes.pop()) ** 5
+    classes = len(tpl.classes)
+    assert tpl.edges() == office.controlled_edges()
+    assert tpl.describe() == {"kind": "ClassTemplate", "edges": 5,
+                              "control_vars": classes * 5,
+                              "bits": classes * 5, "classes": classes}
+    assert tpl.bit_count() == classes * 5
+    q = parse_request("role = visitor, time = 9", office.sig)
+    ci = class_of(tpl, q)
+    for ei, e in enumerate(office.controlled_edges()):
+        policy = tpl.edge_policy_formula(e)
+        assert eval_formula(policy, q, {})
+        assert not eval_formula(policy, q, {"deny_%d_%d" % (ei, ci): 1})
+        others = {"deny_%d_%d" % (ei, c): 1 for c in range(classes) if c != ci}
+        assert eval_formula(policy, q, others)
+    for e in office.fixed_edges():
+        assert tpl.edge_policy_formula(e) == target_to_control(office.edges[e])
+
+
+# The enumerated menu the class template replaced, kept here as the
+# reference it is checked against: every conjunction of negated
+# non-empty request classes, deduplicated.
+def enumerated_menu(S, reqs):
+    pseudo = [S.edges[e] for e in S.fixed_edges()
+              if not target_equiv(S.edges[e], Top(), S.sig)]
+    splitters = [r.target for r in reqs] + pseudo
+    n = len(splitters)
+    class_targets = []
+    for mask in range(1 << n):
+        class_targets.append(conj(
+            [splitters[i] for i in range(n) if mask >> i & 1]
+            + [Not(splitters[i]) for i in range(n) if not mask >> i & 1]))
+    sat_classes = [t for t in class_targets if target_sat(t, S.sig) is not None]
+    menu = []
+    for excluded_mask in range(1 << len(sat_classes)):
+        t = conj([Not(sat_classes[i]) for i in range(len(sat_classes))
+                  if excluded_mask >> i & 1])
+        if not any(target_equiv(t, prior, S.sig) for prior in menu):
+            menu.append(t)
+    return [simplify_policy(t, S.sig) for t in menu]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_class_template_agrees_with_the_enumerated_menu(seed):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 4),
+                     backbone_fixed_true=rng.random() < 0.5)
+    reqs = [random_pattern_requirement(rng, S, target_depth=1)
+            for _ in range(rng.randint(1, 2))]
+    if len(reqs) == 1 and S.fixed_edges() and rng.random() < 0.5:
+        # one non-trivial fixed door refines the classes
+        S.edges[S.fixed_edges()[0]] = random_policy(rng, S.sig)
+    eff = effective_requirements(S, reqs)
+    menu = enumerated_menu(S, eff)
+    by_menu = synth(S, reqs, template=MenuTemplate(
+        S, {e: menu for e in S.controlled_edges()}))
+    by_class = synth(S, reqs, template="complete")
+    assert by_class.outcome in ("configuration", "unsat")
+    assert by_menu.ok == by_class.ok
+    if by_class.ok:
+        for pol in by_class.configuration.values():
+            assert any(target_equiv(pol, m, S.sig) for m in menu), pol

@@ -159,6 +159,23 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["conjure", OFFICE])
 
 
+def test_bad_entry_label_exits_with_code_2(capsys):
+    base = ["synth", OFFICE, OFFICE_RULES, "--deny-by-default", "--entry-label"]
+    assert main(base + ["nosuch=1"]) == 2
+    assert "error: unknown attribute 'nosuch'" in capsys.readouterr().err
+    assert main(base + ["role=visitor"]) == 2
+    assert "error: role is not a resource attribute" in capsys.readouterr().err
+    assert main(base + ["id=out"]) == 0
+    capsys.readouterr()
+
+
+def test_bad_bounds_exit_with_code_2(capsys):
+    assert main(["synth", OFFICE, OFFICE_RULES, "--max-k", "-1"]) == 2
+    assert "error: max_k must be at least 0" in capsys.readouterr().err
+    assert main(["synth", OFFICE, OFFICE_RULES, "--cap", "-5"]) == 2
+    assert "error: complete_cap must be at least 1" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_with_code_2(tmp_path, capsys):
     not_a_model = tmp_path / "list.json"
     not_a_model.write_text("[]")

@@ -8,7 +8,7 @@ from gatesynth.formulas import (
     BOTTOM, And, Atom, Not, Top, conj, disj, eval_target, falsum,
     target_equiv,
 )
-from gatesynth import templates
+from gatesynth import formulas
 from gatesynth.model import SynthesisError
 from gatesynth.templates import (
     DnfTemplate, MenuTemplate, SingletonTemplate, dnf_template,
@@ -50,7 +50,7 @@ def test_simplify_constants(office):
 
 
 def test_simplify_raises_when_the_equivalence_check_fails(office, monkeypatch):
-    monkeypatch.setattr(templates, "target_equiv", lambda *args: False)
+    monkeypatch.setattr(formulas, "target_equiv", lambda *args: False)
     with pytest.raises(SynthesisError, match="simplification changed the policy"):
         simplify_policy(vis(), office.sig)
 
