@@ -20,8 +20,9 @@ from .classic import MANY_EDGES, MANY_REQUIREMENTS
 from .encoder import SolverError
 from .formulas import BOTTOM, RESOURCE, Requirement, format_value
 from .model import (
-    ModelError, SynthesisError, config_from_json, config_to_json, load_config,
-    load_model, save_config, save_model, scale_replicate,
+    ModelError, SynthesisError, _expect, _parse_edge_key, config_from_json,
+    config_to_json, load_config, load_model, save_config, save_model,
+    scale_replicate,
 )
 from .rules import (
     ParseError, format_requirement, format_target, parse_constraint,
@@ -63,11 +64,16 @@ def _make_template(spec: str, S):
         return spec
     if spec.startswith("menu:"):
         with open(spec[5:]) as fh:
-            doc = json.load(fh)
+            doc = _expect(json.load(fh), dict, "a menu file")
         menus = {}
         for key, texts in doc.items():
-            a, _, b = key.partition("->")
-            menus[(a.strip(), b.strip())] = [parse_target(t, S.sig) for t in texts]
+            e = _parse_edge_key(key)
+            if e not in S.edges or S.edges[e] is not None:
+                raise ModelError("menu names %r, which is not a controlled edge" % key)
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                raise ModelError("the menu of %r must be a list of policy strings, got %r"
+                                 % (key, texts))
+            menus[e] = [parse_target(t, S.sig) for t in texts]
         return MenuTemplate(S, menus)
     if spec.startswith("config:"):
         config = load_config(spec[7:], S)

@@ -14,12 +14,19 @@ quantified ones with let inside the quantifier, because there it
 mentions the request variables. Numeric attribute tests print as
 bounds read off the intervals of their IntervalSet.
 
+Control formula nodes are built on formulas.Node, so they are
+hash-consed like every other formula: an equal node is the same
+object, memo tables key on nodes directly, and each edge has one live
+guard without a cache of its own.
+
 The until rewrites unroll simple paths, tracking the set of spaces
 already visited. For the existential until this is exact on every
 structure. For the universal until it agrees with the checker on
 structures whose restriction keeps at least one outgoing edge per
 space, which is why synthesis injects the deadlock-freeness requirement
-whenever a universal until appears.
+whenever a universal until appears. That requirement exempts the entry,
+so encode() decides such a constraint on the entry alone when every
+door out of the entry is shut.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import shlex
 import subprocess
 import tempfile
 import os
-import weakref
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
@@ -37,9 +43,10 @@ from typing import (
 
 from .formulas import (
     AU, AX, BOTTOM, BOOLEAN, ENUM, EU, EX, NUMERIC, AccessRequest, And,
-    Atom, AttributeSignature, Formula, Not, Requirement, Top, Value,
-    build_regions, intervals_of, value_set,
+    Atom, AttributeSignature, Formula, Node, Not, Requirement, Top, Value,
+    ValueSet, build_regions, contains_au, intervals_of, value_set,
 )
+from .checker import model_check
 from .model import Edge, ResourceStructure
 
 
@@ -47,117 +54,56 @@ from .model import Edge, ResourceStructure
 # Control formulas
 # ---------------------------------------------------------------------------
 
-class _CNode:
-    """Value semantics with a hash cached at construction.
-
-    Formulas here grow large and live in many dictionaries, so the
-    default recompute-on-every-lookup hashing of frozen dataclasses
-    becomes the bottleneck. Equality short-circuits on identity and on
-    the cached hash before falling back to field comparison.
-    """
+class CTrue(Node):
     __slots__ = ()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__,
-                           ", ".join(repr(getattr(self, f)) for f in self._fields))
+class CFalse(Node):
+    __slots__ = ()
 
 
-class CTrue(_CNode):
-    __slots__ = ("_hash",)
-    _fields = ()
-
-    def __init__(self):
-        self._hash = hash("ctrue")
-
-
-class CFalse(_CNode):
-    __slots__ = ("_hash",)
-    _fields = ()
-
-    def __init__(self):
-        self._hash = hash("cfalse")
-
-
-class CAtom(_CNode):
+class CAtom(Node):
     """Membership test on a request attribute, still to be grounded."""
-    __slots__ = ("attr", "values", "_hash")
-    _fields = ("attr", "values")
+    __slots__ = _fields = ("attr", "values")
+    attr: str
+    values: ValueSet
 
-    def __init__(self, attr: str, values: Iterable[Value]):
-        self.attr = attr
-        self.values = value_set(values)
-        self._hash = hash(("catom", attr, self.values))
+    def __new__(cls, attr: str, values: Iterable[Value]):
+        return Node.__new__(cls, attr, value_set(values))
 
 
-class CVarEq(_CNode):
+class CVarEq(Node):
     """The control variable takes this value."""
-    __slots__ = ("var", "value", "_hash")
-    _fields = ("var", "value")
-
-    def __init__(self, var: str, value: int):
-        self.var = var
-        self.value = value
-        self._hash = hash(("cvar", var, value))
+    __slots__ = _fields = ("var", "value")
+    var: str
+    value: int
 
 
-class CGuard(_CNode):
+class CGuard(Node):
     """Placeholder: the policy of this edge grants the request."""
-    __slots__ = ("edge", "_hash", "__weakref__")
-    _fields = ("edge",)
-
-    def __init__(self, edge: Edge):
-        self.edge = edge
-        self._hash = hash(("cguard", edge))
+    __slots__ = _fields = ("edge",)
+    edge: Edge
 
 
-class CNot(_CNode):
-    __slots__ = ("sub", "_hash")
-    _fields = ("sub",)
-
-    def __init__(self, sub: "ControlFormula"):
-        self.sub = sub
-        self._hash = hash(("cnot", sub._hash))
+class CNot(Node):
+    __slots__ = _fields = ("sub",)
+    sub: "ControlFormula"
 
 
-class CAnd(_CNode):
-    __slots__ = ("args", "_hash")
-    _fields = ("args",)
-
-    def __init__(self, args: Tuple["ControlFormula", ...]):
-        self.args = args
-        self._hash = hash(("cand",) + tuple(a._hash for a in args))
+class CAnd(Node):
+    __slots__ = _fields = ("args",)
+    args: Tuple["ControlFormula", ...]
 
 
-class COr(_CNode):
-    __slots__ = ("args", "_hash")
-    _fields = ("args",)
-
-    def __init__(self, args: Tuple["ControlFormula", ...]):
-        self.args = args
-        self._hash = hash(("cor",) + tuple(a._hash for a in args))
+class COr(Node):
+    __slots__ = _fields = ("args",)
+    args: Tuple["ControlFormula", ...]
 
 
-class CImplies(_CNode):
-    __slots__ = ("left", "right", "_hash")
-    _fields = ("left", "right")
-
-    def __init__(self, left: "ControlFormula", right: "ControlFormula"):
-        self.left = left
-        self.right = right
-        self._hash = hash(("cimpl", left._hash, right._hash))
+class CImplies(Node):
+    __slots__ = _fields = ("left", "right")
+    left: "ControlFormula"
+    right: "ControlFormula"
 
 
 ControlFormula = Union[CTrue, CFalse, CAtom, CVarEq, CGuard, CNot, CAnd, COr, CImplies]
@@ -264,18 +210,10 @@ def target_to_control(t: Formula) -> ControlFormula:
     raise TypeError("not a target node: %r" % (t,))
 
 
-# Weak values: a guard stays cached while some live formula holds it.
-_GUARDS: "weakref.WeakValueDictionary[Edge, CGuard]" = weakref.WeakValueDictionary()
-
-
 def cguard(edge: Edge) -> CGuard:
-    """Guards are shared: one object per edge, so that later walks
-    treat every occurrence as the same node."""
-    g = _GUARDS.get(edge)
-    if g is None:
-        g = CGuard(edge)
-        _GUARDS[edge] = g
-    return g
+    """The guard of this edge (nodes are hash-consed, so it is the one
+    live guard of the edge)."""
+    return CGuard(edge)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +222,28 @@ def cguard(edge: Edge) -> CGuard:
 
 def encode(S: ResourceStructure, req: Requirement) -> ControlFormula:
     """Rewrite one requirement into a guard formula: target implies the
-    constraint's encoding at the entry."""
-    return cimplies(target_to_control(req.target),
-                    rewrite_constraint(S, req.constraint, S.entry))
+    constraint's encoding at the entry.
+
+    A constraint with a universal until is decided on the entry alone
+    when every door out of the entry is shut: the until rewrite would
+    read that dead end vacuously, and deadlock freeness exempts it."""
+    body = rewrite_constraint(S, req.constraint, S.entry)
+    if contains_au(req.constraint):
+        live = cor([cguard((S.entry, s)) for s in S.successors(S.entry)])
+        alone = ResourceStructure(S.sig, S.entry, {S.entry: S.labels[S.entry]}, {})
+        if model_check(alone, req.constraint):
+            body = cor([cnot(live), body])
+        else:
+            body = cand([live, body])
+    return cimplies(target_to_control(req.target), body)
 
 
 def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> ControlFormula:
     """Rewrite one constraint at one space into a formula over edge
     guards. Untils unroll over simple paths; repeated subproblems are
     shared, so the result is a compact DAG."""
-    memo: Dict[Tuple[int, str], ControlFormula] = {}
-    memo_u: Dict[Tuple[int, str, FrozenSet[str]], ControlFormula] = {}
+    memo: Dict[Tuple[Formula, str], ControlFormula] = {}
+    memo_u: Dict[Tuple[Formula, str, FrozenSet[str]], ControlFormula] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
@@ -302,7 +251,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         return CTrue() if v in a.values else CFalse()
 
     def tau(f: Formula, r: str) -> ControlFormula:
-        key = (id(f), r)
+        key = (f, r)
         got = memo.get(key)
         if got is not None:
             return got
@@ -330,7 +279,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         return out
 
     def tau_eu(f: EU, r: str, visited: FrozenSet[str]) -> ControlFormula:
-        key = (id(f), r, visited)
+        key = (f, r, visited)
         got = memo_u.get(key)
         if got is not None:
             return got
@@ -342,7 +291,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         return out
 
     def tau_au(f: AU, r: str, visited: FrozenSet[str]) -> ControlFormula:
-        key = (id(f), r, visited)
+        key = (f, r, visited)
         got = memo_u.get(key)
         if got is not None:
             return got
@@ -366,10 +315,10 @@ def substitute(f: ControlFormula,
     Connectives are rebuilt through the smart constructors, so constant
     leaves fold away on the way up. Each shared node is visited once.
     """
-    memo: Dict[int, ControlFormula] = {}
+    memo: Dict[ControlFormula, ControlFormula] = {}
 
     def walk(g: ControlFormula) -> ControlFormula:
-        got = memo.get(id(g))
+        got = memo.get(g)
         if got is not None:
             return got
         kind = type(g)      # node classes are final; this is the hot loop of grounding
@@ -383,7 +332,7 @@ def substitute(f: ControlFormula,
             out = cimplies(walk(g.left), walk(g.right))
         else:
             out = leaf(g)
-        memo[id(g)] = out
+        memo[g] = out
         return out
 
     return walk(f)
@@ -546,7 +495,6 @@ def sat_solve(f: ControlFormula,
 
     sizes = {v.name: v.size for v in variables}
     memo: Dict[ControlFormula, int] = {}
-    id_memo: Dict[int, int] = {}
 
     def define_and(lits: List[int]) -> int:
         if not lits:
@@ -571,12 +519,8 @@ def sat_solve(f: ControlFormula,
         return x
 
     def lit_of(g: ControlFormula) -> int:
-        got = id_memo.get(id(g))
-        if got is not None:
-            return got
         got = memo.get(g)
         if got is not None:
-            id_memo[id(g)] = got
             return got
         if isinstance(g, CTrue):
             out = true_lit
@@ -601,7 +545,6 @@ def sat_solve(f: ControlFormula,
         else:
             raise SolverError("cannot solve over unexpanded node %r" % (g,))
         memo[g] = out
-        id_memo[id(g)] = out
         return out
 
     cnf.add([lit_of(f)])

@@ -12,11 +12,17 @@ Edge policies are targets as well, so everything the synthesizer
 manipulates bottoms out in the same Atom node. Targets are decided over
 finitely many request regions (target_sat, target_equiv) and shrunk
 without changing their meaning by simplify_policy.
+
+Every node class, the encoder's control formulas included, is built on
+Node, which hash-conses: building a node equal to a live one returns
+that one. Equality and hashing are therefore identity, and a lookup
+costs the same on a leaf as on a large shared formula.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -277,55 +283,95 @@ class AttributeSignature:
 # Formula nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Top:
+# Weak values: a node stays in the table while something else holds it,
+# so building a new structure per operation does not grow the process.
+_NODES: "weakref.WeakValueDictionary[tuple, Node]" = weakref.WeakValueDictionary()
+
+
+class Node:
+    """Base of every formula node: `_fields` names its fields, which are
+    read-only. Equality and hashing are the object defaults, identity,
+    because __new__ returns the live node with the same class and
+    fields when there is one."""
+    __slots__ = ("__weakref__",)
+    _fields: Tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        if len(args) != len(cls._fields):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (cls.__name__, len(cls._fields), len(args)))
+        key = (cls,) + args
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a formula node" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of a formula node" % name)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(repr(getattr(self, f)) for f in self._fields))
+
+
+class Top(Node):
     """The formula that always holds."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Node):
     """Membership test: the named attribute's value lies in `values`,
     which is held in the normal form of value_set()."""
+    __slots__ = _fields = ("attr", "values")
     attr: str
     values: ValueSet
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", value_set(self.values))
+    def __new__(cls, attr: str, values: Iterable[Value]):
+        return Node.__new__(cls, attr, value_set(values))
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
+    __slots__ = _fields = ("sub",)
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class EX:
+class EX(Node):
     """Some immediate successor satisfies the body."""
+    __slots__ = _fields = ("sub",)
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class AX:
+class AX(Node):
     """Every immediate successor satisfies the body (vacuous without successors)."""
+    __slots__ = _fields = ("sub",)
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class EU:
+class EU(Node):
     """Some path reaches `right`, with `left` holding along the way."""
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class AU:
+class AU(Node):
     """Every maximal path reaches `right`, with `left` holding along the way."""
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 

@@ -40,7 +40,7 @@ from .formulas import (
 
 RESERVED = {
     "and", "or", "not", "true", "false", "bot", "in",
-    "E", "A", "U", "R", "EX", "AX", "EF", "AG",
+    "E", "A", "U", "R", "EX", "AX", "EF", "AG", "AF", "EG",
     "grant", "deny", "waypoint", "blocking",
 }
 
@@ -208,10 +208,10 @@ class _Parser:
         if t.value == "not":
             self.next()
             return Not(self.unary(temporal))
-        if t.kind == "ident" and t.value in ("EX", "AX", "EF", "AG", "E", "A"):
+        if t.kind == "ident" and t.value in ("EX", "AX", "EF", "AG", "AF", "EG", "E", "A"):
             if not temporal:
                 self.fail("temporal operator %r not allowed in a target" % t.value)
-            if t.value in ("EX", "AX", "EF", "AG"):
+            if t.value in ("EX", "AX", "EF", "AG", "AF", "EG"):
                 self.next()
                 sub = self.unary(temporal)
                 if t.value == "EX":
@@ -220,7 +220,11 @@ class _Parser:
                     return AX(sub)
                 if t.value == "EF":
                     return EU(Top(), sub)
-                return Not(EU(Top(), Not(sub)))
+                if t.value == "AG":
+                    return Not(EU(Top(), Not(sub)))
+                if t.value == "AF":
+                    return AU(Top(), sub)
+                return Not(AU(Top(), Not(sub)))
             # E[.. U ..] / A[.. U ..] / A[.. R ..]
             quant = self.next().value
             self.expect("[")

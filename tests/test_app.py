@@ -1,4 +1,7 @@
+import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -7,13 +10,14 @@ from gatesynth.app import (
     deny_by_default_requirement, effective_requirements, minimal_conflict,
     simulate, synth, verify,
 )
+from gatesynth.classic import s_cs
 from gatesynth.formulas import (
     AU, AX, BOOLEAN, ENUM, NEGATIVE, POSITIVE, RESOURCE, SUBJECT, UNKNOWN,
     Atom, AttributeDecl, AttributeSignature, Not, Requirement, Top,
     conj, deadlock_free_constraint, deny, falsum, grant, target_equiv,
 )
 from gatesynth.model import ResourceStructure
-from gatesynth.rules import parse_request, parse_target
+from gatesynth.rules import parse_request, parse_requirements, parse_target
 from gatesynth.templates import SingletonTemplate
 
 
@@ -141,24 +145,43 @@ def cycle_structure():
 
 
 def test_verification_catches_an_optimistic_universal_encoding():
-    # With every door shut, the universal-until rewrite is satisfied
-    # vacuously (every run it speaks about is empty), but under path
-    # semantics a walk that stalls at the entry never reaches the goal.
-    # The deadlock requirement does not close this hole either, since it
-    # exempts the entry itself. The independent check must veto the
-    # solver's model in both cases rather than hand it out.
+    # The universal-until rewrite reads a dead end vacuously (every run
+    # it speaks about is empty), but under path semantics a walk that
+    # stalls there never reaches the goal. Without the deadlock
+    # requirement, a door shut past the entry leaves such a dead end, and
+    # the independent check must veto the solver's model rather than
+    # hand it out.
     S = cycle_structure()
     req = Requirement(Top(), AU(Top(), Atom("name", frozenset(["c"]))), UNKNOWN)
+    stall_at_b = SingletonTemplate(S, {("a", "b"): Top(), ("b", "c"): falsum(),
+                                       ("c", "a"): falsum()})
+    with pytest.raises(SynthesisError, match="encoding gap"):
+        synth(S, [req], template=stall_at_b, deadlock_free="off")
+    # The deadlock requirement exempts the entry, so the encoding decides
+    # the constraint on the entry alone when every door out of it is shut:
+    # shutting them all is refuted, and synthesis opens the cycle instead.
     shut = SingletonTemplate(S, {e: falsum() for e in S.controlled_edges()})
-    with pytest.raises(SynthesisError, match="encoding gap"):
-        synth(S, [req], template=shut, deadlock_free="off")
-    with pytest.raises(SynthesisError, match="encoding gap"):
-        synth(S, [req])
+    assert synth(S, [req], template=shut, deadlock_free="off").outcome == "unsat"
+    assert synth(S, [req]).ok
     # a template that keeps the entry live lets the pipeline succeed
     open_all = SingletonTemplate(S, {e: Top() for e in S.controlled_edges()})
     res = synth(S, [req], template=open_all)
     assert res.ok
     assert any(r.source == DEADLOCK_SOURCE for r in res.requirements)
+
+
+def test_raw_universal_untils_synthesize_on_the_office(office):
+    # whenever the least model shuts every door out of the entry, the
+    # encoding must decide the until there the way the checker does
+    reqs = parse_requirements(
+        "role = employee => A[not sec_zone U id = cor or id = lob]", office.sig)
+    res = synth(office, reqs)
+    assert res.ok
+    assert verify(office, reqs, res.configuration, deadlock_free="auto").ok
+    reqs = parse_requirements("=> A[true U id = mr]", office.sig)
+    res = synth(office, reqs)
+    assert res.outcome == "unsat" and res.exhaustive
+    assert s_cs(office, reqs) is None
 
 
 def test_effective_requirements_deadlock_handling(triangle):
@@ -316,3 +339,42 @@ def test_synth_emits_a_quantified_script(tmp_path, office, office_reqs):
     assert res.ok
     text = out.read_text()
     assert "(forall" in text and "(check-sat)" in text
+
+
+HASH_SEED_SCRIPT = """
+import json
+import sys
+padding = [[] for _ in range(int(sys.argv[1]))]     # shifts object addresses
+from gatesynth import data
+from gatesynth.app import effective_requirements, synth
+from gatesynth.encoder import cand, emit_smtlib, encode, expand_guards, ground_forall
+from gatesynth.model import config_to_json, load_model
+from gatesynth.rules import parse_requirements
+from gatesynth.templates import dnf_template
+
+S = load_model(data.path(data.OFFICE_MODEL))
+with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
+    reqs = parse_requirements(fh.read(), S.sig)
+print(json.dumps(config_to_json(S, synth(S, reqs).configuration)))
+eff = effective_requirements(S, reqs)
+tpl = dnf_template(S, eff, 1)
+expanded = expand_guards(cand([encode(S, r) for r in eff]), tpl)
+print(emit_smtlib(ground_forall(expanded, S.sig), tpl.control_vars()))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    # node hashes are object identities, so nothing may iterate a set of
+    # nodes in hash order on the way to an output; string hashes follow
+    # the hash seed, node hashes the object addresses
+    import gatesynth
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gatesynth.__file__)))
+    outputs = []
+    for seed, padding in (("1", "0"), ("2", "777"), ("2", "5000")):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, padding], env=env,
+                             capture_output=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"cor->bur" in outputs[0] and b"(check-sat)" in outputs[0]

@@ -6,7 +6,7 @@ from gatesynth.formulas import (
 )
 from gatesynth.checker import check_at, holds, label_structure, model_check
 from gatesynth.model import ResourceStructure, restrict
-from gatesynth.rules import parse_request
+from gatesynth.rules import format_constraint, parse_constraint, parse_request
 
 from genutil import random_config, random_constraint, random_model
 from oracle import naive_check
@@ -106,6 +106,48 @@ def test_fixpoint_checker_agrees_with_path_oracle():
                     (f, node, sub.edges)
                 cases += 1
     assert cases > 500
+
+
+def stays_in(S, inside):
+    """Spaces that start a maximal path never leaving `inside`: the
+    greatest set of inside spaces that are sinks or step to the set."""
+    keep = set(inside)
+    changed = True
+    while changed:
+        changed = False
+        for n in list(keep):
+            succ = S.successors(n)
+            if succ and not any(s in keep for s in succ):
+                keep.discard(n)
+                changed = True
+    return keep
+
+
+def test_af_and_eg_agree_with_the_path_oracle():
+    # AF and EG are parsed into until forms. On restrictions with dead
+    # ends, check them against the oracle and against their path
+    # readings: EG phi starts a maximal path that stays in phi, AF phi
+    # starts none that stays outside phi.
+    rng = random.Random(20261018)
+    cases = 0
+    for _ in range(60):
+        S = random_model(rng, rng.randint(2, 5))
+        q = {"kind": rng.choice([BOTTOM] + list(S.sig.get("kind").symbols))}
+        sub = restrict(S, random_config(rng, S), S.sig.validate_request(q))
+        phi = random_constraint(rng, S, rng.randint(0, 2))
+        body = format_constraint(phi, S.sig)
+        holds_phi = {n for n in sub.nodes if check_at(sub, n, phi)}
+        af = parse_constraint("AF (%s)" % body, S.sig)
+        eg = parse_constraint("EG (%s)" % body, S.sig)
+        egaf = parse_constraint("EG AF (%s)" % body, S.sig)
+        for node in sub.nodes:
+            assert check_at(sub, node, af) == (
+                node not in stays_in(sub, set(sub.nodes) - holds_phi)), (body, node)
+            assert check_at(sub, node, eg) == (node in stays_in(sub, holds_phi)), (body, node)
+            for f in (af, eg, egaf):
+                assert check_at(sub, node, f) == naive_check(sub, node, f), (f, node)
+                cases += 1
+    assert cases > 300
 
 
 def test_holds_accepts_the_published_office_policies(

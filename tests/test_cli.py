@@ -188,6 +188,22 @@ def test_malformed_json_exits_with_code_2(tmp_path, capsys):
     assert "must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("menu, message", [
+    ([1, 2], "a menu file must be an object"),
+    ({"out->cor": [1]}, "the menu of 'out->cor' must be a list of policy strings"),
+    ({"out->cor": "role = visitor"}, "must be a list of policy strings"),
+    ({"outcor": ["true"]}, 'keys look like "from->to"'),
+    ({"out->mr": ["true"]}, "'out->mr', which is not a controlled edge"),
+    ({"lob->out": ["true"]}, "'lob->out', which is not a controlled edge"),   # fixed
+])
+def test_malformed_menu_exits_with_code_2(tmp_path, capsys, menu, message):
+    menu_file = tmp_path / "menu.json"
+    menu_file.write_text(json.dumps(menu))
+    assert main(["synth", OFFICE, OFFICE_RULES, "--template", "menu:" + str(menu_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
     def broken_synth(*args, **kwargs):
         raise SynthesisError("solver model failed independent verification")

@@ -18,13 +18,16 @@ from gatesynth.encoder import (
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top,
 )
-from gatesynth import encoder
+from gatesynth import formulas
 from gatesynth.model import restrict, scale_replicate
+from gatesynth.rules import parse_constraint, parse_target
 from gatesynth.templates import SingletonTemplate
 
 from genutil import (
-    random_config, random_model, random_pattern_requirement, random_policy,
+    random_config, random_constraint, random_model, random_pattern_requirement,
+    random_policy,
 )
+from test_rules import CONSTRAINT_TEXTS, TARGET_TEXTS
 
 
 def x_eq(v):
@@ -66,13 +69,90 @@ def test_node_equality_and_hashing():
 
 
 def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
+    # the intern table holds its nodes weakly: dropping a formula drops
+    # every node only it kept alive, guards included
     gc.collect()
-    before = len(encoder._GUARDS)
+    before = len(formulas._NODES)
     f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
-    assert len(encoder._GUARDS) > before
-    del f
+    guards = [g for g in c_subformulas(f) if isinstance(g, CGuard)]
+    assert guards and all(g is cguard(g.edge) for g in guards)
+    assert len(formulas._NODES) > before
+    del f, guards
     gc.collect()
-    assert len(encoder._GUARDS) == before
+    assert len(formulas._NODES) <= before
+
+
+# The fields of every node class, written out here so that the
+# structural comparison below does not lean on the classes it checks.
+FIELDS = {Top: (), Atom: ("attr", "values"), Not: ("sub",), And: ("left", "right"),
+          EX: ("sub",), AX: ("sub",), EU: ("left", "right"), AU: ("left", "right"),
+          CTrue: (), CFalse: (), CAtom: ("attr", "values"), CVarEq: ("var", "value"),
+          CGuard: ("edge",), CNot: ("sub",), CAnd: ("args",), COr: ("args",),
+          CImplies: ("left", "right")}
+
+
+def same_structure(a, b):
+    """Field-by-field recursive equality: what node equality meant
+    before nodes were hash-consed."""
+    if type(a) is not type(b):
+        return False
+    if type(a) in FIELDS:
+        return all(same_structure(getattr(a, f), getattr(b, f)) for f in FIELDS[type(a)])
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same_structure(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def all_nodes(f):
+    """Every node of a formula or control formula, shared ones once."""
+    out, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in out:
+            out[id(g)] = g
+            for name in FIELDS[type(g)]:
+                v = getattr(g, name)
+                stack.extend(v if isinstance(v, tuple) and name == "args"
+                             else [v] if type(v) in FIELDS else [])
+    return list(out.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TARGET_TEXTS, min_size=1, max_size=3),
+       st.lists(CONSTRAINT_TEXTS, min_size=1, max_size=3),
+       st.integers(0, 2 ** 32))
+def test_nodes_are_hash_consed(office, targets, constraints, seed):
+    built = [parse_target(t, office.sig) for t in targets] \
+        + [parse_constraint(c, office.sig) for c in constraints]
+    again = [parse_target(t, office.sig) for t in targets] \
+        + [parse_constraint(c, office.sig) for c in constraints]
+    assert all(a is b for a, b in zip(built, again))
+    vars_ = [ControlVar("v0", 2), ControlVar("v1", 3)]
+    controls = [random_control_formula(random.Random(seed + i), vars_, 4, ATOMS)
+                for i in range(3)]
+    assert all(f is random_control_formula(random.Random(seed + i), vars_, 4, ATOMS)
+               for i, f in enumerate(controls))
+    lowered = [target_to_control(f) for f in built[:len(targets)]]
+    assert all(f is target_to_control(g) for f, g in zip(lowered, again))
+    # over all pairs of subformulas, structural equality is identity
+    for group in (built, controls + lowered):
+        nodes = [n for f in group for n in all_nodes(f)]
+        for a in nodes:
+            for b in nodes:
+                assert same_structure(a, b) == (a is b), (a, b)
+
+
+def test_nodes_are_read_only():
+    for node in (Atom("role", frozenset(["visitor"])), EU(Top(), Top()),
+                 CVarEq("x", 1), CAnd((x_eq(0), y_eq(1))), CTrue()):
+        with pytest.raises(AttributeError):
+            node.sub = Top()
+        for name in FIELDS[type(node)]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert EU(Top(), Top()).left is Top()
 
 
 def test_formula_size_counts_distinct_subterms():
@@ -139,6 +219,30 @@ def test_until_rewrites_agree_with_the_checker_per_edge_subset(triangle):
         # the universal rewrite is exact when no space dead-ends
         if all(any(a == n for (a, b) in kept) for n in sub.nodes):
             assert eval_guards(enc_au, kept) == check_at(sub, "out", au), kept
+
+
+def test_encoding_is_exact_where_only_the_entry_may_dead_end():
+    # Deadlock freeness keeps every reachable space but the entry live.
+    # On every such edge subset the encoded requirement must agree with
+    # the checker, a shut entry included (the until rewrite alone reads
+    # that dead end vacuously).
+    rng = random.Random(20261018)
+    shut_entries = 0
+    for _ in range(40):
+        S = random_model(rng, rng.randint(2, 4))
+        phi = random_constraint(rng, S, rng.randint(0, 2))
+        if rng.random() < 0.5:
+            phi = AU(phi, random_constraint(rng, S, rng.randint(0, 2)))
+        enc = encode(S, Requirement(Top(), phi, "unknown"))
+        edges = sorted(S.edges)
+        for mask in range(1 << len(edges)):
+            kept = {e for i, e in enumerate(edges) if mask >> i & 1}
+            sub = S.with_edges(kept)
+            if any(not sub.successors(n) for n in sub.reachable() if n != S.entry):
+                continue
+            shut_entries += not sub.successors(S.entry)
+            assert eval_guards(enc, kept) == check_at(sub, S.entry, phi), (phi, kept)
+    assert shut_entries >= 40
 
 
 def test_next_operators_rewrite(triangle):

@@ -12,7 +12,7 @@ from gatesynth.formulas import (
     Top, deadlock_free_constraint, strict_deadlock_free_constraint,
 )
 from gatesynth.rules import (
-    ParseError, format_request, format_requirement, format_target,
+    RESERVED, ParseError, format_constraint, format_request, format_requirement, format_target,
     parse_constraint, parse_request, parse_requirement, parse_requirements,
     parse_target,
 )
@@ -69,6 +69,22 @@ def test_temporal_operators(office):
     assert c(office, "A[true U id = bur]") == AU(Top(), bur)
     assert c(office, "A[id = out R id = bur]") == Not(
         EU(Not(Atom("id", frozenset(["out"]))), Not(bur)))
+
+
+def test_af_and_eg_parse_as_their_until_forms(office):
+    bur = Atom("id", frozenset(["bur"]))
+    assert c(office, "AF id = bur") == AU(Top(), bur)
+    assert c(office, "EG id = bur") == Not(AU(Top(), Not(bur)))
+    assert c(office, "EG AF id = bur") == Not(AU(Top(), Not(AU(Top(), bur))))
+    assert c(office, "AF id = bur and sec_zone") == And(
+        AU(Top(), bur), Atom("sec_zone", frozenset([True])))
+    # the printer keeps the until forms, which parse back to the same node
+    for text in ("AF id = bur", "EG not sec_zone", "AF EG id = mr or EG false"):
+        f = c(office, text)
+        assert c(office, format_constraint(f, office.sig)) is f
+    with pytest.raises(ParseError, match="temporal"):
+        t(office, "AF role = visitor")
+    assert {"AF", "EG"} <= RESERVED      # so no attribute can take these names
 
 
 def test_release_only_universal(office):
@@ -236,16 +252,40 @@ _ATOMS = st.one_of(
     st.builds("{} {} {}".format, _ATTRS, st.sampled_from(["=", "!=", "<=", ">=", "in"]),
               _VALUES),
     st.builds("{} <= {} <= {}".format, _NUMBERS, _ATTRS, _NUMBERS))
-_FORMULAS = st.recursive(
-    _ATOMS | st.sampled_from(["true", "false"]),
-    lambda f: st.one_of(
-        st.builds("not {}".format, f), st.builds("({})".format, f),
-        st.builds("{} and {}".format, f, f), st.builds("{} or {}".format, f, f),
-        st.builds("{} -> {}".format, f, f),
-        st.builds("{} {}".format, st.sampled_from(["EX", "AX", "EF", "AG"]), f),
-        st.builds("{}[{} {} {}]".format, st.sampled_from(["E", "A"]), f,
-                  st.sampled_from(["U", "R"]), f)),
-    max_leaves=5)
+
+
+def formula_texts(atoms, unary=(), paths=lambda f: []):
+    """Formula lines over the given atom texts, the connectives, the
+    `unary` temporal operators and the path forms `paths(f)` builds."""
+    def step(f):
+        parts = [
+            st.builds("not {}".format, f), st.builds("({})".format, f),
+            st.builds("{} and {}".format, f, f), st.builds("{} or {}".format, f, f),
+            st.builds("{} -> {}".format, f, f)]
+        if unary:
+            parts.append(st.builds("{} {}".format, st.sampled_from(unary), f))
+        return st.one_of(*parts, *paths(f))
+    return st.recursive(atoms | st.sampled_from(["true", "false"]), step, max_leaves=5)
+
+
+_FORMULAS = formula_texts(
+    _ATOMS, ["EX", "AX", "EF", "AG", "AF", "EG"],
+    lambda f: [st.builds("{}[{} {} {}]".format, st.sampled_from(["E", "A"]), f,
+                         st.sampled_from(["U", "R"]), f)])
+
+# Well-formed targets and constraints over the office's attributes.
+_SPAN = st.tuples(_NUMBERS, _NUMBERS).map(sorted)
+TARGET_TEXTS = formula_texts(st.one_of(
+    st.sampled_from(["role = visitor", "role != employee", "correct_pin",
+                     "correct_pin = false", "role in {visitor, bot}", "time in {}"]),
+    st.builds("time {} {}".format, st.sampled_from(["<=", ">=", "="]), _NUMBERS),
+    _SPAN.map(lambda s: "%d <= time <= %d" % tuple(s)),
+    _SPAN.map(lambda s: "time in {%d..%d, bot}" % tuple(s))))
+CONSTRAINT_TEXTS = formula_texts(
+    st.sampled_from(["id = mr", "id != lob", "sec_zone", "id in {cor, bur}"]),
+    ["EX", "AX", "EF", "AG", "AF", "EG"],
+    lambda f: [st.builds("{}[{} U {}]".format, st.sampled_from(["E", "A"]), f, f),
+               st.builds("A[{} R {}]".format, f, f)])
 _BODIES = st.one_of(
     _FORMULAS,
     st.builds("{}({})".format, st.sampled_from(["grant", "deny"]), _FORMULAS),
