@@ -2,8 +2,9 @@
 
 synth() glues the pipeline together: inject the deadlock-freeness
 requirement when universal untils call for it, optionally add a
-deny-by-default floor, encode the requirements over a template, ground,
-solve, extract a configuration, and verify it with the independent
+deny-by-default floor, encode the requirements over a template, ground
+and solve region by region until the model holds at every request
+region, extract a configuration, and verify it with the independent
 checker before handing it back. When the clause templates run out of
 room it escalates to the complete class template (one bit per door and
 request class), whose failure refutes every configuration, not just the
@@ -22,9 +23,10 @@ from .formulas import (
     Requirement, Top, UNKNOWN, conj, contains_au, deadlock_free_constraint,
     falsum,
 )
+from . import encoder
 from .checker import HoldsReport, holds
 from .encoder import (
-    ControlFormula, SolverError, cand, emit_smtlib, encode, expand_guards,
+    CTrue, ControlFormula, SolverError, cand, emit_smtlib, encode, expand_guards,
     formula_size, ground_forall, run_external, sat_solve,
 )
 from .model import (
@@ -113,15 +115,20 @@ def deny_by_default_requirement(S: ResourceStructure, reqs: Sequence[Requirement
 
 def _solve(grounded: ControlFormula, template: Template, solver: str,
            solver_cmd: Optional[str], timeout: Optional[float],
-           stats: Dict[str, object]):
+           deadline: Optional[float], counters: Dict[str, int]):
     variables = template.control_vars()
     if solver == "builtin":
-        return sat_solve(grounded, variables)
+        return sat_solve(grounded, variables, counters)
     if solver == "external":
         if not solver_cmd:
             raise ValueError("external solving needs a solver command")
         script = emit_smtlib(grounded, variables)
-        verdict, model = run_external(script, solver_cmd, timeout)
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise SolverError("solver timed out after %ss" % timeout)
+        verdict, model = run_external(script, solver_cmd, remaining)
         if verdict == "unsat":
             return None
         if model is None:
@@ -134,15 +141,49 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
              stats: Dict[str, object]):
-    """Encode, ground and solve over one template. Its sizes and seconds
-    go into stats["attempts"]; the top-level keys sum the seconds over
-    all attempts and keep the sizes of the latest one."""
+    """Encode, ground and solve over one template. Its sizes, seconds
+    and counters go into stats["attempts"]; the top-level keys sum the
+    seconds over all attempts and keep the rest of the latest one.
+
+    Grounding is counterexample-guided: solve over the instances of the
+    regions picked so far (at first the first region), check the model
+    against the expanded formula at every region, and add the first
+    region where it fails. The partial conjunction has a superset of the
+    full grounding's models, so its least model, once it passes every
+    region, is the full grounding's least model too; an unsat answer is
+    already an unsat answer of the full grounding. timeout is one
+    deadline for all the external solver runs of the attempt."""
     t0 = time.perf_counter()
     guard_formula = cand([encode(S, r) for r in reqs])
     expanded = expand_guards(guard_formula, template)
     t1 = time.perf_counter()
-    grounded = ground_forall(expanded, S.sig)
+    if emit_smt:
+        with open(emit_smt, "w") as fh:
+            fh.write(emit_smtlib(expanded, template.control_vars(),
+                                 sig=S.sig, quantified=True))
+    deadline = None if timeout is None else time.monotonic() + timeout
+    counters: Dict[str, int] = {}
+    solve_seconds = 0.0
     t2 = time.perf_counter()
+    requests = encoder.request_regions(expanded, S.sig)
+    picked = [0]
+    grounded: ControlFormula = CTrue()
+    while True:
+        grounded = cand([grounded, ground_forall(expanded, S.sig, [requests[picked[-1]]])])
+        t = time.perf_counter()
+        model = _solve(grounded, template, solver, solver_cmd, timeout,
+                       deadline, counters)
+        solve_seconds += time.perf_counter() - t
+        failing = None if model is None else encoder.counterexample(
+            expanded, model, requests)
+        if failing is None:
+            break
+        if failing in picked:
+            raise SynthesisError(
+                "the model fails region %d, whose instance it was solved "
+                "over; this indicates a grounding gap" % failing)
+        picked.append(failing)
+    ground_seconds = time.perf_counter() - t2 - solve_seconds
     attempt: Dict[str, object] = {
         "template": template.describe(),
         "guard_formula_size": formula_size(guard_formula),
@@ -150,16 +191,15 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
         "grounded_size": formula_size(grounded),
         "control_vars": len(template.control_vars()),
         "control_bits": template.bit_count(),
+        "regions": len(requests),
+        "instances": len(picked),
+        "iterations": len(picked),
         "encode_seconds": t1 - t0,
-        "ground_seconds": t2 - t1,
+        "ground_seconds": ground_seconds,
+        "solve_seconds": solve_seconds,
     }
+    attempt.update(counters)
     stats.setdefault("attempts", []).append(attempt)
-    if emit_smt:
-        with open(emit_smt, "w") as fh:
-            fh.write(emit_smtlib(expanded, template.control_vars(),
-                                 sig=S.sig, quantified=True))
-    model = _solve(grounded, template, solver, solver_cmd, timeout, stats)
-    attempt["solve_seconds"] = time.perf_counter() - t2
     for key, value in attempt.items():
         if key.endswith("_seconds"):
             value += stats.get(key, 0.0)

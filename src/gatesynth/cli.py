@@ -63,10 +63,14 @@ def _make_template(spec: str, S):
     if spec in ("dnf", "complete"):
         return spec
     if spec.startswith("menu:"):
-        with open(spec[5:]) as fh:
+        path = spec[5:]
+        with open(path) as fh:
             doc = _expect(json.load(fh), dict, "a menu file")
         menus = {}
         for key, texts in doc.items():
+            if "->" not in key:
+                raise ModelError("menu file %s: keys look like \"from->to\", got %r"
+                                 % (path, key))
             e = _parse_edge_key(key)
             if e not in S.edges or S.edges[e] is not None:
                 raise ModelError("menu names %r, which is not a controlled edge" % key)
@@ -119,7 +123,9 @@ def _cmd_synth(args) -> int:
                    entry_label=entry_label,
                    complete_cap=args.cap,
                    emit_smt=args.emit_smt)
-    if args.stats:
+    if args.stats == "json":
+        print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
+    elif args.stats:
         for key in sorted(result.stats):
             print("# %s = %s" % (key, result.stats[key]), file=sys.stderr)
     if result.outcome == "configuration":
@@ -218,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest clause count to try (default 3)")
     ps.add_argument("--solver", choices=["builtin", "external"], default="builtin")
     ps.add_argument("--solver-cmd", help="external solver command line")
-    ps.add_argument("--timeout", type=float, help="external solver timeout, seconds")
+    ps.add_argument("--timeout", type=float,
+                    help="external solver deadline per template attempt, seconds")
     ps.add_argument("--deadlock-free", choices=["auto", "on", "off"], default="auto",
                     help="add the everyone-keeps-moving requirement (default auto)")
     ps.add_argument("--deny-by-default", action="store_true",
@@ -230,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("-o", "--output", help="write the configuration as JSON")
     ps.add_argument("--emit-smt", metavar="FILE",
                     help="also write the constraint as an SMT-LIB script")
-    ps.add_argument("--stats", action="store_true", help="print timing and sizes")
+    ps.add_argument("--stats", action="store_const", const="text",
+                    help="print each template attempt's stage seconds, formula and "
+                         "CNF sizes, grounding iterations and solver counters to "
+                         "stderr as '# key = value' lines")
+    ps.add_argument("--stats=json", dest="stats", action="store_const", const="json",
+                    help="print the same as one JSON document")
     ps.add_argument("--no-explain", action="store_true",
                     help="on unsat, skip the minimal-conflict search")
     ps.set_defaults(func=_cmd_synth)

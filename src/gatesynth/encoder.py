@@ -3,11 +3,15 @@
 encode() rewrites a requirement into a formula over *edge guards*:
 placeholders for "the policy of this edge grants the request". A
 template then expands each guard into its symbolic policy over control
-variables, ground_forall() instantiates the request attributes with one
-representative per region, and the result is a pure control-variable
-formula that a solver can search for a model of. Expansion, grounding
-and evaluation are all one walk, substitute(), which rebuilds a formula
-with its leaves replaced; one printer, _sexp(), renders control
+variables, ground_forall() instantiates the request attributes with
+representatives of request regions, and the result is a pure
+control-variable formula that a solver can search for a model of.
+Synthesis grounds counterexample-guided: it instantiates only the
+regions where counterexample() finds the current model failing, while
+ground_forall() over every region stays the reference and the source of
+grounded scripts. Expansion, grounding, that check and evaluation are
+all one walk, substitute(), which rebuilds a formula with its leaves
+replaced; one printer, _sexp(), renders control
 formulas as SMT-LIB terms for both script forms. Both forms print each
 shared connective once: grounded scripts bind it with define-fun,
 quantified ones with let inside the quantifier, because there it
@@ -367,15 +371,26 @@ def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
     return substitute(f, leaf)
 
 
-def ground_forall(f: ControlFormula, sig: AttributeSignature) -> ControlFormula:
-    """Universal closure over requests, by explicit instantiation. One
-    instance per region of the attribute tests appearing in f; folded
-    instances are deduplicated."""
+def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRequest]:
+    """One representative request per region of the attribute tests
+    appearing in f, in build_regions order."""
     atoms = [Atom(a.attr, a.values) for a in collect_catoms(f)]
-    regions = build_regions(sig, atoms)
+    return list(build_regions(sig, atoms).representatives())
+
+
+def ground_forall(f: ControlFormula, sig: AttributeSignature,
+                  requests: Optional[Sequence[AccessRequest]] = None) -> ControlFormula:
+    """Universal closure over requests, by explicit instantiation: one
+    instance per given request, folded instances deduplicated. With no
+    requests, one instance per region representative: the full
+    grounding, which is exactly the universal closure. Synthesis grounds
+    only the regions its counterexample loop picks; the full grounding
+    stays the reference for it and the source of grounded scripts."""
+    if requests is None:
+        requests = request_regions(f, sig)
     instances: List[ControlFormula] = []
     seen: Set[ControlFormula] = set()
-    for q in regions.representatives():
+    for q in requests:
         inst = fold_atoms(f, q)
         if isinstance(inst, CTrue) or inst in seen:
             continue
@@ -386,22 +401,44 @@ def ground_forall(f: ControlFormula, sig: AttributeSignature) -> ControlFormula:
     return cand(instances)
 
 
-def eval_formula(f: ControlFormula, q: AccessRequest, m: Dict[str, int],
-                 template=None) -> bool:
-    """Evaluate under a concrete request and control assignment."""
-    if template is not None:
-        f = expand_guards(f, template)
-
+def assign_controls(f: ControlFormula, m: Dict[str, int]) -> ControlFormula:
+    """Decide every control-variable test under the assignment m (unset
+    variables are 0). What is left tests request attributes only."""
     def leaf(g: ControlFormula) -> ControlFormula:
-        if isinstance(g, CAtom):
-            return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
         if isinstance(g, CVarEq):
             return CTrue() if m.get(g.var, 0) == g.value else CFalse()
         if isinstance(g, CGuard):
             raise TypeError("guard left unexpanded: %r" % (g,))
         return g
 
-    return isinstance(substitute(f, leaf), CTrue)
+    return substitute(f, leaf)
+
+
+def counterexample(f: ControlFormula, m: Dict[str, int],
+                   requests: Sequence[AccessRequest]) -> Optional[int]:
+    """The index of the first request at which the control assignment m
+    does not make f true, or None when it holds at every one. Requests
+    that agree on every attribute test left in f under m share a verdict,
+    so the remainder is folded once per verdict vector."""
+    residue = assign_controls(f, m)
+    atoms = collect_catoms(residue)
+    verdicts: Dict[Tuple[bool, ...], bool] = {}
+    for i, q in enumerate(requests):
+        key = tuple(q.get(a.attr, BOTTOM) in a.values for a in atoms)
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = isinstance(fold_atoms(residue, q), CTrue)
+        if not ok:
+            return i
+    return None
+
+
+def eval_formula(f: ControlFormula, q: AccessRequest, m: Dict[str, int],
+                 template=None) -> bool:
+    """Evaluate under a concrete request and control assignment."""
+    if template is not None:
+        f = expand_guards(f, template)
+    return isinstance(fold_atoms(assign_controls(f, m), q), CTrue)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +493,8 @@ def _infer_variables(f: ControlFormula) -> List[ControlVar]:
 
 
 def sat_solve(f: ControlFormula,
-              variables: Optional[Sequence[ControlVar]] = None) -> Optional[ControlAssignment]:
+              variables: Optional[Sequence[ControlVar]] = None,
+              counters: Optional[Dict[str, int]] = None) -> Optional[ControlAssignment]:
     """Complete search for a satisfying control assignment, or None.
 
     Control variables are binary-encoded; the search branches on their
@@ -467,6 +505,10 @@ def sat_solve(f: ControlFormula,
     plain chronological search would find. Definitional variables
     introduced for subformulas are never branched on: once every control
     bit has a value they are forced by propagation.
+
+    With a counters dict, the size of the CNF goes into its cnf_vars
+    and cnf_clauses entries, and the search adds its decisions,
+    conflicts, propagations and learned clauses to theirs.
     """
     if variables is None:
         variables = _infer_variables(f)
@@ -549,7 +591,9 @@ def sat_solve(f: ControlFormula,
 
     cnf.add([lit_of(f)])
 
-    model = _dpll(cnf, decision)
+    if counters is not None:
+        counters.update(cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses))
+    model = _dpll(cnf, decision, counters)
     if model is None:
         return None
     out: ControlAssignment = {}
@@ -563,7 +607,14 @@ def sat_solve(f: ControlFormula,
     return out
 
 
-def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
+def _dpll(cnf: _Cnf, decision: List[int],
+          counters: Optional[Dict[str, int]] = None) -> Optional[Dict[int, bool]]:
+    """Conflict-learning search branching on the decision literals in
+    order, 0 first. Decisions, conflicts, propagations and learned
+    clauses are added to counters, as MiniSat counts them."""
+    count = counters if counters is not None else {}
+    for key in ("decisions", "conflicts", "propagations", "learned"):
+        count.setdefault(key, 0)
     n = cnf.n_vars
     assign: List[Optional[bool]] = [None] * (n + 1)
     reason: List[Optional[int]] = [None] * (n + 1)
@@ -605,6 +656,7 @@ def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
     def propagate() -> Optional[int]:
         """Exhaust unit propagation; return a falsified clause index, if any."""
         nonlocal qhead
+        start = qhead
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
@@ -634,9 +686,11 @@ def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
                 if found:
                     continue
                 if value(cl[0]) is False:
+                    count["propagations"] += qhead - start
                     return ci
                 enqueue(cl[0], ci)
                 i += 1
+        count["propagations"] += qhead - start
         return None
 
     def analyze(confl: int) -> Tuple[List[int], int]:
@@ -700,12 +754,14 @@ def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
     while True:
         confl = propagate()
         if confl is not None:
+            count["conflicts"] += 1
             if not trail_lim:
                 return None
             learned, back = analyze(confl)
             cancel_until(back)
             ci = len(clauses)
             clauses.append(learned)
+            count["learned"] += 1
             if len(learned) >= 2:
                 watch(learned[0], ci)
                 watch(learned[1], ci)
@@ -721,6 +777,7 @@ def _dpll(cnf: _Cnf, decision: List[int]) -> Optional[Dict[int, bool]]:
                 result.setdefault(v, False)
             return result
         trail_lim.append(len(trail))
+        count["decisions"] += 1
         enqueue(-decision[di], None)  # try 0 first
 
 

@@ -204,6 +204,24 @@ def test_malformed_menu_exits_with_code_2(tmp_path, capsys, menu, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_a_menu_key_without_an_arrow_names_the_menu_file(tmp_path, capsys):
+    menu_file = tmp_path / "doors.menu.json"
+    menu_file.write_text(json.dumps({"outcor": ["true"]}))
+    assert main(["synth", OFFICE, OFFICE_RULES, "--template", "menu:" + str(menu_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == 'error: menu file %s: keys look like "from->to", got \'outcor\'\n' % menu_file
+
+
+def test_stats_as_json(capsys):
+    assert main(["synth", "--stats=json", OFFICE, OFFICE_RULES]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    attempt = stats["attempts"][-1]
+    assert attempt["template"]["kind"] == "DnfTemplate"
+    for key in ("regions", "iterations", "cnf_vars", "decisions", "propagations"):
+        assert attempt[key] > 0 and stats[key] == attempt[key]
+    assert stats["total_seconds"] > 0
+
+
 def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
     def broken_synth(*args, **kwargs):
         raise SynthesisError("solver model failed independent verification")
