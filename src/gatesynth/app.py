@@ -114,21 +114,16 @@ def deny_by_default_requirement(S: ResourceStructure, reqs: Sequence[Requirement
 
 
 def _solve(grounded: ControlFormula, template: Template, solver: str,
-           solver_cmd: Optional[str], timeout: Optional[float],
-           deadline: Optional[float], counters: Dict[str, int]):
+           solver_cmd: Optional[str], store: encoder._Cnf, counters: Dict[str, int]):
     variables = template.control_vars()
     if solver == "builtin":
-        return sat_solve(grounded, variables, counters)
+        store.time_left()               # raises once the deadline has passed
+        return sat_solve(grounded, variables, counters, store)
     if solver == "external":
         if not solver_cmd:
             raise ValueError("external solving needs a solver command")
         script = emit_smtlib(grounded, variables)
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SolverError("solver timed out after %ss" % timeout)
-        verdict, model = run_external(script, solver_cmd, remaining)
+        verdict, model = run_external(script, solver_cmd, store.time_left())
         if verdict == "unsat":
             return None
         if model is None:
@@ -151,28 +146,38 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
     region where it fails. The partial conjunction has a superset of the
     full grounding's models, so its least model, once it passes every
     region, is the full grounding's least model too; an unsat answer is
-    already an unsat answer of the full grounding. timeout is one
-    deadline for all the external solver runs of the attempt."""
+    already an unsat answer of the full grounding. The built-in solver
+    keeps one store for the attempt, so each iteration translates and
+    searches only what the new instance adds. timeout is one deadline
+    for the attempt, kept by that store: it is checked before every
+    solver call, inside the built-in search, and it bounds every
+    external solver run.
+
+    The stage seconds are disjoint: encode_seconds the rewrite into
+    guards, expand_seconds the template expansion, ground_seconds the
+    regions, the instances and the counterexample checks, cnf_seconds
+    the built-in solver's translation to clauses, and solve_seconds the
+    rest of the solver calls (the search, or the external runs)."""
     t0 = time.perf_counter()
     guard_formula = cand([encode(S, r) for r in reqs])
-    expanded = expand_guards(guard_formula, template)
     t1 = time.perf_counter()
+    expanded = expand_guards(guard_formula, template)
+    t2 = time.perf_counter()
     if emit_smt:
         with open(emit_smt, "w") as fh:
             fh.write(emit_smtlib(expanded, template.control_vars(),
                                  sig=S.sig, quantified=True))
-    deadline = None if timeout is None else time.monotonic() + timeout
+    store = encoder._Cnf(template.control_vars(), timeout)
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
-    t2 = time.perf_counter()
+    t3 = time.perf_counter()
     requests = encoder.request_regions(expanded, S.sig)
     picked = [0]
     grounded: ControlFormula = CTrue()
     while True:
         grounded = cand([grounded, ground_forall(expanded, S.sig, [requests[picked[-1]]])])
         t = time.perf_counter()
-        model = _solve(grounded, template, solver, solver_cmd, timeout,
-                       deadline, counters)
+        model = _solve(grounded, template, solver, solver_cmd, store, counters)
         solve_seconds += time.perf_counter() - t
         failing = None if model is None else encoder.counterexample(
             expanded, model, requests)
@@ -183,7 +188,8 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
                 "the model fails region %d, whose instance it was solved "
                 "over; this indicates a grounding gap" % failing)
         picked.append(failing)
-    ground_seconds = time.perf_counter() - t2 - solve_seconds
+    ground_seconds = time.perf_counter() - t3 - solve_seconds
+    cnf_seconds = counters.pop("cnf_seconds", 0.0)
     attempt: Dict[str, object] = {
         "template": template.describe(),
         "guard_formula_size": formula_size(guard_formula),
@@ -195,8 +201,10 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
         "instances": len(picked),
         "iterations": len(picked),
         "encode_seconds": t1 - t0,
+        "expand_seconds": t2 - t1,
         "ground_seconds": ground_seconds,
-        "solve_seconds": solve_seconds,
+        "cnf_seconds": cnf_seconds,
+        "solve_seconds": solve_seconds - cnf_seconds,
     }
     attempt.update(counters)
     stats.setdefault("attempts", []).append(attempt)

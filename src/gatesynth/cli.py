@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--solver", choices=["builtin", "external"], default="builtin")
     ps.add_argument("--solver-cmd", help="external solver command line")
     ps.add_argument("--timeout", type=float,
-                    help="external solver deadline per template attempt, seconds")
+                    help="solver deadline per template attempt, seconds")
     ps.add_argument("--deadlock-free", choices=["auto", "on", "off"], default="auto",
                     help="add the everyone-keeps-moving requirement (default auto)")
     ps.add_argument("--deny-by-default", action="store_true",

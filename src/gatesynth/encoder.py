@@ -18,6 +18,15 @@ quantified ones with let inside the quantifier, because there it
 mentions the request variables. Numeric attribute tests print as
 bounds read off the intervals of their IntervalSet.
 
+The built-in solver, sat_solve(), translates control formulas to
+clauses (Tseitin) and searches them with conflict learning. Its store,
+_Cnf, lasts as long as its caller keeps it: synthesis keeps one per
+template attempt, so each grounding iteration translates only the nodes
+its new instance adds and searches again from the clauses, learned
+clauses and watches already there. Decisions follow the control bits in
+declaration order, 0 first, so every answer is the least model of what
+the store holds, the one a fresh store would find.
+
 Control formula nodes are built on formulas.Node, so they are
 hash-consed like every other formula: an equal node is the same
 object, memo tables key on nodes directly, and each edge has one live
@@ -39,6 +48,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+import time
 import os
 from dataclasses import dataclass
 from typing import (
@@ -466,11 +476,47 @@ class SolverError(RuntimeError):
 
 
 class _Cnf:
-    """Clause store with fresh-variable bookkeeping."""
+    """The built-in solver's store over one list of control variables,
+    kept across calls so that a growing conjunction is translated and
+    searched incrementally (MiniSat-style incremental solving, after Eén
+    & Sörensson, SAT 2003).
 
-    def __init__(self):
+    It holds the problem clauses, the Tseitin memo from formula nodes to
+    literals, the control bits in decision order, and the search state:
+    watch lists, the assignment and trail, and the learned clauses. The
+    clause set only grows and every learned clause is implied by it, so
+    a search continued from this state finds what a fresh store would.
+    The store also keeps the deadline of its timeout, counted from its
+    creation.
+    """
+
+    def __init__(self, variables: Sequence[ControlVar], timeout: Optional[float] = None):
+        self.variables = list(variables)
+        self.timeout = timeout
+        self.deadline = None if timeout is None else time.monotonic() + timeout
         self.n_vars = 0
-        self.clauses: List[List[int]] = []
+        self.clauses: List[List[int]] = []      # problem clauses, in the order added
+        self.attached = 0                        # clauses[:attached] are watched or settled
+        self.learned: List[List[int]] = []
+        self.ok = True                           # False once the clauses are unsat
+        self.watches: Dict[int, List[List[int]]] = {}
+        self.assign: List[Optional[bool]] = [None]         # by variable
+        self.reason: List[Optional[List[int]]] = [None]
+        self.level: List[int] = [0]
+        self.trail: List[int] = []               # literals in assignment order
+        self.trail_lim: List[int] = []           # trail length at each decision level
+        self.memo: Dict[ControlFormula, int] = {}
+        self.sizes = {v.name: v.size for v in self.variables}
+        self.true_lit = self.fresh()
+        self.add([self.true_lit])
+        self.bits: Dict[str, List[int]] = {}
+        self.decision: List[int] = []
+        for v in self.variables:
+            b = var_bits(v.size)
+            lits = self.bits[v.name] = [self.fresh() for _ in range(b)]
+            self.decision.extend(lits)
+            for code in range(v.size, 1 << b):
+                self.add([-lits[i] if (code >> i) & 1 else lits[i] for i in range(b)])
 
     def fresh(self) -> int:
         self.n_vars += 1
@@ -478,6 +524,76 @@ class _Cnf:
 
     def add(self, clause: List[int]):
         self.clauses.append(clause)
+
+    def time_left(self) -> Optional[float]:
+        """Seconds to the deadline, None without one; raises SolverError
+        once it has passed."""
+        if self.deadline is None:
+            return None
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise SolverError("solver timed out after %ss" % self.timeout)
+        return left
+
+    def literal(self, f: ControlFormula) -> int:
+        """The literal standing for f. Every node not yet in the memo gets
+        a definitional variable and clauses (Tseitin); nodes translated by
+        earlier calls cost a lookup."""
+        memo, sizes, bits = self.memo, self.sizes, self.bits
+        true_lit, fresh, add = self.true_lit, self.fresh, self.add
+
+        def define_and(lits: List[int]) -> int:
+            if not lits:
+                return true_lit
+            if len(lits) == 1:
+                return lits[0]
+            x = fresh()
+            for lit in lits:
+                add([-x, lit])
+            add([x] + [-lit for lit in lits])
+            return x
+
+        def define_or(lits: List[int]) -> int:
+            if not lits:
+                return -true_lit
+            if len(lits) == 1:
+                return lits[0]
+            x = fresh()
+            for lit in lits:
+                add([x, -lit])
+            add([-x] + lits)
+            return x
+
+        def lit_of(g: ControlFormula) -> int:
+            got = memo.get(g)
+            if got is not None:
+                return got
+            if isinstance(g, CTrue):
+                out = true_lit
+            elif isinstance(g, CFalse):
+                out = -true_lit
+            elif isinstance(g, CVarEq):
+                if g.var not in sizes:
+                    raise SolverError("formula mentions undeclared control variable %r" % g.var)
+                if g.value >= sizes[g.var]:
+                    out = -true_lit
+                else:
+                    out = define_and([lit if (g.value >> i) & 1 else -lit
+                                      for i, lit in enumerate(bits[g.var])])
+            elif isinstance(g, CNot):
+                out = -lit_of(g.sub)
+            elif isinstance(g, CAnd):
+                out = define_and([lit_of(a) for a in g.args])
+            elif isinstance(g, COr):
+                out = define_or([lit_of(a) for a in g.args])
+            elif isinstance(g, CImplies):
+                out = define_or([-lit_of(g.left), lit_of(g.right)])
+            else:
+                raise SolverError("cannot solve over unexpanded node %r" % (g,))
+            memo[g] = out
+            return out
+
+        return lit_of(f)
 
 
 def _infer_variables(f: ControlFormula) -> List[ControlVar]:
@@ -494,7 +610,8 @@ def _infer_variables(f: ControlFormula) -> List[ControlVar]:
 
 def sat_solve(f: ControlFormula,
               variables: Optional[Sequence[ControlVar]] = None,
-              counters: Optional[Dict[str, int]] = None) -> Optional[ControlAssignment]:
+              counters: Optional[Dict[str, int]] = None,
+              cnf: Optional[_Cnf] = None) -> Optional[ControlAssignment]:
     """Complete search for a satisfying control assignment, or None.
 
     Control variables are binary-encoded; the search branches on their
@@ -506,135 +623,66 @@ def sat_solve(f: ControlFormula,
     introduced for subformulas are never branched on: once every control
     bit has a value they are forced by propagation.
 
-    With a counters dict, the size of the CNF goes into its cnf_vars
-    and cnf_clauses entries, and the search adds its decisions,
-    conflicts, propagations and learned clauses to theirs.
+    With a store `cnf` from earlier calls over the same variables, f is
+    asserted on top of what those calls asserted: only its nodes not yet
+    translated are, and the search goes on from the store's clauses,
+    learned clauses and watches. The answer is then the least model of
+    the conjunction of every formula asserted so far, which is f's own
+    when f contains them, as the grounding loop's growing conjunction
+    does. Without a store, a fresh one solves f from scratch.
+
+    With a counters dict, the store's problem-clause size goes into its
+    cnf_vars and cnf_clauses entries, the seconds of translation are
+    added to cnf_seconds, and the search adds its decisions, conflicts,
+    propagations and learned clauses to theirs.
     """
-    if variables is None:
-        variables = _infer_variables(f)
-    cnf = _Cnf()
-    true_lit = cnf.fresh()
-    cnf.add([true_lit])
-
-    bit_ids: Dict[Tuple[str, int], int] = {}
-    decision: List[int] = []
-    for v in variables:
-        b = var_bits(v.size)
-        for i in range(b):
-            lit = cnf.fresh()
-            bit_ids[(v.name, i)] = lit
-            decision.append(lit)
-        for code in range(v.size, 1 << b):
-            cnf.add([-bit_ids[(v.name, i)] if (code >> i) & 1 else bit_ids[(v.name, i)]
-                     for i in range(b)])
-
-    def eq_literals(var: str, size: int, value: int) -> List[int]:
-        if value >= size:
-            return []
-        b = var_bits(size)
-        return [bit_ids[(var, i)] if (value >> i) & 1 else -bit_ids[(var, i)]
-                for i in range(b)]
-
-    sizes = {v.name: v.size for v in variables}
-    memo: Dict[ControlFormula, int] = {}
-
-    def define_and(lits: List[int]) -> int:
-        if not lits:
-            return true_lit
-        if len(lits) == 1:
-            return lits[0]
-        x = cnf.fresh()
-        for lit in lits:
-            cnf.add([-x, lit])
-        cnf.add([x] + [-lit for lit in lits])
-        return x
-
-    def define_or(lits: List[int]) -> int:
-        if not lits:
-            return -true_lit
-        if len(lits) == 1:
-            return lits[0]
-        x = cnf.fresh()
-        for lit in lits:
-            cnf.add([x, -lit])
-        cnf.add([-x] + lits)
-        return x
-
-    def lit_of(g: ControlFormula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, CTrue):
-            out = true_lit
-        elif isinstance(g, CFalse):
-            out = -true_lit
-        elif isinstance(g, CVarEq):
-            if g.var not in sizes:
-                raise SolverError("formula mentions undeclared control variable %r" % g.var)
-            lits = eq_literals(g.var, sizes[g.var], g.value)
-            if g.value >= sizes[g.var]:
-                out = -true_lit
-            else:
-                out = define_and(lits)
-        elif isinstance(g, CNot):
-            out = -lit_of(g.sub)
-        elif isinstance(g, CAnd):
-            out = define_and([lit_of(a) for a in g.args])
-        elif isinstance(g, COr):
-            out = define_or([lit_of(a) for a in g.args])
-        elif isinstance(g, CImplies):
-            out = define_or([-lit_of(g.left), lit_of(g.right)])
-        else:
-            raise SolverError("cannot solve over unexpanded node %r" % (g,))
-        memo[g] = out
-        return out
-
-    cnf.add([lit_of(f)])
-
+    if cnf is None:
+        cnf = _Cnf(_infer_variables(f) if variables is None else variables)
+    elif variables is not None and list(variables) != cnf.variables:
+        raise ValueError("the store was made for other control variables")
+    t = time.perf_counter()
+    cnf.add([cnf.literal(f)])
     if counters is not None:
+        counters["cnf_seconds"] = counters.get("cnf_seconds", 0.0) + time.perf_counter() - t
         counters.update(cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses))
-    model = _dpll(cnf, decision, counters)
-    if model is None:
+    if not _dpll(cnf, cnf.decision, counters):
         return None
-    out: ControlAssignment = {}
-    for v in variables:
-        b = var_bits(v.size)
-        val = 0
-        for i in range(b):
-            if model[bit_ids[(v.name, i)]]:
-                val |= 1 << i
-        out[v.name] = val
-    return out
+    assign = cnf.assign
+    return {v.name: sum(1 << i for i, lit in enumerate(cnf.bits[v.name]) if assign[lit])
+            for v in cnf.variables}
 
 
 def _dpll(cnf: _Cnf, decision: List[int],
-          counters: Optional[Dict[str, int]] = None) -> Optional[Dict[int, bool]]:
-    """Conflict-learning search branching on the decision literals in
-    order, 0 first. Decisions, conflicts, propagations and learned
-    clauses are added to counters, as MiniSat counts them."""
+          counters: Optional[Dict[str, int]] = None) -> bool:
+    """Conflict-learning search over the store's clauses, branching on
+    the decision literals in order, 0 first; True when it finds a model,
+    which is then the store's assignment.
+
+    The search goes on from the store's state: it backtracks to level
+    0, settles the clauses added since the last call against the level-0
+    facts (a satisfied one needs no watch, a unit one is a new fact, an
+    empty one makes the store unsat for good), watches the rest on two
+    literals that are not false, and searches again, keeping every
+    learned clause. Decisions, conflicts, propagations and learned
+    clauses are added to counters, as MiniSat counts them. The store's
+    deadline is checked at every conflict and every 256 decisions."""
     count = counters if counters is not None else {}
     for key in ("decisions", "conflicts", "propagations", "learned"):
         count.setdefault(key, 0)
+    if not cnf.ok:
+        return False
     n = cnf.n_vars
-    assign: List[Optional[bool]] = [None] * (n + 1)
-    reason: List[Optional[int]] = [None] * (n + 1)
-    level: List[int] = [0] * (n + 1)
-    watches: Dict[int, List[int]] = {}
-    clauses = [list(cl) for cl in cnf.clauses]
+    assign, reason, level = cnf.assign, cnf.reason, cnf.level
+    grow = n + 1 - len(assign)
+    assign.extend([None] * grow)
+    reason.extend([None] * grow)
+    level.extend([0] * grow)
+    watches = cnf.watches
+    trail, trail_lim = cnf.trail, cnf.trail_lim
+    qhead = 0                        # trail[:qhead] is propagated
 
-    def watch(lit: int, ci: int):
-        watches.setdefault(lit, []).append(ci)
-
-    for idx, cl in enumerate(clauses):
-        if not cl:
-            return None
-        if len(cl) >= 2:
-            watch(cl[0], idx)
-            watch(cl[1], idx)
-
-    trail: List[int] = []            # literals in assignment order
-    trail_lim: List[int] = []        # trail length at each decision level
-    qhead = 0
+    def watch(lit: int, cl: List[int]):
+        watches.setdefault(lit, []).append(cl)
 
     def value(lit: int) -> Optional[bool]:
         v = assign[abs(lit)]
@@ -642,7 +690,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
             return None
         return v if lit > 0 else not v
 
-    def enqueue(lit: int, why: Optional[int]) -> bool:
+    def enqueue(lit: int, why: Optional[List[int]]) -> bool:
         v = value(lit)
         if v is not None:
             return v
@@ -653,8 +701,30 @@ def _dpll(cnf: _Cnf, decision: List[int],
         trail.append(lit)
         return True
 
-    def propagate() -> Optional[int]:
-        """Exhaust unit propagation; return a falsified clause index, if any."""
+    def attach(cl: List[int]) -> bool:
+        """Settle a new clause at level 0, moving two literals that are
+        not false to its front and watching them; False if every literal
+        is false."""
+        k = 0
+        for j, lit in enumerate(cl):
+            v = value(lit)
+            if v is True:
+                return True
+            if v is None:
+                cl[k], cl[j] = cl[j], cl[k]
+                k += 1
+                if k == 2:
+                    break
+        if k == 0:
+            return False
+        if k == 1:
+            return enqueue(cl[0], cl)
+        watch(cl[0], cl)
+        watch(cl[1], cl)
+        return True
+
+    def propagate() -> Optional[List[int]]:
+        """Exhaust unit propagation; return a falsified clause, if any."""
         nonlocal qhead
         start = qhead
         while qhead < len(trail):
@@ -666,8 +736,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
                 continue
             i = 0
             while i < len(watching):
-                ci = watching[i]
-                cl = clauses[ci]
+                cl = watching[i]
                 # make sure falsified is at position 1
                 if cl[0] == falsified:
                     cl[0], cl[1] = cl[1], cl[0]
@@ -678,7 +747,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
                 for j in range(2, len(cl)):
                     if value(cl[j]) is not False:
                         cl[1], cl[j] = cl[j], cl[1]
-                        watch(cl[1], ci)
+                        watch(cl[1], cl)
                         watching[i] = watching[-1]
                         watching.pop()
                         found = True
@@ -687,13 +756,13 @@ def _dpll(cnf: _Cnf, decision: List[int],
                     continue
                 if value(cl[0]) is False:
                     count["propagations"] += qhead - start
-                    return ci
-                enqueue(cl[0], ci)
+                    return cl
+                enqueue(cl[0], cl)
                 i += 1
         count["propagations"] += qhead - start
         return None
 
-    def analyze(confl: int) -> Tuple[List[int], int]:
+    def analyze(confl: List[int]) -> Tuple[List[int], int]:
         """Resolve the conflict back to its first unique implication
         point; returns the learned clause (asserting literal first) and
         the level to jump back to."""
@@ -704,7 +773,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
         idx = len(trail) - 1
         cur = len(trail_lim)
         while True:
-            for q in clauses[confl]:
+            for q in confl:
                 if p is not None and q == p:
                     continue
                 var = abs(q)
@@ -746,38 +815,42 @@ def _dpll(cnf: _Cnf, decision: List[int],
                 reason[var] = None
         qhead = len(trail)
 
-    for idx, cl in enumerate(clauses):
-        if len(cl) == 1 and not enqueue(cl[0], idx):
-            return None
-
+    # every call ends with level 0 propagated, so this sets qhead past it
+    cancel_until(0)
+    clauses = cnf.clauses
+    while cnf.attached < len(clauses):
+        cl = clauses[cnf.attached]
+        cnf.attached += 1
+        if not attach(cl):
+            cnf.ok = False
+            return False
     di = 0
     while True:
         confl = propagate()
         if confl is not None:
             count["conflicts"] += 1
             if not trail_lim:
-                return None
+                cnf.ok = False
+                return False
+            cnf.time_left()
             learned, back = analyze(confl)
             cancel_until(back)
-            ci = len(clauses)
-            clauses.append(learned)
+            cnf.learned.append(learned)
             count["learned"] += 1
             if len(learned) >= 2:
-                watch(learned[0], ci)
-                watch(learned[1], ci)
-            if not enqueue(learned[0], ci):
-                return None
+                watch(learned[0], learned)
+                watch(learned[1], learned)
+            enqueue(learned[0], learned)    # unassigned after the backjump
             di = 0
             continue
         while di < len(decision) and assign[abs(decision[di])] is not None:
             di += 1
         if di >= len(decision):
-            result = {v: bool(assign[v]) for v in range(1, n + 1) if assign[v] is not None}
-            for v in range(1, n + 1):
-                result.setdefault(v, False)
-            return result
-        trail_lim.append(len(trail))
+            return True
         count["decisions"] += 1
+        if not count["decisions"] & 255:
+            cnf.time_left()
+        trail_lim.append(len(trail))
         enqueue(-decision[di], None)  # try 0 first
 
 

@@ -123,6 +123,26 @@ def test_synth_records_every_attempt(office):
     assert attempts[0]["control_bits"] < attempts[1]["control_bits"]
 
 
+STAGES = ("encode_seconds", "expand_seconds", "ground_seconds", "cnf_seconds",
+          "solve_seconds")
+
+
+@pytest.mark.parametrize("template", ["dnf", "complete"])
+def test_stage_seconds_are_disjoint(office, office_reqs, template):
+    clash = office_reqs + [
+        Requirement(Atom("role", frozenset(["visitor"])),
+                    deny(Atom("id", frozenset(["mr"]))), NEGATIVE)]
+    for reqs in (office_reqs, clash):
+        res = synth(office, reqs, template=template)
+        attempts = res.stats["attempts"]
+        for attempt in attempts:
+            for key in STAGES:
+                assert attempt[key] >= 0, key
+        for key in STAGES:
+            assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts))
+        assert sum(a[key] for a in attempts for key in STAGES) <= res.stats["total_seconds"]
+
+
 def test_synth_rejects_unknown_arguments(triangle):
     with pytest.raises(ValueError, match="template"):
         synth(triangle, [], template="fancy")

@@ -13,7 +13,7 @@ from gatesynth.encoder import (
     ControlVar, SolverError, c_subformulas, cand, cguard, cimplies, cnot,
     collect_catoms, cor, emit_smtlib, encode, eval_formula, expand_guards,
     formula_size, fold_atoms, ground_forall, rewrite_constraint, run_external,
-    sat_solve, target_to_control,
+    _Cnf, sat_solve, target_to_control, var_bits,
 )
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top,
@@ -443,6 +443,48 @@ def test_evaluation_visits_shared_nodes_once():
     for x, y in itertools.product((0, 1), repeat=2):
         m = {"x": x, "y": y}
         assert eval_formula(f, {}, m) == chain_value(60, m)
+
+
+def least_model(f, vars_):
+    """The satisfying assignment whose bits, in decision order (each
+    variable's bits from the lowest, variables in declaration order),
+    read least, by enumeration; None if there is none."""
+    def bits(m):
+        return [(m[v.name] >> i) & 1 for v in vars_ for i in range(var_bits(v.size))]
+
+    models = [m for m in (dict(zip([v.name for v in vars_], combo))
+                          for combo in itertools.product(*[range(v.size) for v in vars_]))
+              if eval_formula(f, {}, m)]
+    return min(models, key=bits, default=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_one_store_answers_as_fresh_solves(seed):
+    """A store fed conjunct after conjunct answers each step as a fresh
+    solve of the conjunction so far, and as enumeration does."""
+    rng = random.Random(seed)
+    vars_ = [ControlVar("v%d" % i, rng.randint(1, 4)) for i in range(rng.randint(1, 3))]
+    store = _Cnf(vars_)
+    prefix = []
+    unsat = False
+    for _ in range(rng.randint(1, 6)):
+        prefix.append(random_control_formula(rng, vars_, rng.randint(0, 4)))
+        # the store holds the earlier conjuncts, so it may get either
+        # the whole conjunction, as the grounding loop passes it, or
+        # just the new conjunct
+        got = sat_solve(cand(prefix) if rng.random() < 0.5 else prefix[-1],
+                        vars_, None, store)
+        want = sat_solve(cand(prefix), vars_)
+        assert got == want == least_model(cand(prefix), vars_), prefix
+        assert not (unsat and got is not None)
+        unsat = got is None
+        if got is not None:
+            # every clause kept, problem or learned, holds in the model
+            # the search stopped at, not only the control bits read off it
+            assign = store.assign
+            for clause in store.clauses + store.learned:
+                assert any(assign[abs(lit)] is (lit > 0) for lit in clause), clause
 
 
 def test_sat_solve_agrees_with_brute_force():

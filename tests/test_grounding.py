@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gatesynth import app, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
-    CAnd, CFalse, CTrue, SolverError, cand, encode, expand_guards,
+    CAnd, CFalse, CTrue, ControlVar, SolverError, cand, encode, expand_guards,
     ground_forall, request_regions, sat_solve,
 )
-from gatesynth.model import ResourceStructure
+from gatesynth.model import ResourceStructure, config_to_json, scale_replicate
 from gatesynth.templates import CapExceeded, complete_template, dnf_template
 
 from genutil import random_model, random_pattern_requirement, random_policy
@@ -51,9 +51,9 @@ def record_solved(monkeypatch):
     """Make app's sat_solve keep every formula it is handed."""
     solved = []
 
-    def recording(f, variables=None, counters=None):
+    def recording(f, variables=None, counters=None, cnf=None):
         solved.append(f)
-        return sat_solve(f, variables, counters)
+        return sat_solve(f, variables, counters, cnf)
 
     monkeypatch.setattr(app, "sat_solve", recording)
     return solved
@@ -118,16 +118,18 @@ def test_solver_counters_sum_over_iterations(monkeypatch, office, office_reqs):
     stats = {}
     app._attempt(office, eff, tpl, "builtin", None, None, None, stats)
     attempt = stats["attempts"][-1]
-    # the built-in solver is deterministic, so each run counts the same again
-    runs = []
+    # the built-in solver is deterministic, so re-solving the same
+    # formulas in order through one fresh store counts the same again
+    store = encoder._Cnf(tpl.control_vars())
+    counters = {}
     for f in solved:
-        runs.append({})
-        sat_solve(f, tpl.control_vars(), runs[-1])
-    assert len(runs) == attempt["iterations"] >= 2
-    for key in ("decisions", "conflicts", "propagations", "learned"):
-        assert attempt[key] == sum(run[key] for run in runs)
-    assert attempt["cnf_vars"] == runs[-1]["cnf_vars"]
-    assert attempt["cnf_clauses"] == runs[-1]["cnf_clauses"]
+        sat_solve(f, tpl.control_vars(), counters, store)
+    assert len(solved) == attempt["iterations"] >= 2
+    for key in ("decisions", "conflicts", "propagations", "learned",
+                "cnf_vars", "cnf_clauses"):
+        assert attempt[key] == counters[key], key
+    assert (counters["cnf_vars"], counters["cnf_clauses"]) == (
+        store.n_vars, len(store.clauses))
 
 
 def fake_solver(tmp_path, body):
@@ -155,3 +157,31 @@ def test_external_timeout_is_one_deadline_per_attempt(tmp_path, office, office_r
         synth(office, office_reqs, template=tpl, solver="external", solver_cmd=cmd,
               timeout=0)
     assert not log.exists()
+
+
+def test_builtin_timeout_is_one_deadline_per_attempt(monkeypatch, office, office_reqs,
+                                                     firm, firm_reqs):
+    searched = []
+    search = encoder._dpll
+    monkeypatch.setattr(encoder, "_dpll", lambda *args: searched.append(1) or search(*args))
+    # a spent deadline stops the attempt before any search
+    with pytest.raises(SolverError, match=r"timed out after 0s"):
+        synth(office, office_reqs, timeout=0)
+    assert not searched
+    # firm x3 takes over a second to solve
+    with pytest.raises(SolverError, match=r"timed out after 0\.05s"):
+        synth(scale_replicate(firm, 3), firm_reqs, timeout=0.05)
+    plain = synth(office, office_reqs)
+    timed = synth(office, office_reqs, timeout=600)
+    assert config_to_json(office, plain.configuration) == config_to_json(
+        office, timed.configuration)
+    assert plain.stats["decisions"] == timed.stats["decisions"]
+
+
+def test_the_search_checks_the_deadline():
+    # no conflicts, so only the check every 256 decisions can stop it
+    variables = [ControlVar("v%d" % i, 2) for i in range(300)]
+    with pytest.raises(SolverError, match=r"timed out after 0s"):
+        sat_solve(CTrue(), variables, None, encoder._Cnf(variables, timeout=0))
+    assert sat_solve(CTrue(), variables, None, encoder._Cnf(variables, timeout=600)) == {
+        v.name: 0 for v in variables}
