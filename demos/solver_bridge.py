@@ -4,10 +4,10 @@ Handing the constraint to an outside solver
 
 """
 
-# The built-in solver is a plain complete Boolean search and handles
-# the bundled models comfortably. For bigger instances the same
-# constraint can be shipped out as SMT-LIB text and solved by whatever
-# is installed.
+# The built-in solver translates the constraint to clauses and searches
+# them with conflict learning; it handles the bundled models
+# comfortably. The same constraint can also be shipped out as SMT-LIB
+# text and solved by whatever is installed.
 
 import shutil
 
@@ -23,9 +23,11 @@ office = load_model(data.path(data.OFFICE_MODEL))
 with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
     reqs = parse_requirements(fh.read(), office.sig)
 
-# Build the same formula synth would build: encode every requirement
-# over the template's control variables, then fold the request
-# quantifier into a finite conjunction over request classes.
+# Build the formula synth works from: encode every requirement over
+# the template's control variables, then fold the request quantifier
+# into a finite conjunction over request classes. This is the full
+# grounding; synth itself grounds only the requests where its current
+# model fails, and ends at the same least model.
 template = dnf_template(office, reqs, k=1)
 body = cand([encode(office, r) for r in reqs])
 expanded = expand_guards(body, template)
@@ -47,8 +49,8 @@ print("...")
 # one, this block just explains itself.
 z3 = shutil.which("z3")
 if z3:
-    result = synth(office, reqs, solver="external", solver_cmd="z3 -in")
+    result = synth(office, reqs, solver="external", solver_cmd="z3")
     print("external outcome:", result.outcome)
 else:
     print("no z3 on PATH; synth(..., solver='external', "
-          "solver_cmd='z3 FILE-style command') would do the same")
+          "solver_cmd='z3') would do the same")

@@ -2,13 +2,14 @@
 
 synth() glues the pipeline together: inject the deadlock-freeness
 requirement when universal untils call for it, optionally add a
-deny-by-default floor, encode the requirements over a template, ground
-and solve region by region until the model holds at every request
-region, extract a configuration, and verify it with the independent
-checker before handing it back. When the clause templates run out of
-room it escalates to the complete class template (one bit per door and
-request class), whose failure refutes every configuration, not just the
-searched family. Every template tried is recorded in stats["attempts"].
+deny-by-default floor, encode the requirements once, expand them over
+a template, ground and solve request by request until the model holds
+at every request, extract a configuration, and verify it with the
+independent checker before handing it back. When the clause templates
+run out of room it escalates to the complete class template (one bit
+per door and request class), whose failure refutes every
+configuration, not just the searched family. Every template tried is
+recorded in stats["attempts"].
 """
 
 from __future__ import annotations
@@ -132,37 +133,36 @@ def _solve(grounded: ControlFormula, template: Template, solver: str,
     raise ValueError("unknown solver %r" % solver)
 
 
-def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
+def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
              stats: Dict[str, object]):
-    """Encode, ground and solve over one template. Its sizes, seconds
-    and counters go into stats["attempts"]; the top-level keys sum the
-    seconds over all attempts and keep the rest of the latest one.
+    """Expand, ground and solve the guard formula over one template. Its
+    sizes, seconds and counters go into stats["attempts"]; the top-level
+    keys sum the seconds over all attempts and keep the rest of the
+    latest one.
 
     Grounding is counterexample-guided: solve over the instances of the
-    regions picked so far (at first the first region), check the model
-    against the expanded formula at every region, and add the first
-    region where it fails. The partial conjunction has a superset of the
-    full grounding's models, so its least model, once it passes every
-    region, is the full grounding's least model too; an unsat answer is
-    already an unsat answer of the full grounding. The built-in solver
-    keeps one store for the attempt, so each iteration translates and
-    searches only what the new instance adds. timeout is one deadline
-    for the attempt, kept by that store: it is checked before every
-    solver call, inside the built-in search, and it bounds every
-    external solver run.
+    requests picked so far (at first none, so the first model is all
+    zeros), ask counterexample() for a request at which the model fails
+    the expanded formula, and add that request's instance. The partial
+    conjunction has a superset of the full grounding's models, so its
+    least model, once it holds at every request, is the full grounding's
+    least model too; an unsat answer is already an unsat answer of the
+    full grounding. The built-in solver keeps one store for the attempt,
+    so each iteration translates and searches only what the new instance
+    adds. timeout is one deadline for the attempt, kept by that store: it
+    is checked before every solver call, inside the built-in search, and
+    it bounds every external solver run.
 
-    The stage seconds are disjoint: encode_seconds the rewrite into
-    guards, expand_seconds the template expansion, ground_seconds the
-    regions, the instances and the counterexample checks, cnf_seconds
-    the built-in solver's translation to clauses, and solve_seconds the
-    rest of the solver calls (the search, or the external runs)."""
+    The stage seconds are disjoint: expand_seconds the template
+    expansion, ground_seconds the instances and the counterexample
+    checks, cnf_seconds the built-in solver's translation to clauses,
+    and solve_seconds the rest of the solver calls (the search, or the
+    external runs)."""
     t0 = time.perf_counter()
-    guard_formula = cand([encode(S, r) for r in reqs])
-    t1 = time.perf_counter()
     expanded = expand_guards(guard_formula, template)
-    t2 = time.perf_counter()
+    t1 = time.perf_counter()
     if emit_smt:
         with open(emit_smt, "w") as fh:
             fh.write(emit_smtlib(expanded, template.control_vars(),
@@ -170,38 +170,37 @@ def _attempt(S: ResourceStructure, reqs: Sequence[Requirement],
     store = encoder._Cnf(template.control_vars(), timeout)
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
-    t3 = time.perf_counter()
-    requests = encoder.request_regions(expanded, S.sig)
-    picked = [0]
+    t2 = time.perf_counter()
     grounded: ControlFormula = CTrue()
+    instances: Set[ControlFormula] = set()
     while True:
-        grounded = cand([grounded, ground_forall(expanded, S.sig, [requests[picked[-1]]])])
         t = time.perf_counter()
         model = _solve(grounded, template, solver, solver_cmd, store, counters)
         solve_seconds += time.perf_counter() - t
         failing = None if model is None else encoder.counterexample(
-            expanded, model, requests)
+            expanded, model, S.sig)
         if failing is None:
             break
-        if failing in picked:
+        instance = ground_forall(expanded, S.sig, [failing])
+        if instance in instances:
             raise SynthesisError(
-                "the model fails region %d, whose instance it was solved "
-                "over; this indicates a grounding gap" % failing)
-        picked.append(failing)
-    ground_seconds = time.perf_counter() - t3 - solve_seconds
+                "the model fails request %r, whose instance it was solved "
+                "over; this indicates a grounding gap" % (failing,))
+        instances.add(instance)
+        grounded = cand([grounded, instance])
+    regions = encoder.build_regions(S.sig, encoder.collect_catoms(expanded)).count()
+    ground_seconds = time.perf_counter() - t2 - solve_seconds
     cnf_seconds = counters.pop("cnf_seconds", 0.0)
     attempt: Dict[str, object] = {
         "template": template.describe(),
-        "guard_formula_size": formula_size(guard_formula),
         "expanded_size": formula_size(expanded),
         "grounded_size": formula_size(grounded),
         "control_vars": len(template.control_vars()),
         "control_bits": template.bit_count(),
-        "regions": len(requests),
-        "instances": len(picked),
-        "iterations": len(picked),
-        "encode_seconds": t1 - t0,
-        "expand_seconds": t2 - t1,
+        "regions": regions,
+        "instances": len(instances),
+        "iterations": len(instances) + 1,
+        "expand_seconds": t1 - t0,
         "ground_seconds": ground_seconds,
         "cnf_seconds": cnf_seconds,
         "solve_seconds": solve_seconds - cnf_seconds,
@@ -225,7 +224,6 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
           deny_by_default: bool = False,
           entry_label: Optional[Tuple[str, object]] = None,
           complete_cap: int = 4096,
-          availability: Optional[Dict[Edge, List[str]]] = None,
           emit_smt: Optional[str] = None) -> SynthesisResult:
     """Find a configuration making every requirement hold, or report
     that none exists in the searched space.
@@ -233,16 +231,25 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     template may be "dnf" (clause templates of up to max_k clauses, then
     the complete class template as a last resort), "complete" (the class
     template directly), or a Template instance. complete_cap bounds the
-    number of request classes the class template may have.
+    number of request classes the class template may have. The
+    requirements are encoded once; every template tried expands that
+    one guard formula.
     """
     if max_k < 0:
         raise ValueError("max_k must be at least 0, got %d" % max_k)
     if complete_cap < 1:
         raise ValueError("complete_cap must be at least 1, got %d" % complete_cap)
+    if timeout is not None and not timeout >= 0:
+        raise ValueError("timeout must be at least 0 seconds, got %r" % timeout)
+    if not isinstance(template, Template) and template not in ("dnf", "complete"):
+        raise ValueError("template must be 'dnf', 'complete', or a Template")
     eff = effective_requirements(S, reqs, deadlock_free, deny_by_default,
                                  entry_label)
     stats: Dict[str, object] = {"solver": solver, "requirements": len(eff)}
     t_start = time.perf_counter()
+    guard_formula = cand([encode(S, r) for r in eff])
+    stats["encode_seconds"] = time.perf_counter() - t_start
+    stats["guard_formula_size"] = formula_size(guard_formula)
 
     def finish_sat(tpl: Template, model) -> SynthesisResult:
         config = tpl.derive(model)
@@ -263,22 +270,21 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         return SynthesisResult("unsat", requirements=eff, exhaustive=exhaustive,
                                message=message, stats=stats)
 
+    def attempt(tpl: Template):
+        return _attempt(S, guard_formula, tpl, solver, solver_cmd, timeout,
+                        emit_smt, stats)
+
     if isinstance(template, Template):
-        model = _attempt(S, eff, template, solver, solver_cmd, timeout,
-                         emit_smt, stats)
+        model = attempt(template)
         if model is not None:
             return finish_sat(template, model)
         return finish_unsat(False, "no candidate in the given template works")
 
-    if template not in ("dnf", "complete"):
-        raise ValueError("template must be 'dnf', 'complete', or a Template")
-
     if template == "dnf":
         for k in range(1, max_k + 1):
-            tpl = dnf_template(S, eff, k, availability)
+            tpl = dnf_template(S, eff, k)
             stats["clauses_reached"] = k
-            model = _attempt(S, eff, tpl, solver, solver_cmd, timeout,
-                             emit_smt, stats)
+            model = attempt(tpl)
             if model is not None:
                 return finish_sat(tpl, model)
 
@@ -292,7 +298,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         return finish_unsat(False,
                             "no clause policy with up to %d clauses works, and the "
                             "complete template is out of reach (%s)" % (max_k, exc))
-    model = _attempt(S, eff, tpl, solver, solver_cmd, timeout, emit_smt, stats)
+    model = attempt(tpl)
     if model is not None:
         return finish_sat(tpl, model)
     return finish_unsat(True, "no configuration at all can satisfy these requirements")

@@ -111,9 +111,7 @@ def _cmd_synth(args) -> int:
     entry_label = None
     if args.entry_label:
         entry_label = _parse_label_value(args.entry_label, S.sig)
-    template = _make_template(args.template, S)
-    result = synth(S, reqs,
-                   template=template,
+    options = dict(template=_make_template(args.template, S),
                    max_k=args.max_k,
                    solver=args.solver,
                    solver_cmd=args.solver_cmd,
@@ -121,8 +119,8 @@ def _cmd_synth(args) -> int:
                    deadlock_free=args.deadlock_free,
                    deny_by_default=args.deny_by_default,
                    entry_label=entry_label,
-                   complete_cap=args.cap,
-                   emit_smt=args.emit_smt)
+                   complete_cap=args.cap)
+    result = synth(S, reqs, emit_smt=args.emit_smt, **options)
     if args.stats == "json":
         print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     elif args.stats:
@@ -136,16 +134,7 @@ def _cmd_synth(args) -> int:
         return 0
     print("unsat: %s" % result.message, file=sys.stderr)
     if result.outcome == "unsat" and not args.no_explain and len(reqs) > 1:
-        found = minimal_conflict(S, reqs,
-                                 template=args.template if isinstance(template, str) else template,
-                                 max_k=args.max_k,
-                                 solver=args.solver,
-                                 solver_cmd=args.solver_cmd,
-                                 timeout=args.timeout,
-                                 deadlock_free=args.deadlock_free,
-                                 deny_by_default=args.deny_by_default,
-                                 entry_label=entry_label,
-                                 complete_cap=args.cap)
+        found = minimal_conflict(S, reqs, **options)
         if found is not None:
             index, _ = found
             src = reqs[index].source or format_requirement(reqs[index], S.sig)

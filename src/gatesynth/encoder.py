@@ -7,16 +7,16 @@ variables, ground_forall() instantiates the request attributes with
 representatives of request regions, and the result is a pure
 control-variable formula that a solver can search for a model of.
 Synthesis grounds counterexample-guided: it instantiates only the
-regions where counterexample() finds the current model failing, while
-ground_forall() over every region stays the reference and the source of
-grounded scripts. Expansion, grounding, that check and evaluation are
-all one walk, substitute(), which rebuilds a formula with its leaves
-replaced; one printer, _sexp(), renders control
-formulas as SMT-LIB terms for both script forms. Both forms print each
-shared connective once: grounded scripts bind it with define-fun,
-quantified ones with let inside the quantifier, because there it
-mentions the request variables. Numeric attribute tests print as
-bounds read off the intervals of their IntervalSet.
+requests that counterexample() returns, each one where the current
+model fails, while ground_forall() over every region stays the
+reference and the source of grounded scripts. Expansion, grounding,
+that check and evaluation are all one walk, substitute(), which
+rebuilds a formula with its leaves replaced; one printer, _sexp(),
+renders control formulas as SMT-LIB terms for both script forms. Both
+forms print each shared connective once: grounded scripts bind it with
+define-fun, quantified ones with let inside the quantifier, because
+there it mentions the request variables. Numeric attribute tests print
+as bounds read off the intervals of their IntervalSet.
 
 The built-in solver, sat_solve(), translates control formulas to
 clauses (Tseitin) and searches them with conflict learning. Its store,
@@ -384,8 +384,7 @@ def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
 def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRequest]:
     """One representative request per region of the attribute tests
     appearing in f, in build_regions order."""
-    atoms = [Atom(a.attr, a.values) for a in collect_catoms(f)]
-    return list(build_regions(sig, atoms).representatives())
+    return list(build_regions(sig, collect_catoms(f)).representatives())
 
 
 def ground_forall(f: ControlFormula, sig: AttributeSignature,
@@ -394,7 +393,7 @@ def ground_forall(f: ControlFormula, sig: AttributeSignature,
     instance per given request, folded instances deduplicated. With no
     requests, one instance per region representative: the full
     grounding, which is exactly the universal closure. Synthesis grounds
-    only the regions its counterexample loop picks; the full grounding
+    only the requests its counterexample loop picks; the full grounding
     stays the reference for it and the source of grounded scripts."""
     if requests is None:
         requests = request_regions(f, sig)
@@ -425,21 +424,24 @@ def assign_controls(f: ControlFormula, m: Dict[str, int]) -> ControlFormula:
 
 
 def counterexample(f: ControlFormula, m: Dict[str, int],
-                   requests: Sequence[AccessRequest]) -> Optional[int]:
-    """The index of the first request at which the control assignment m
-    does not make f true, or None when it holds at every one. Requests
-    that agree on every attribute test left in f under m share a verdict,
-    so the remainder is folded once per verdict vector."""
+                   sig: AttributeSignature) -> Optional[AccessRequest]:
+    """A request at which the control assignment m does not make f true,
+    or None when it holds at every request. The residue of f under m
+    tests request attributes only, so the answer is the first region
+    representative of its attribute tests, in build_regions order, at
+    which it does not fold to true. Regions that agree on every test
+    (numeric cells apart from each other can) share a verdict, so the
+    residue is folded once per verdict vector."""
     residue = assign_controls(f, m)
     atoms = collect_catoms(residue)
-    verdicts: Dict[Tuple[bool, ...], bool] = {}
-    for i, q in enumerate(requests):
+    holding: Set[Tuple[bool, ...]] = set()
+    for q in build_regions(sig, atoms).representatives():
         key = tuple(q.get(a.attr, BOTTOM) in a.values for a in atoms)
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = verdicts[key] = isinstance(fold_atoms(residue, q), CTrue)
-        if not ok:
-            return i
+        if key in holding:
+            continue
+        if not isinstance(fold_atoms(residue, q), CTrue):
+            return q
+        holding.add(key)
     return None
 
 
@@ -1069,9 +1071,10 @@ def run_external(script: str, command: str,
     """Run an SMT-LIB script through an external solver.
 
     The command is split shell-style and invoked with the script path
-    appended. Returns the verdict ('sat' or 'unsat') and, when sat and
-    the script requested values, the control assignment. An 'unknown'
-    verdict, a timeout, or unparseable output raises SolverError.
+    appended and no standard input. Returns the verdict ('sat' or
+    'unsat') and, when sat and the script requested values, the control
+    assignment. An 'unknown' verdict, a timeout, or unparseable output
+    raises SolverError.
     """
     argv = shlex.split(command)
     if not argv:
@@ -1081,8 +1084,8 @@ def run_external(script: str, command: str,
         with os.fdopen(fd, "w") as fh:
             fh.write(script)
         try:
-            proc = subprocess.run(argv + [path], capture_output=True,
-                                  text=True, timeout=timeout)
+            proc = subprocess.run(argv + [path], stdin=subprocess.DEVNULL,
+                                  capture_output=True, text=True, timeout=timeout)
         except subprocess.TimeoutExpired:
             raise SolverError("solver timed out after %ss" % timeout)
         except OSError as exc:

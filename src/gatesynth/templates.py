@@ -158,25 +158,15 @@ class DnfTemplate(Template):
     """
 
     def __init__(self, S: ResourceStructure, k: int,
-                 numeric_bounds: Dict[str, Tuple[List[int], List[Optional[int]]]],
-                 availability: Optional[Dict[Edge, List[str]]] = None):
+                 numeric_bounds: Dict[str, Tuple[List[int], List[Optional[int]]]]):
         super().__init__(S)
         if k < 1:
             raise ValueError("clause count must be at least 1")
         self.k = k
         self.numeric_bounds = numeric_bounds
-        self.available: Dict[Edge, List[str]] = {}
-        request_attrs = [d.name for d in S.sig.request_attrs()]
-        if not request_attrs:
+        self.attrs = [d.name for d in S.sig.request_attrs()]
+        if not self.attrs:
             raise ValueError("clause templates need at least one request attribute")
-        for e in S.controlled_edges():
-            attrs = list((availability or {}).get(e, request_attrs))
-            if not attrs:
-                raise ValueError("edge %s->%s has no attributes available" % e)
-            for a in attrs:
-                if a not in request_attrs:
-                    raise ValueError("unknown request attribute %r" % a)
-            self.available[e] = attrs
         self._vars: List[ControlVar] = []
         self._names: Dict[Tuple, str] = {}
         self._build_vars()
@@ -200,15 +190,14 @@ class DnfTemplate(Template):
         return (lowers or [0]), (uppers or [None])
 
     def _build_vars(self):
-        for ei, e in enumerate(self.S.controlled_edges()):
+        for ei in range(len(self.S.controlled_edges())):
             for j in range(self.k):
                 self._add(("clause", ei, j), "cl_%d_%d" % (ei, j), 2)
                 for t in range(self.k):
                     base = "t_%d_%d_%d" % (ei, j, t)
                     self._add(("use", ei, j, t), base + "_use", 2)
-                    attrs = self.available[e]
-                    self._add(("attr", ei, j, t), base + "_attr", len(attrs))
-                    for a in attrs:
+                    self._add(("attr", ei, j, t), base + "_attr", len(self.attrs))
+                    for a in self.attrs:
                         decl = self.sig.get(a)
                         if decl.kind == NUMERIC:
                             lowers, uppers = self._bounds(a)
@@ -264,10 +253,9 @@ class DnfTemplate(Template):
         for j in range(self.k):
             tests = []
             for t in range(self.k):
-                attrs = self.available[e]
                 picked = cor([cand([CVarEq(self._name("attr", ei, j, t), ai),
                                     self._test_formula(ei, j, t, a)])
-                              for ai, a in enumerate(attrs)])
+                              for ai, a in enumerate(self.attrs)])
                 tests.append(cor([CVarEq(self._name("use", ei, j, t), 0),
                                   cand([CVarEq(self._name("use", ei, j, t), 1), picked])]))
             clauses.append(cand([CVarEq(self._name("clause", ei, j), 1)] + tests))
@@ -275,12 +263,11 @@ class DnfTemplate(Template):
 
     # -- configuration extraction -------------------------------------------
 
-    def _test_target(self, m: ControlAssignment, ei: int, j: int, t: int,
-                     e: Edge) -> Optional[Formula]:
+    def _test_target(self, m: ControlAssignment, ei: int, j: int,
+                     t: int) -> Optional[Formula]:
         if m.get(self._name("use", ei, j, t), 0) == 0:
             return None
-        attrs = self.available[e]
-        attr = attrs[m.get(self._name("attr", ei, j, t), 0)]
+        attr = self.attrs[m.get(self._name("attr", ei, j, t), 0)]
         decl = self.sig.get(attr)
         if decl.kind == NUMERIC:
             lowers, uppers = self._bounds(attr)
@@ -306,7 +293,7 @@ class DnfTemplate(Template):
             for j in range(self.k):
                 if m.get(self._name("clause", ei, j), 0) != 1:
                     continue
-                tests = [self._test_target(m, ei, j, t, e) for t in range(self.k)]
+                tests = [self._test_target(m, ei, j, t) for t in range(self.k)]
                 clause_targets.append(conj([x for x in tests if x is not None]))
             if not clause_targets:
                 policy: Formula = falsum()
@@ -351,9 +338,8 @@ def interval_candidates(sig: AttributeSignature, reqs: Sequence[Requirement]
     return out
 
 
-def dnf_template(S: ResourceStructure, reqs: Sequence[Requirement], k: int,
-                 availability: Optional[Dict[Edge, List[str]]] = None) -> DnfTemplate:
-    return DnfTemplate(S, k, interval_candidates(S.sig, reqs), availability)
+def dnf_template(S: ResourceStructure, reqs: Sequence[Requirement], k: int) -> DnfTemplate:
+    return DnfTemplate(S, k, interval_candidates(S.sig, reqs))
 
 
 class ClassTemplate(Template):

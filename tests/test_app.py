@@ -85,6 +85,9 @@ def test_synth_rejects_bad_bounds(triangle):
     for cap in (0, -5):
         with pytest.raises(ValueError, match="complete_cap"):
             synth(triangle, reqs, complete_cap=cap)
+    for timeout in (-1, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="timeout must be at least 0"):
+            synth(triangle, reqs, timeout=timeout)
     # no clause templates at all: straight to the class template
     res = synth(triangle, reqs, max_k=0)
     assert res.ok
@@ -114,17 +117,20 @@ def test_synth_records_every_attempt(office):
     attempts = res.stats["attempts"]
     assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate"] * 3 + ["ClassTemplate"]
     assert [a["template"].get("clauses") for a in attempts] == [1, 2, 3, None]
-    for key in ("encode_seconds", "ground_seconds", "solve_seconds"):
+    for key in ("ground_seconds", "solve_seconds"):
         assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts))
     last = attempts[-1]
-    for key in ("guard_formula_size", "expanded_size", "grounded_size",
-                "control_vars", "control_bits", "template"):
+    for key in ("expanded_size", "grounded_size", "control_vars", "control_bits",
+                "template"):
         assert res.stats[key] == last[key]
     assert attempts[0]["control_bits"] < attempts[1]["control_bits"]
+    # the requirements are encoded once for the whole call, not per attempt
+    assert res.stats["encode_seconds"] >= 0 and res.stats["guard_formula_size"] > 0
+    for attempt in attempts:
+        assert "encode_seconds" not in attempt and "guard_formula_size" not in attempt
 
 
-STAGES = ("encode_seconds", "expand_seconds", "ground_seconds", "cnf_seconds",
-          "solve_seconds")
+STAGES = ("expand_seconds", "ground_seconds", "cnf_seconds", "solve_seconds")
 
 
 @pytest.mark.parametrize("template", ["dnf", "complete"])
@@ -140,7 +146,9 @@ def test_stage_seconds_are_disjoint(office, office_reqs, template):
                 assert attempt[key] >= 0, key
         for key in STAGES:
             assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts))
-        assert sum(a[key] for a in attempts for key in STAGES) <= res.stats["total_seconds"]
+        assert res.stats["encode_seconds"] >= 0
+        assert res.stats["encode_seconds"] + sum(
+            a[key] for a in attempts for key in STAGES) <= res.stats["total_seconds"]
 
 
 def test_synth_rejects_unknown_arguments(triangle):

@@ -174,6 +174,9 @@ def test_bad_bounds_exit_with_code_2(capsys):
     assert "error: max_k must be at least 0" in capsys.readouterr().err
     assert main(["synth", OFFICE, OFFICE_RULES, "--cap", "-5"]) == 2
     assert "error: complete_cap must be at least 1" in capsys.readouterr().err
+    for timeout in ("-1", "nan"):
+        assert main(["synth", OFFICE, OFFICE_RULES, "--timeout", timeout]) == 2
+        assert "error: timeout must be at least 0" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_with_code_2(tmp_path, capsys):

@@ -1,24 +1,30 @@
 """Counterexample-guided grounding in synth against the full grounding.
 
-synth grounds the request quantifier region by region: it solves over
-the regions picked so far and adds the first region the model fails.
-The reference is the full grounding, ground_forall(f, sig) followed by
-one sat_solve; both must give the same model or both none.
+synth grounds the request quantifier request by request: it solves over
+the requests picked so far and adds one that counterexample() finds the
+model failing at. The reference is the full grounding,
+ground_forall(f, sig) followed by one sat_solve; both must give the
+same model or both none.
 """
 
+import os
 import random
+import re
 import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth import app, encoder
+from gatesynth import app, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
-    CAnd, CFalse, CTrue, ControlVar, SolverError, cand, encode, expand_guards,
-    ground_forall, request_regions, sat_solve,
+    CAnd, CFalse, CTrue, ControlVar, SolverError, cand, counterexample, encode,
+    eval_formula, expand_guards, ground_forall, request_regions, sat_solve,
 )
 from gatesynth.model import ResourceStructure, config_to_json, scale_replicate
+from gatesynth.rules import parse_requirements
 from gatesynth.templates import CapExceeded, complete_template, dnf_template
 
 from genutil import random_model, random_pattern_requirement, random_policy
@@ -69,19 +75,23 @@ def test_the_loop_finds_the_full_groundings_least_model(seed):
         S = with_a_fixed_door(rng, S)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
     eff = effective_requirements(S, reqs)
+    guard_formula = cand([encode(S, r) for r in eff])
     with pytest.MonkeyPatch.context() as mp:
         solved = record_solved(mp)
         for tpl in templates(S, eff):
-            expanded = expand_guards(cand([encode(S, r) for r in eff]), tpl)
+            expanded = expand_guards(guard_formula, tpl)
             full = ground_forall(expanded, S.sig)
             want = sat_solve(full, tpl.control_vars())
             del solved[:]
             stats = {}
-            got = app._attempt(S, eff, tpl, "builtin", None, None, None, stats)
+            got = app._attempt(S, guard_formula, tpl, "builtin", None, None, None,
+                               stats)
             assert got == want, tpl.describe()
             attempt = stats["attempts"][-1]
-            assert attempt["iterations"] == len(solved) <= attempt["regions"]
             assert attempt["regions"] == len(request_regions(expanded, S.sig))
+            assert attempt["instances"] <= attempt["regions"]
+            assert attempt["iterations"] == attempt["instances"] + 1 == len(solved)
+            assert isinstance(solved[0], CTrue)
             if isinstance(full, CFalse):
                 assert got is None
             else:
@@ -89,11 +99,35 @@ def test_the_loop_finds_the_full_groundings_least_model(seed):
                 assert conjuncts(solved[-1]) <= conjuncts(full)
 
 
-def test_a_model_failing_a_picked_region_is_an_error(monkeypatch, office, office_reqs):
-    # the first region is always picked, so a check that keeps naming it
-    # means the solver's model contradicts an instance it was solved over
-    monkeypatch.setattr(encoder, "counterexample", lambda f, m, requests: 0)
-    with pytest.raises(SynthesisError, match="region 0"):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_counterexample_finds_a_failing_request_exactly_when_one_exists(seed):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 4), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
+    eff = effective_requirements(S, reqs)
+    guard_formula = cand([encode(S, r) for r in eff])
+    for tpl in templates(S, eff):
+        expanded = expand_guards(guard_formula, tpl)
+        m = {v.name: rng.randrange(v.size) for v in tpl.control_vars()
+             if rng.random() < 0.7}
+        failing = [q for q in request_regions(expanded, S.sig)
+                   if not eval_formula(expanded, q, m)]
+        got = counterexample(expanded, m, S.sig)
+        if not failing:
+            assert got is None, tpl.describe()
+        else:
+            assert got is not None, tpl.describe()
+            assert not eval_formula(expanded, got, m), tpl.describe()
+
+
+def test_a_model_failing_a_picked_request_is_an_error(monkeypatch, office, office_reqs):
+    # a check that keeps naming the same request means the solver's model
+    # contradicts an instance it was solved over
+    q = {"role": "visitor", "time": 3}
+    monkeypatch.setattr(encoder, "counterexample", lambda f, m, sig: dict(q))
+    with pytest.raises(SynthesisError, match="fails request %s" % re.escape(repr(q))):
         synth(office, office_reqs)
 
 
@@ -103,12 +137,26 @@ def test_attempts_record_the_loop_and_the_solver(office, office_reqs):
     keys = ("regions", "instances", "iterations", "cnf_vars", "cnf_clauses",
             "decisions", "conflicts", "propagations", "learned")
     for attempt in res.stats["attempts"]:
-        assert attempt["iterations"] <= attempt["regions"]
-        assert attempt["instances"] == attempt["iterations"]
+        assert attempt["instances"] <= attempt["regions"]
+        assert attempt["iterations"] == attempt["instances"] + 1
         for key in keys:
             assert attempt[key] > 0, key
     for key in keys:
         assert res.stats[key] == res.stats["attempts"][-1][key]
+
+
+def test_synth_encodes_each_requirement_once(monkeypatch, office):
+    # the office rules plus a rule denying visitors the meeting room
+    # inside their granted window: no clause template works, so all four
+    # templates of the ladder are tried
+    with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
+        text = fh.read() + "role = visitor and 14 <= time <= 14 => deny(id = mr)\n"
+    reqs = parse_requirements(text, office.sig)
+    calls = []
+    monkeypatch.setattr(app, "encode", lambda S, r: calls.append(r) or encode(S, r))
+    res = synth(office, reqs)
+    assert res.outcome == "unsat" and len(res.stats["attempts"]) == 4
+    assert calls == res.requirements
 
 
 def test_solver_counters_sum_over_iterations(monkeypatch, office, office_reqs):
@@ -116,7 +164,8 @@ def test_solver_counters_sum_over_iterations(monkeypatch, office, office_reqs):
     tpl = dnf_template(office, eff, 1)
     solved = record_solved(monkeypatch)
     stats = {}
-    app._attempt(office, eff, tpl, "builtin", None, None, None, stats)
+    app._attempt(office, cand([encode(office, r) for r in eff]), tpl, "builtin",
+                 None, None, None, stats)
     attempt = stats["attempts"][-1]
     # the built-in solver is deterministic, so re-solving the same
     # formulas in order through one fresh store counts the same again
@@ -157,6 +206,25 @@ def test_external_timeout_is_one_deadline_per_attempt(tmp_path, office, office_r
         synth(office, office_reqs, template=tpl, solver="external", solver_cmd=cmd,
               timeout=0)
     assert not log.exists()
+
+
+def test_external_solvers_read_no_stdin(tmp_path):
+    # a solver that reads its standard input would wait on the caller's,
+    # here a pipe nobody writes to or closes
+    cmd = fake_solver(tmp_path, "cat > /dev/null\necho unsat\n")
+    code = ("from gatesynth.encoder import run_external\n"
+            "print(run_external('(check-sat)', %r, timeout=5)[0])" % cmd)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(encoder.__file__)))
+    with subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as child:
+        try:
+            child.wait(timeout=30)
+        finally:
+            child.kill()
+        out, err = child.stdout.read(), child.stderr.read()
+    assert child.returncode == 0, err
+    assert out.decode().strip() == "unsat"
 
 
 def test_builtin_timeout_is_one_deadline_per_attempt(monkeypatch, office, office_reqs,

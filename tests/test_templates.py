@@ -141,12 +141,6 @@ def test_clause_template_layout(office, office_reqs):
     assert by_name["t_0_0_0_time_hi"] == 3
     with pytest.raises(ValueError, match="at least 1"):
         DnfTemplate(office, 0, {})
-    with pytest.raises(ValueError, match="no attributes"):
-        dnf_template(office, office_reqs, 1,
-                     availability={office.controlled_edges()[0]: []})
-    with pytest.raises(ValueError, match="unknown request attribute"):
-        dnf_template(office, office_reqs, 1,
-                     availability={office.controlled_edges()[0]: ["sec_zone"]})
 
 
 def test_clause_template_extremes(office, office_reqs):
