@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
-    AX, AccessRequest, Atom, BOTTOM, Formula, NEGATIVE, POSITIVE, Not,
-    Requirement, Top, UNKNOWN, conj, contains_au, deadlock_free_constraint,
-    falsum,
+    AX, AccessRequest, Atom, BOTTOM, ControlFormula, Formula, NEGATIVE,
+    POSITIVE, Not, Requirement, Top, UNKNOWN, collect_atoms, conj, contains_au,
+    deadlock_free_constraint, falsum,
 )
 from . import encoder
 from .checker import HoldsReport, holds
 from .encoder import (
-    CTrue, ControlFormula, SolverError, cand, emit_smtlib, encode, expand_guards,
-    formula_size, ground_forall, run_external, sat_solve,
+    SolverError, cand, emit_smtlib, encode, expand_guards, formula_size,
+    ground_forall, run_external, sat_solve,
 )
 from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
@@ -129,7 +129,12 @@ def _solve(grounded: ControlFormula, template: Template, solver: str,
             return None
         if model is None:
             raise SolverError("solver said sat but returned no model")
-        return {v.name: model.get(v.name, 0) for v in variables}
+        values = {v.name: model.get(v.name, 0) for v in variables}
+        for v in variables:
+            if not 0 <= values[v.name] < v.size:
+                raise SolverError("solver gave %s the value %r, outside 0..%d"
+                                  % (v.name, values[v.name], v.size - 1))
+        return values
     raise ValueError("unknown solver %r" % solver)
 
 
@@ -171,7 +176,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
     t2 = time.perf_counter()
-    grounded: ControlFormula = CTrue()
+    grounded: ControlFormula = Top()
     instances: Set[ControlFormula] = set()
     while True:
         t = time.perf_counter()
@@ -188,7 +193,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
                 "over; this indicates a grounding gap" % (failing,))
         instances.add(instance)
         grounded = cand([grounded, instance])
-    regions = encoder.build_regions(S.sig, encoder.collect_catoms(expanded)).count()
+    regions = encoder.build_regions(S.sig, collect_atoms(expanded)).count()
     ground_seconds = time.perf_counter() - t2 - solve_seconds
     cnf_seconds = counters.pop("cnf_seconds", 0.0)
     attempt: Dict[str, object] = {

@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from . import __version__
 from .app import minimal_conflict, simulate, synth, verify
-from .classic import MANY_EDGES, MANY_REQUIREMENTS
 from .encoder import SolverError
 from .formulas import BOTTOM, RESOURCE, Requirement, format_value
 from .model import (
@@ -105,9 +104,6 @@ def _print_report(S, report) -> None:
 def _cmd_synth(args) -> int:
     S = load_model(args.model)
     reqs = _load_requirements(args.requirements, S.sig)
-    if len(reqs) > MANY_REQUIREMENTS or len(S.controlled_edges()) > MANY_EDGES:
-        print("note: %d requirements over %d controlled edges; synthesis may be slow"
-              % (len(reqs), len(S.controlled_edges())), file=sys.stderr)
     entry_label = None
     if args.entry_label:
         entry_label = _parse_label_value(args.entry_label, S.sig)

@@ -27,10 +27,13 @@ clauses and watches already there. Decisions follow the control bits in
 declaration order, 0 first, so every answer is the least model of what
 the store holds, the one a fresh store would find.
 
-Control formula nodes are built on formulas.Node, so they are
-hash-consed like every other formula: an equal node is the same
-object, memo tables key on nodes directly, and each edge has one live
-guard without a cache of its own.
+Control formulas use the node classes of formulas, Top, Atom and Not
+included, so a policy's tests enter them as they are. Nodes are
+hash-consed: an equal node is the same object, memo tables key on nodes
+directly, and each edge has one live guard without a cache of its own.
+Walks over them are formulas.subformulas(); this module keeps only the
+smart constructors, the rewrite, substitute(), the solver and the
+SMT-LIB printer.
 
 The until rewrites unroll simple paths, tracking the set of spaces
 already visited. For the existential until this is exact on every
@@ -52,13 +55,14 @@ import time
 import os
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from .formulas import (
-    AU, AX, BOTTOM, BOOLEAN, ENUM, EU, EX, NUMERIC, AccessRequest, And,
-    Atom, AttributeSignature, Formula, Node, Not, Requirement, Top, Value,
-    ValueSet, build_regions, contains_au, intervals_of, value_set,
+    AU, AX, BOTTOM, BOOLEAN, EU, EX, NUMERIC, AccessRequest, And, Atom,
+    AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
+    CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
+    collect_atoms, contains_au, intervals_of, subformulas,
 )
 from .checker import model_check
 from .model import Edge, ResourceStructure
@@ -68,66 +72,15 @@ from .model import Edge, ResourceStructure
 # Control formulas
 # ---------------------------------------------------------------------------
 
-class CTrue(Node):
-    __slots__ = ()
-
-
-class CFalse(Node):
-    __slots__ = ()
-
-
-class CAtom(Node):
-    """Membership test on a request attribute, still to be grounded."""
-    __slots__ = _fields = ("attr", "values")
-    attr: str
-    values: ValueSet
-
-    def __new__(cls, attr: str, values: Iterable[Value]):
-        return Node.__new__(cls, attr, value_set(values))
-
-
-class CVarEq(Node):
-    """The control variable takes this value."""
-    __slots__ = _fields = ("var", "value")
-    var: str
-    value: int
-
-
-class CGuard(Node):
-    """Placeholder: the policy of this edge grants the request."""
-    __slots__ = _fields = ("edge",)
-    edge: Edge
-
-
-class CNot(Node):
-    __slots__ = _fields = ("sub",)
-    sub: "ControlFormula"
-
-
-class CAnd(Node):
-    __slots__ = _fields = ("args",)
-    args: Tuple["ControlFormula", ...]
-
-
-class COr(Node):
-    __slots__ = _fields = ("args",)
-    args: Tuple["ControlFormula", ...]
-
-
-class CImplies(Node):
-    __slots__ = _fields = ("left", "right")
-    left: "ControlFormula"
-    right: "ControlFormula"
-
-
-ControlFormula = Union[CTrue, CFalse, CAtom, CVarEq, CGuard, CNot, CAnd, COr, CImplies]
+# Top, Atom and Not under their control-formula names, kept for callers.
+CTrue, CAtom, CNot = Top, Atom, Not
 
 
 def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
     out: List[ControlFormula] = []
     seen: Set[ControlFormula] = set()
     for p in parts:
-        if isinstance(p, CTrue):
+        if isinstance(p, Top):
             continue
         if isinstance(p, CFalse):
             return CFalse()
@@ -136,7 +89,7 @@ def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
                 seen.add(item)
                 out.append(item)
     if not out:
-        return CTrue()
+        return Top()
     if len(out) == 1:
         return out[0]
     return CAnd(tuple(out))
@@ -148,8 +101,8 @@ def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
     for p in parts:
         if isinstance(p, CFalse):
             continue
-        if isinstance(p, CTrue):
-            return CTrue()
+        if isinstance(p, Top):
+            return Top()
         for item in (p.args if isinstance(p, COr) else (p,)):
             if item not in seen:
                 seen.add(item)
@@ -162,61 +115,33 @@ def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
 
 
 def cnot(f: ControlFormula) -> ControlFormula:
-    if isinstance(f, CTrue):
+    if isinstance(f, Top):
         return CFalse()
     if isinstance(f, CFalse):
-        return CTrue()
-    if isinstance(f, CNot):
+        return Top()
+    if isinstance(f, Not):
         return f.sub
-    return CNot(f)
+    return Not(f)
 
 
 def cimplies(a: ControlFormula, b: ControlFormula) -> ControlFormula:
-    if isinstance(a, CTrue):
+    if isinstance(a, Top):
         return b
-    if isinstance(a, CFalse) or isinstance(b, CTrue):
-        return CTrue()
+    if isinstance(a, CFalse) or isinstance(b, Top):
+        return Top()
     if isinstance(b, CFalse):
         return cnot(a)
     return CImplies(a, b)
 
 
-def c_children(f: ControlFormula) -> Tuple[ControlFormula, ...]:
-    if isinstance(f, CNot):
-        return (f.sub,)
-    if isinstance(f, (CAnd, COr)):
-        return f.args
-    if isinstance(f, CImplies):
-        return (f.left, f.right)
-    return ()
-
-
-def c_subformulas(f: ControlFormula):
-    seen: Set[ControlFormula] = set()
-    stack = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if g in seen:
-            continue
-        if expanded:
-            seen.add(g)
-            yield g
-        else:
-            stack.append((g, True))
-            for ch in c_children(g):
-                stack.append((ch, False))
-
-
 def formula_size(f: ControlFormula) -> int:
     """Number of distinct subterms."""
-    return sum(1 for _ in c_subformulas(f))
+    return sum(1 for _ in subformulas(f))
 
 
 def target_to_control(t: Formula) -> ControlFormula:
-    if isinstance(t, Top):
-        return CTrue()
-    if isinstance(t, Atom):
-        return CAtom(t.attr, t.values)
+    if isinstance(t, (Top, Atom)):
+        return t
     if isinstance(t, Not):
         return cnot(target_to_control(t.sub))
     if isinstance(t, And):
@@ -262,7 +187,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
         v = S.labels[r].get(a.attr, BOTTOM)
-        return CTrue() if v in a.values else CFalse()
+        return Top() if v in a.values else CFalse()
 
     def tau(f: Formula, r: str) -> ControlFormula:
         key = (f, r)
@@ -270,7 +195,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         if got is not None:
             return got
         if isinstance(f, Top):
-            out: ControlFormula = CTrue()
+            out: ControlFormula = Top()
         elif isinstance(f, Atom):
             out = resource_atom(f, r)
         elif isinstance(f, Not):
@@ -340,7 +265,7 @@ def substitute(f: ControlFormula,
             out = cand([walk(a) for a in g.args])
         elif kind is COr:
             out = cor([walk(a) for a in g.args])
-        elif kind is CNot:
+        elif kind is Not:
             out = cnot(walk(g.sub))
         elif kind is CImplies:
             out = cimplies(walk(g.left), walk(g.right))
@@ -361,21 +286,11 @@ def expand_guards(f: ControlFormula, template) -> ControlFormula:
     return substitute(f, leaf)
 
 
-def collect_catoms(f: ControlFormula) -> List[CAtom]:
-    out: List[CAtom] = []
-    seen: Set[CAtom] = set()
-    for g in c_subformulas(f):
-        if isinstance(g, CAtom) and g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
-
-
 def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
     """Decide every attribute test under the request q."""
     def leaf(g: ControlFormula) -> ControlFormula:
-        if isinstance(g, CAtom):
-            return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
+        if isinstance(g, Atom):
+            return Top() if q.get(g.attr, BOTTOM) in g.values else CFalse()
         return g
 
     return substitute(f, leaf)
@@ -384,7 +299,7 @@ def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
 def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRequest]:
     """One representative request per region of the attribute tests
     appearing in f, in build_regions order."""
-    return list(build_regions(sig, collect_catoms(f)).representatives())
+    return list(build_regions(sig, collect_atoms(f)).representatives())
 
 
 def ground_forall(f: ControlFormula, sig: AttributeSignature,
@@ -401,7 +316,7 @@ def ground_forall(f: ControlFormula, sig: AttributeSignature,
     seen: Set[ControlFormula] = set()
     for q in requests:
         inst = fold_atoms(f, q)
-        if isinstance(inst, CTrue) or inst in seen:
+        if isinstance(inst, Top) or inst in seen:
             continue
         if isinstance(inst, CFalse):
             return CFalse()
@@ -415,7 +330,7 @@ def assign_controls(f: ControlFormula, m: Dict[str, int]) -> ControlFormula:
     variables are 0). What is left tests request attributes only."""
     def leaf(g: ControlFormula) -> ControlFormula:
         if isinstance(g, CVarEq):
-            return CTrue() if m.get(g.var, 0) == g.value else CFalse()
+            return Top() if m.get(g.var, 0) == g.value else CFalse()
         if isinstance(g, CGuard):
             raise TypeError("guard left unexpanded: %r" % (g,))
         return g
@@ -433,13 +348,13 @@ def counterexample(f: ControlFormula, m: Dict[str, int],
     (numeric cells apart from each other can) share a verdict, so the
     residue is folded once per verdict vector."""
     residue = assign_controls(f, m)
-    atoms = collect_catoms(residue)
+    atoms = collect_atoms(residue)
     holding: Set[Tuple[bool, ...]] = set()
     for q in build_regions(sig, atoms).representatives():
         key = tuple(q.get(a.attr, BOTTOM) in a.values for a in atoms)
         if key in holding:
             continue
-        if not isinstance(fold_atoms(residue, q), CTrue):
+        if not isinstance(fold_atoms(residue, q), Top):
             return q
         holding.add(key)
     return None
@@ -450,7 +365,7 @@ def eval_formula(f: ControlFormula, q: AccessRequest, m: Dict[str, int],
     """Evaluate under a concrete request and control assignment."""
     if template is not None:
         f = expand_guards(f, template)
-    return isinstance(fold_atoms(assign_controls(f, m), q), CTrue)
+    return isinstance(fold_atoms(assign_controls(f, m), q), Top)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +485,7 @@ class _Cnf:
             got = memo.get(g)
             if got is not None:
                 return got
-            if isinstance(g, CTrue):
+            if isinstance(g, Top):
                 out = true_lit
             elif isinstance(g, CFalse):
                 out = -true_lit
@@ -582,7 +497,7 @@ class _Cnf:
                 else:
                     out = define_and([lit if (g.value >> i) & 1 else -lit
                                       for i, lit in enumerate(bits[g.var])])
-            elif isinstance(g, CNot):
+            elif isinstance(g, Not):
                 out = -lit_of(g.sub)
             elif isinstance(g, CAnd):
                 out = define_and([lit_of(a) for a in g.args])
@@ -601,7 +516,7 @@ class _Cnf:
 def _infer_variables(f: ControlFormula) -> List[ControlVar]:
     sizes: Dict[str, int] = {}
     order: List[str] = []
-    for g in c_subformulas(f):
+    for g in subformulas(f):
         if isinstance(g, CVarEq):
             if g.var not in sizes:
                 order.append(g.var)
@@ -860,7 +775,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
 # SMT-LIB emission and external solvers
 # ---------------------------------------------------------------------------
 
-def _sexp(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None,
+def _sexp(f: ControlFormula, atom: Optional[Callable[[Atom], str]] = None,
           names: Optional[Dict[ControlFormula, str]] = None) -> str:
     """The SMT-LIB term for f. `atom` renders attribute tests; without
     it (grounded scripts) they are an error. Subterms listed in `names`
@@ -871,15 +786,15 @@ def _sexp(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None,
         name = names.get(g)
         if name is not None:
             return name
-        if isinstance(g, CTrue):
+        if isinstance(g, Top):
             return "true"
         if isinstance(g, CFalse):
             return "false"
         if isinstance(g, CVarEq):
             return "(= %s %d)" % (g.var, g.value)
-        if isinstance(g, CAtom) and atom is not None:
+        if isinstance(g, Atom) and atom is not None:
             return atom(g)
-        if isinstance(g, CNot):
+        if isinstance(g, Not):
             return "(not %s)" % term(g.sub)
         if isinstance(g, CAnd):
             return "(and %s)" % " ".join(term(a) for a in g.args)
@@ -892,23 +807,23 @@ def _sexp(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None,
     return term(f)
 
 
-def _shared_definitions(f: ControlFormula, atom: Optional[Callable[[CAtom], str]] = None
+def _shared_definitions(f: ControlFormula, atom: Optional[Callable[[Atom], str]] = None
                         ) -> Tuple[List[Tuple[int, str, str]], Dict[ControlFormula, str]]:
     """A name for every connective with two or more parents, so that
     every shared subterm prints once: (level, name, term) triples,
     children before parents, and the names. A term refers only to names
     of lower levels, so the names of one level can be bound together."""
-    order = list(c_subformulas(f))
+    order = list(subformulas(f))
     parents: Dict[ControlFormula, int] = {}
     for g in order:
-        for ch in c_children(g):
+        for ch in children(g):
             parents[ch] = parents.get(ch, 0) + 1
     definitions: List[Tuple[int, str, str]] = []
     names: Dict[ControlFormula, str] = {}
     level: Dict[ControlFormula, int] = {}     # highest level a reference needs bound
     for g in order:
-        level[g] = max((level[ch] for ch in c_children(g)), default=0)
-        if parents.get(g, 0) >= 2 and c_children(g):
+        level[g] = max((level[ch] for ch in children(g)), default=0)
+        if parents.get(g, 0) >= 2 and children(g):
             name = "_s%d" % len(names)
             level[g] += 1
             definitions.append((level[g], name, _sexp(g, atom, names)))
@@ -957,7 +872,7 @@ class _QuantifiedEmitter:
                 out.append("(%s %s)" % (name, self.sort_name(name)))
         return out
 
-    def atom(self, a: CAtom) -> str:
+    def atom(self, a: Atom) -> str:
         decl = self.sig.get(a.attr)
         if decl.kind == NUMERIC:
             parts = []
@@ -1065,6 +980,11 @@ def _value_from_sexp(v) -> int:
         raise SolverError("unexpected model value %r" % (v,))
 
 
+# The longest wait subprocess can hand to poll(), which takes whole
+# milliseconds in a C int; a later deadline waits this long instead.
+_LONGEST_WAIT = (2 ** 31 - 1) // 1000
+
+
 def run_external(script: str, command: str,
                  timeout: Optional[float] = None
                  ) -> Tuple[str, Optional[ControlAssignment]]:
@@ -1074,7 +994,8 @@ def run_external(script: str, command: str,
     appended and no standard input. Returns the verdict ('sat' or
     'unsat') and, when sat and the script requested values, the control
     assignment. An 'unknown' verdict, a timeout, or unparseable output
-    raises SolverError.
+    raises SolverError. A timeout beyond _LONGEST_WAIT seconds, infinity
+    included, waits that long.
     """
     argv = shlex.split(command)
     if not argv:
@@ -1085,7 +1006,9 @@ def run_external(script: str, command: str,
             fh.write(script)
         try:
             proc = subprocess.run(argv + [path], stdin=subprocess.DEVNULL,
-                                  capture_output=True, text=True, timeout=timeout)
+                                  capture_output=True, text=True,
+                                  timeout=None if timeout is None
+                                  else min(timeout, _LONGEST_WAIT))
         except subprocess.TimeoutExpired:
             raise SolverError("solver timed out after %ss" % timeout)
         except OSError as exc:

@@ -1,22 +1,27 @@
 """Core formula ASTs, attribute signatures, and the region construction.
 
-Two formula classes share one node set:
+Three kinds of formula share one node set:
 
 * a *target* describes who a rule applies to: a Boolean combination of
   membership tests over subject and contextual attributes;
 * an *access constraint* is a branching-time formula over resource
   attributes, interpreted on the graph of spaces (EX, AX, E-until,
-  A-until plus negation and conjunction).
+  A-until plus negation and conjunction);
+* a *control formula* is what the encoder builds and solves: Top, Atom
+  and Not as in targets, plus false, control-variable tests, edge
+  guards and n-ary and/or and implication (CFalse, CVarEq, CGuard,
+  CAnd, COr, CImplies).
 
 Edge policies are targets as well, so everything the synthesizer
 manipulates bottoms out in the same Atom node. Targets are decided over
 finitely many request regions (target_sat, target_equiv) and shrunk
 without changing their meaning by simplify_policy.
 
-Every node class, the encoder's control formulas included, is built on
-Node, which hash-conses: building a node equal to a live one returns
-that one. Equality and hashing are therefore identity, and a lookup
-costs the same on a leaf as on a large shared formula.
+Every node class is built on Node, which hash-conses: building a node
+equal to a live one returns that one. Equality and hashing are
+therefore identity, and a lookup costs the same on a leaf as on a large
+shared formula. One walker, subformulas(), visits every kind of
+formula.
 """
 
 from __future__ import annotations
@@ -376,8 +381,45 @@ class AU(Node):
     right: "Formula"
 
 
+# Control formulas, the encoder's: Top, Atom and Not above, and these.
+
+class CFalse(Node):
+    """The formula that never holds."""
+    __slots__ = ()
+
+
+class CVarEq(Node):
+    """The control variable takes this value."""
+    __slots__ = _fields = ("var", "value")
+    var: str
+    value: int
+
+
+class CGuard(Node):
+    """Placeholder: the policy of this edge grants the request."""
+    __slots__ = _fields = ("edge",)
+    edge: Tuple[str, str]
+
+
+class CAnd(Node):
+    __slots__ = _fields = ("args",)
+    args: Tuple["ControlFormula", ...]
+
+
+class COr(Node):
+    __slots__ = _fields = ("args",)
+    args: Tuple["ControlFormula", ...]
+
+
+class CImplies(Node):
+    __slots__ = _fields = ("left", "right")
+    left: "ControlFormula"
+    right: "ControlFormula"
+
+
 Formula = Union[Top, Atom, Not, And, EX, AX, EU, AU]
 Target = Formula  # restricted by validate_target
+ControlFormula = Union[Top, CFalse, Atom, CVarEq, CGuard, Not, CAnd, COr, CImplies]
 
 TEMPORAL_NODES = (EX, AX, EU, AU)
 
@@ -494,38 +536,41 @@ class Requirement:
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-def children(f: Formula) -> Tuple[Formula, ...]:
-    if isinstance(f, (Not, EX, AX)):
+def children(f: Node) -> Tuple[Node, ...]:
+    """The direct subformulas of any node. Node classes are final, so
+    this tests the exact class: every walk calls it once per node."""
+    kind = type(f)
+    if kind is CAnd or kind is COr:
+        return f.args
+    if kind is Not or kind is EX or kind is AX:
         return (f.sub,)
-    if isinstance(f, (And, EU, AU)):
+    if kind is And or kind is CImplies or kind is EU or kind is AU:
         return (f.left, f.right)
     return ()
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Postorder traversal, children before parents, duplicates skipped."""
+def subformulas(f: Node) -> Iterator[Node]:
+    """Postorder traversal, children before parents, each node once; of
+    a node's children the last comes out first. Iterative, so a deep
+    formula does not run into the recursion limit."""
     seen = set()
-
-    def walk(g: Formula):
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
         if g in seen:
-            return
-        for ch in children(g):
-            yield from walk(ch)
-        seen.add(g)
-        yield g
-
-    yield from walk(f)
-
-
-def collect_atoms(f: Formula) -> List[Atom]:
-    """Distinct atoms in first-occurrence order."""
-    out: List[Atom] = []
-    seen = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom) and g not in seen:
+            continue
+        if expanded:
             seen.add(g)
-            out.append(g)
-    return out
+            yield g
+        else:
+            stack.append((g, True))
+            for ch in children(g):
+                stack.append((ch, False))
+
+
+def collect_atoms(f: Node) -> List[Atom]:
+    """Distinct atoms in subformulas() order."""
+    return [g for g in subformulas(f) if isinstance(g, Atom)]
 
 
 def contains_au(f: Formula) -> bool:

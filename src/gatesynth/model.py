@@ -71,9 +71,6 @@ class ResourceStructure:
     def fixed_edges(self) -> List[Edge]:
         return sorted(e for e, pol in self.edges.items() if pol is not None)
 
-    def label(self, r: str) -> Dict[str, Value]:
-        return self.labels[r]
-
     def reachable(self) -> Set[str]:
         seen = {self.entry}
         stack = [self.entry]

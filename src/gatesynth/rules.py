@@ -600,6 +600,5 @@ def format_requirement(r: Requirement, sig: Optional[AttributeSignature] = None)
 
 
 def format_request(q: AccessRequest, sig: Optional[AttributeSignature] = None) -> str:
-    from .formulas import format_value
     names = [d.name for d in sig.request_attrs()] if sig is not None else sorted(q)
     return ", ".join("%s=%s" % (n, format_value(q.get(n, BOTTOM))) for n in names)

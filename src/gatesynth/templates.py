@@ -22,14 +22,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
-    BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, Formula, IntervalSet,
-    Not, Requirement, Top, Value, build_regions, collect_atoms, conj, disj,
-    eval_target, falsum, simplify_policy, target_equiv, validate_target,
+    BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq,
+    Formula, IntervalSet, Not, Requirement, Top, Value, build_regions,
+    collect_atoms, conj, disj, eval_target, falsum, simplify_policy,
+    target_equiv, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import (
-    CAtom, ControlAssignment, ControlFormula, ControlVar, CTrue, CVarEq,
-    cand, cnot, cor, target_to_control, var_bits,
+    ControlAssignment, ControlVar, cand, cnot, cor, target_to_control, var_bits,
 )
 
 class Template:
@@ -218,13 +218,13 @@ class DnfTemplate(Template):
 
     def _lower_formula(self, attr: str, lo: int) -> ControlFormula:
         if lo == 0:
-            return CTrue()
-        return cnot(CAtom(attr, IntervalSet([(0, lo - 1)])))
+            return Top()
+        return cnot(Atom(attr, IntervalSet([(0, lo - 1)])))
 
     def _upper_formula(self, attr: str, hi: Optional[int]) -> ControlFormula:
         if hi is None:
-            return CTrue()
-        return CAtom(attr, IntervalSet([(0, hi)]))
+            return Top()
+        return Atom(attr, IntervalSet([(0, hi)]))
 
     def _test_formula(self, ei: int, j: int, t: int, attr: str) -> ControlFormula:
         decl = self.sig.get(attr)
@@ -241,7 +241,7 @@ class DnfTemplate(Template):
         val_var = self._name("val", ei, j, t, attr)
         cases = []
         for i, v in enumerate(self._value_domain(attr)):
-            atom = CAtom(attr, frozenset([v]))
+            atom = Atom(attr, frozenset([v]))
             cases.append(cand([CVarEq(val_var, i),
                                cor([cand([CVarEq(op_var, 0), atom]),
                                     cand([CVarEq(op_var, 1), cnot(atom)])])]))

@@ -82,7 +82,8 @@ def test_verify_pass(capsys):
 
 
 def test_verify_fail_names_a_witness(tmp_path, capsys):
-    doc = json.load(open(OFFICE_CONFIG))
+    with open(OFFICE_CONFIG) as fh:
+        doc = json.load(fh)
     doc["cor->bur"] = "true"
     bad = tmp_path / "leaky.json"
     bad.write_text(json.dumps(doc))

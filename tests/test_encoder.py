@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.checker import check_at, holds
 from gatesynth.encoder import (
     CAnd, CAtom, CFalse, CGuard, CImplies, CNot, COr, CTrue, CVarEq,
-    ControlVar, SolverError, c_subformulas, cand, cguard, cimplies, cnot,
-    collect_catoms, cor, emit_smtlib, encode, eval_formula, expand_guards,
+    ControlVar, SolverError, cand, cguard, cimplies, cnot,
+    cor, emit_smtlib, encode, eval_formula, expand_guards,
     formula_size, fold_atoms, ground_forall, rewrite_constraint, run_external,
     _Cnf, sat_solve, target_to_control, var_bits,
 )
 from gatesynth.formulas import (
-    AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top,
+    AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top, collect_atoms,
+    subformulas,
 )
 from gatesynth import formulas
 from gatesynth.model import restrict, scale_replicate
@@ -74,7 +75,7 @@ def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
     gc.collect()
     before = len(formulas._NODES)
     f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
-    guards = [g for g in c_subformulas(f) if isinstance(g, CGuard)]
+    guards = [g for g in subformulas(f) if isinstance(g, CGuard)]
     assert guards and all(g is cguard(g.edge) for g in guards)
     assert len(formulas._NODES) > before
     del f, guards
@@ -86,9 +87,8 @@ def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
 # structural comparison below does not lean on the classes it checks.
 FIELDS = {Top: (), Atom: ("attr", "values"), Not: ("sub",), And: ("left", "right"),
           EX: ("sub",), AX: ("sub",), EU: ("left", "right"), AU: ("left", "right"),
-          CTrue: (), CFalse: (), CAtom: ("attr", "values"), CVarEq: ("var", "value"),
-          CGuard: ("edge",), CNot: ("sub",), CAnd: ("args",), COr: ("args",),
-          CImplies: ("left", "right")}
+          CFalse: (), CVarEq: ("var", "value"), CGuard: ("edge",), CAnd: ("args",),
+          COr: ("args",), CImplies: ("left", "right")}
 
 
 def same_structure(a, b):
@@ -142,6 +142,93 @@ def test_nodes_are_hash_consed(office, targets, constraints, seed):
                 assert same_structure(a, b) == (a is b), (a, b)
 
 
+def direct_children(g):
+    """The nodes among g's fields, read off FIELDS."""
+    out = []
+    for name in FIELDS[type(g)]:
+        v = getattr(g, name)
+        if name == "args":
+            out.extend(v)
+        elif type(v) in FIELDS:
+            out.append(v)
+    return out
+
+
+def old_control_walk(f):
+    """The walker control formulas had before they shared one with
+    targets: iterative, a node's last child first."""
+    def kids(g):
+        if isinstance(g, CNot):
+            return (g.sub,)
+        if isinstance(g, (CAnd, COr)):
+            return g.args
+        if isinstance(g, CImplies):
+            return (g.left, g.right)
+        return ()
+
+    seen, stack = set(), [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if g in seen:
+            continue
+        if expanded:
+            seen.add(g)
+            yield g
+        else:
+            stack.append((g, True))
+            stack.extend((ch, False) for ch in kids(g))
+
+
+def old_target_walk(f):
+    """The recursive walker targets and constraints had: a node's first
+    child first."""
+    seen = set()
+
+    def walk(g):
+        if g in seen:
+            return
+        for ch in direct_children(g):
+            yield from walk(ch)
+        seen.add(g)
+        yield g
+
+    yield from walk(f)
+
+
+def assert_postorder(walked):
+    """Each node once, after all of its children."""
+    at = {g: i for i, g in enumerate(walked)}
+    assert len(at) == len(walked)
+    for i, g in enumerate(walked):
+        assert all(at[ch] < i for ch in direct_children(g)), g
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TARGET_TEXTS, min_size=1, max_size=3),
+       st.lists(CONSTRAINT_TEXTS, min_size=1, max_size=3),
+       st.integers(0, 2 ** 32))
+def test_one_walker_for_targets_constraints_and_control_formulas(office, targets,
+                                                                 constraints, seed):
+    rng = random.Random(seed)
+    targets = [parse_target(t, office.sig) for t in targets]
+    constraints = [parse_constraint(c, office.sig) for c in constraints]
+    formulas_ = targets + constraints + [And(targets[-1], constraints[0])]
+    for f in formulas_:
+        walked = list(subformulas(f))
+        assert set(walked) == set(old_target_walk(f))
+        assert_postorder(walked)
+        assert collect_atoms(f) == [g for g in walked if isinstance(g, Atom)]
+    vars_ = [ControlVar("v0", 2), ControlVar("v1", 3)]
+    a, b = (random_control_formula(rng, vars_, 4, ATOMS) for _ in range(2))
+    guards = cand([encode(office, Requirement(t, c)) for t, c in zip(targets, constraints)])
+    controls = [a, cand([cor([a, b]), cimplies(a, cnot(b))]), guards,
+                cand([target_to_control(t) for t in targets] + [guards])]
+    for f in controls:
+        walked = list(subformulas(f))
+        assert walked == list(old_control_walk(f))
+        assert_postorder(walked)
+
+
 def test_nodes_are_read_only():
     for node in (Atom("role", frozenset(["visitor"])), EU(Top(), Top()),
                  CVarEq("x", 1), CAnd((x_eq(0), y_eq(1))), CTrue()):
@@ -170,6 +257,9 @@ def test_target_to_control(office):
                       CNot(CAtom("correct_pin", frozenset([True])))))
     assert target_to_control(Top()) == CTrue()
     assert target_to_control(Not(Top())) == CFalse()
+    # one node set: the policy's own tests enter the control formula
+    assert CTrue is Top and CAtom is Atom and CNot is Not
+    assert f.args[0] is t.left and f.args[1] is t.right
 
 
 def eval_guards(f, granted):
@@ -270,7 +360,7 @@ def test_expand_guards_uses_the_template(office, office_published):
     out = expand_guards(f, tpl)
     assert out == target_to_control(office_published[("out", "lob")])
     # the fixed door expanded to its fixed always-grant policy
-    assert not any(isinstance(g, CGuard) for g in c_subformulas(out))
+    assert not any(isinstance(g, CGuard) for g in subformulas(out))
 
 
 def test_eval_formula_rejects_unexpanded_guards(triangle):
@@ -285,7 +375,7 @@ def test_fold_and_ground(office):
     assert fold_atoms(f, {"role": "visitor"}) == x_eq(1)
     assert fold_atoms(f, {"correct_pin": True}) == CTrue()
     assert fold_atoms(f, {}) == CFalse()
-    assert collect_catoms(f) == [pin, vis]      # sorted by attribute name
+    assert collect_atoms(f) == [pin, vis]      # sorted by attribute name
     # grounding: one conjunct per region that does not fold away;
     # the all-bottom region folds to false, so the whole thing is false
     assert ground_forall(f, office.sig) == CFalse()
@@ -418,7 +508,7 @@ def test_eval_formula_and_fold_atoms_agree_with_a_reference(case, q, data):
     want = reference_eval(f, q, m)
     assert eval_formula(f, q, m) == want
     folded = fold_atoms(f, q)
-    assert not collect_catoms(folded)
+    assert not collect_atoms(folded)
     assert eval_formula(folded, {}, m) == want
 
 

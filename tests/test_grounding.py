@@ -17,7 +17,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth import app, data, encoder
+from gatesynth import app, cli, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
     CAnd, CFalse, CTrue, ControlVar, SolverError, cand, counterexample, encode,
@@ -225,6 +225,33 @@ def test_external_solvers_read_no_stdin(tmp_path):
         out, err = child.stdout.read(), child.stderr.read()
     assert child.returncode == 0, err
     assert out.decode().strip() == "unsat"
+
+
+@pytest.mark.parametrize("values", ["(t_0_0_0_attr 9) (cl_0_0 1) (t_0_0_0_use 1)",
+                                    "(cl_0_0 (- 1))"])
+def test_external_values_outside_a_domain_are_solver_errors(tmp_path, capsys, office,
+                                                            office_reqs, values):
+    # the office's DNF k=1 template: t_0_0_0_attr has 3 values, cl_0_0 has 2
+    cmd = fake_solver(tmp_path, 'echo sat\necho "(%s)"\n' % values)
+    name = values.split()[0][1:]
+    with pytest.raises(SolverError, match="solver gave %s the value" % name):
+        synth(office, office_reqs, solver="external", solver_cmd=cmd)
+    code = cli.main(["synth", data.path(data.OFFICE_MODEL),
+                     data.path(data.OFFICE_REQUIREMENTS),
+                     "--solver", "external", "--solver-cmd", cmd])
+    assert code == 2
+    assert "solver gave %s the value" % name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["inf", "1e308"])
+def test_an_unbounded_external_timeout_runs_without_a_deadline(tmp_path, capsys,
+                                                               timeout):
+    cmd = fake_solver(tmp_path, "echo unsat\n")
+    code = cli.main(["synth", data.path(data.OFFICE_MODEL),
+                     data.path(data.OFFICE_REQUIREMENTS), "--solver", "external",
+                     "--solver-cmd", cmd, "--timeout", timeout])
+    assert code == 1
+    assert "unsat:" in capsys.readouterr().err
 
 
 def test_builtin_timeout_is_one_deadline_per_attempt(monkeypatch, office, office_reqs,
