@@ -19,9 +19,8 @@ from .app import minimal_conflict, simulate, synth, verify
 from .encoder import SolverError
 from .formulas import BOTTOM, RESOURCE, Requirement, format_value
 from .model import (
-    ModelError, SynthesisError, _expect, _parse_edge_key, config_from_json,
-    config_to_json, load_config, load_model, save_config, save_model,
-    scale_replicate,
+    ModelError, SynthesisError, _expect, _parse_edge_key, load_config,
+    load_model, save_config, save_model, scale_replicate,
 )
 from .rules import (
     ParseError, format_requirement, format_target, parse_constraint,

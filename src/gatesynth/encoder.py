@@ -47,6 +47,7 @@ door out of the entry is shut.
 
 from __future__ import annotations
 
+import functools
 import re
 import shlex
 import subprocess
@@ -62,7 +63,7 @@ from .formulas import (
     AU, AX, BOTTOM, BOOLEAN, EU, EX, NUMERIC, AccessRequest, And, Atom,
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
     CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
-    collect_atoms, contains_au, intervals_of, subformulas,
+    collect_atoms, conj, contains_au, disj, falsum, intervals_of, subformulas,
 )
 from .checker import model_check
 from .model import Edge, ResourceStructure
@@ -147,6 +148,23 @@ def target_to_control(t: Formula) -> ControlFormula:
     if isinstance(t, And):
         return cand([target_to_control(t.left), target_to_control(t.right)])
     raise TypeError("not a target node: %r" % (t,))
+
+
+def control_to_target(f: ControlFormula) -> Formula:
+    """The target a control formula over request attributes only denotes,
+    such as a symbolic policy after assign_controls(): conjunctions
+    become left-associated And, disjunctions left-folded disj."""
+    if isinstance(f, (Top, Atom)):
+        return f
+    if isinstance(f, CFalse):
+        return falsum()
+    if isinstance(f, Not):
+        return Not(control_to_target(f.sub))
+    if isinstance(f, CAnd):
+        return conj([control_to_target(a) for a in f.args])
+    if isinstance(f, COr):
+        return functools.reduce(disj, [control_to_target(a) for a in f.args])
+    raise TypeError("not a formula over request attributes: %r" % (f,))
 
 
 def cguard(edge: Edge) -> CGuard:

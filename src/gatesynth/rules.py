@@ -33,9 +33,9 @@ from .formulas import (
     AU, AX, BOOLEAN, BOTTOM, ENUM, EU, EX, NEGATIVE, NUMERIC,
     POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom,
     AttributeSignature, Formula, IntervalSet, Not, Requirement, Top, Value,
-    ValueSet, blocking, deny, disj, falsum, format_value, grant, implies,
-    intervals_of, is_deadlock_freeness, validate_constraint, validate_target,
-    value_key, waypoint,
+    ValueSet, blocking, children, deny, disj, falsum, format_value, grant,
+    implies, intervals_of, is_deadlock_freeness, validate_constraint,
+    validate_target, value_key, waypoint,
 )
 
 RESERVED = {
@@ -375,14 +375,30 @@ class _Parser:
 # Public parsing API
 # ---------------------------------------------------------------------------
 
+# The deepest formula the parser hands on. Synthesis, verification and
+# the printer walk formulas recursively, with up to about two interpreter
+# frames per level; this keeps them inside the default recursion limit.
+MAX_NESTING = 400
+
+
 def _parse(text: str, sig: AttributeSignature, line_no: int, entry):
-    """Run one entry point of the parser. Nesting deeper than the
-    interpreter's recursion limit is reported as a parse error."""
+    """Run one entry point of the parser. A formula nested deeper than
+    MAX_NESTING nodes, or too deep for the parser's own recursion, is
+    reported as a parse error."""
     parser = _Parser(text, sig, line_no)
     try:
-        return entry(parser)
+        out = entry(parser)
     except RecursionError:
         raise ParseError("formula nested too deeply", text, line_no, 1) from None
+    # No token adds more than three levels (`a or b` is not(not a and
+    # not b)), so only long input is walked, one layer of nodes per level.
+    if 3 * len(parser.tokens) > MAX_NESTING:
+        level = {out.target, out.constraint} if isinstance(out, Requirement) else {out}
+        for _ in range(MAX_NESTING):
+            level = {c for g in level for c in children(g)}
+        if level:
+            raise ParseError("formula nested too deeply", text, line_no, 1)
+    return out
 
 
 def parse_requirement(text: str, sig: AttributeSignature, line_no: int = 1) -> Requirement:

@@ -5,38 +5,51 @@ policies addressed by finite-domain control variables. Synthesis then
 searches for one control assignment whose derived configuration makes
 all requirements hold.
 
-Four families are provided. A singleton template wraps one known
-configuration (used to verify or to re-encode an existing policy set).
-A menu template picks each edge's policy from an explicit candidate
-list. A clause template builds policies as a disjunction of up to k
-clauses, each a conjunction of up to k attribute tests, with equality
-and disequality on finite attributes (the unset value is a first-class
-candidate) and interval bounds on numeric attributes. A class template
-gives every edge one bit per request class, saying whether the edge
-denies that class; it can express every configuration up to request
+Four families are provided. A menu template picks each edge's policy
+from an explicit candidate list. A singleton template wraps one known
+configuration (used to verify or to re-encode an existing policy set)
+as a menu of one entry per edge; an edge with one candidate has no
+control variable. A clause template builds policies as a disjunction
+of up to k clauses, each a conjunction of up to k attribute tests,
+with equality and disequality on finite attributes (the unset value is
+a first-class candidate) and interval bounds on numeric attributes. A
+class template gives every edge one bit per request class; a set bit
+denies that class. It can express every configuration up to request
 class, so a failed search over it refutes them all.
+
+Each template states its policy family once, as the symbolic policy of
+every controlled edge. The solver searches that formula, and derive()
+reads the configuration off it by substitution: the model decides
+every control-variable test, and what is left, a formula over request
+attributes, is turned back into a target and simplified. Menus return
+their picked entries as they are.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq,
     Formula, IntervalSet, Not, Requirement, Top, Value, build_regions,
-    collect_atoms, conj, disj, eval_target, falsum, simplify_policy,
-    target_equiv, validate_target,
+    collect_atoms, conj, eval_target, simplify_policy, target_equiv,
+    validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import (
-    ControlAssignment, ControlVar, cand, cnot, cor, target_to_control, var_bits,
+    ControlAssignment, ControlVar, assign_controls, cand, cnot,
+    control_to_target, cor, target_to_control, var_bits,
 )
 
 class Template:
-    """Shared behaviour: fixed edges always expand to their fixed policy."""
+    """Shared behaviour: fixed edges always expand to their fixed policy,
+    each controlled edge's symbolic policy is built once, and a control
+    assignment derives the configuration by substitution."""
 
     def __init__(self, S: ResourceStructure):
         self.S = S
+        self._policies: Dict[Edge, ControlFormula] = {}
 
     @property
     def sig(self) -> AttributeSignature:
@@ -54,13 +67,20 @@ class Template:
             return target_to_control(fixed)
         if e not in self.S.edges:
             raise KeyError("unknown edge %r" % (e,))
-        return self._controlled_policy(e)
+        policy = self._policies.get(e)
+        if policy is None:
+            policy = self._policies[e] = self._controlled_policy(e)
+        return policy
 
     def _controlled_policy(self, e: Edge) -> ControlFormula:
         raise NotImplementedError
 
     def derive(self, m: ControlAssignment) -> Configuration:
-        raise NotImplementedError
+        """Each controlled edge's symbolic policy with m substituted for
+        the control variables, read back as a target and simplified."""
+        return {e: simplify_policy(control_to_target(
+                    assign_controls(self.edge_policy_formula(e), m)), self.sig)
+                for e in self.edges()}
 
     def bit_count(self) -> int:
         return sum(var_bits(v.size) for v in self.control_vars())
@@ -74,72 +94,63 @@ class Template:
         }
 
 
-class SingletonTemplate(Template):
-    """Exactly one candidate configuration."""
-
-    def __init__(self, S: ResourceStructure, config: Configuration):
-        super().__init__(S)
-        self.config = dict(config)
-
-    def control_vars(self) -> List[ControlVar]:
-        return []
-
-    def _controlled_policy(self, e: Edge) -> ControlFormula:
-        return target_to_control(self.config[e])
-
-    def derive(self, m: ControlAssignment) -> Configuration:
-        return dict(self.config)
-
-
 class MenuTemplate(Template):
-    """Per-edge choice from an explicit list of candidate policies."""
+    """Per-edge choice from an explicit list of candidate policies. An
+    edge with one candidate needs no choice, so it has no control
+    variable."""
 
     def __init__(self, S: ResourceStructure, menus: Dict[Edge, Sequence[Formula]]):
         super().__init__(S)
         self.menus: Dict[Edge, List[Formula]] = {}
+        self._var_of: Dict[Edge, ControlVar] = {}
         for i, e in enumerate(S.controlled_edges()):
             if e not in menus or not menus[e]:
                 raise ValueError("menu missing for edge %s->%s" % e)
             for t in menus[e]:
                 validate_target(t, S.sig)
             self.menus[e] = list(menus[e])
-        self._vars = [ControlVar("choice_%d" % i, len(self.menus[e]))
-                      for i, e in enumerate(S.controlled_edges())]
-        self._var_of = {e: self._vars[i]
-                        for i, e in enumerate(S.controlled_edges())}
+            if len(self.menus[e]) > 1:
+                self._var_of[e] = ControlVar("choice_%d" % i, len(self.menus[e]))
 
     def control_vars(self) -> List[ControlVar]:
-        return list(self._vars)
+        return list(self._var_of.values())
 
     def var_for(self, e: Edge) -> ControlVar:
         return self._var_of[e]
 
     def _controlled_policy(self, e: Edge) -> ControlFormula:
-        v = self._var_of[e]
+        v = self._var_of.get(e)
+        if v is None:
+            return target_to_control(self.menus[e][0])
         return cor([cand([CVarEq(v.name, i), target_to_control(t)])
                     for i, t in enumerate(self.menus[e])])
 
     def derive(self, m: ControlAssignment) -> Configuration:
+        """The picked menu entries as they are."""
         out: Configuration = {}
-        for e in self.S.controlled_edges():
-            v = self._var_of[e]
-            idx = m.get(v.name, 0)
-            if not 0 <= idx < len(self.menus[e]):
+        for e, menu in self.menus.items():
+            v = self._var_of.get(e)
+            idx = 0 if v is None else m.get(v.name, 0)
+            if not 0 <= idx < len(menu):
                 raise ValueError("menu index %d out of range for edge %s->%s"
                                  % (idx, e[0], e[1]))
-            out[e] = self.menus[e][idx]
+            out[e] = menu[idx]
         return out
 
     def count_configurations(self) -> int:
-        n = 1
-        for e in self.S.controlled_edges():
-            n *= len(self.menus[e])
-        return n
+        return math.prod(len(menu) for menu in self.menus.values())
 
     def describe(self) -> Dict[str, object]:
         d = super().describe()
         d["configurations"] = self.count_configurations()
         return d
+
+
+class SingletonTemplate(MenuTemplate):
+    """Exactly one candidate configuration: a one-entry menu per edge."""
+
+    def __init__(self, S: ResourceStructure, config: Configuration):
+        super().__init__(S, {e: [t] for e, t in config.items()})
 
 
 class DnfTemplate(Template):
@@ -216,26 +227,18 @@ class DnfTemplate(Template):
 
     # -- symbolic policy ---------------------------------------------------
 
-    def _lower_formula(self, attr: str, lo: int) -> ControlFormula:
-        if lo == 0:
-            return Top()
-        return cnot(Atom(attr, IntervalSet([(0, lo - 1)])))
-
-    def _upper_formula(self, attr: str, hi: Optional[int]) -> ControlFormula:
-        if hi is None:
-            return Top()
-        return Atom(attr, IntervalSet([(0, hi)]))
-
     def _test_formula(self, ei: int, j: int, t: int, attr: str) -> ControlFormula:
         decl = self.sig.get(attr)
         if decl.kind == NUMERIC:
             lowers, uppers = self._bounds(attr)
             lo_var = self._name("lo", ei, j, t, attr)
             hi_var = self._name("hi", ei, j, t, attr)
-            lo_part = cor([cand([CVarEq(lo_var, i), self._lower_formula(attr, lo)])
-                           for i, lo in enumerate(lowers)])
-            hi_part = cor([cand([CVarEq(hi_var, i), self._upper_formula(attr, hi)])
-                           for i, hi in enumerate(uppers)])
+            lo_part = cor([cand([CVarEq(lo_var, i),
+                                 cnot(Atom(attr, IntervalSet([(0, lo - 1)]))) if lo > 0
+                                 else Top()]) for i, lo in enumerate(lowers)])
+            hi_part = cor([cand([CVarEq(hi_var, i),
+                                 Atom(attr, IntervalSet([(0, hi)])) if hi is not None
+                                 else Top()]) for i, hi in enumerate(uppers)])
             return cand([lo_part, hi_part])
         op_var = self._name("op", ei, j, t, attr)
         val_var = self._name("val", ei, j, t, attr)
@@ -260,49 +263,6 @@ class DnfTemplate(Template):
                                   cand([CVarEq(self._name("use", ei, j, t), 1), picked])]))
             clauses.append(cand([CVarEq(self._name("clause", ei, j), 1)] + tests))
         return cor(clauses)
-
-    # -- configuration extraction -------------------------------------------
-
-    def _test_target(self, m: ControlAssignment, ei: int, j: int,
-                     t: int) -> Optional[Formula]:
-        if m.get(self._name("use", ei, j, t), 0) == 0:
-            return None
-        attr = self.attrs[m.get(self._name("attr", ei, j, t), 0)]
-        decl = self.sig.get(attr)
-        if decl.kind == NUMERIC:
-            lowers, uppers = self._bounds(attr)
-            lo = lowers[m.get(self._name("lo", ei, j, t, attr), 0)]
-            hi = uppers[m.get(self._name("hi", ei, j, t, attr), 0)]
-            parts: List[Formula] = []
-            if lo > 0:
-                parts.append(Not(Atom(attr, IntervalSet([(0, lo - 1)]))))
-            if hi is not None:
-                parts.append(Atom(attr, IntervalSet([(0, hi)])))
-            return conj(parts)
-        dom = self._value_domain(attr)
-        v = dom[m.get(self._name("val", ei, j, t, attr), 0)]
-        atom = Atom(attr, frozenset([v]))
-        if m.get(self._name("op", ei, j, t, attr), 0) == 0:
-            return atom
-        return Not(atom)
-
-    def derive(self, m: ControlAssignment) -> Configuration:
-        out: Configuration = {}
-        for ei, e in enumerate(self.S.controlled_edges()):
-            clause_targets: List[Formula] = []
-            for j in range(self.k):
-                if m.get(self._name("clause", ei, j), 0) != 1:
-                    continue
-                tests = [self._test_target(m, ei, j, t) for t in range(self.k)]
-                clause_targets.append(conj([x for x in tests if x is not None]))
-            if not clause_targets:
-                policy: Formula = falsum()
-            else:
-                policy = clause_targets[0]
-                for ct in clause_targets[1:]:
-                    policy = disj(policy, ct)
-            out[e] = simplify_policy(policy, self.sig)
-        return out
 
     def describe(self) -> Dict[str, object]:
         d = super().describe()
@@ -343,8 +303,10 @@ def dnf_template(S: ResourceStructure, reqs: Sequence[Requirement], k: int) -> D
 
 
 class ClassTemplate(Template):
-    """One bit per controlled edge and request class; a set bit means
-    the edge denies that class.
+    """One bit per controlled edge and request class; a set bit denies
+    its class. An edge's policy is the conjunction over the classes of
+    "bit clear, or the request is not in the class", so the policy an
+    assignment derives conjoins the negated classes of its set bits.
 
     Requests in one class satisfy the same requirement targets and the
     same fixed-edge policies, so they face the same constraints on the
@@ -357,7 +319,7 @@ class ClassTemplate(Template):
     def __init__(self, S: ResourceStructure, classes: Sequence[Formula]):
         super().__init__(S)
         self.classes = list(classes)
-        self._in_class = [target_to_control(t) for t in self.classes]
+        self._outside = [cnot(target_to_control(t)) for t in self.classes]
         self._bits: Dict[Edge, List[ControlVar]] = {
             e: [ControlVar("deny_%d_%d" % (ei, ci), 2)
                 for ci in range(len(self.classes))]
@@ -367,13 +329,8 @@ class ClassTemplate(Template):
         return [v for bits in self._bits.values() for v in bits]
 
     def _controlled_policy(self, e: Edge) -> ControlFormula:
-        return cor([cand([CVarEq(v.name, 0), c])
-                    for v, c in zip(self._bits[e], self._in_class)])
-
-    def derive(self, m: ControlAssignment) -> Configuration:
-        return {e: simplify_policy(conj([Not(t) for v, t in zip(bits, self.classes)
-                                         if m.get(v.name, 0)]), self.sig)
-                for e, bits in self._bits.items()}
+        return cand([cor([CVarEq(v.name, 0), outside])
+                     for v, outside in zip(self._bits[e], self._outside)])
 
     def describe(self) -> Dict[str, object]:
         d = super().describe()

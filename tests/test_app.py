@@ -151,6 +151,16 @@ def test_stage_seconds_are_disjoint(office, office_reqs, template):
             a[key] for a in attempts for key in STAGES) <= res.stats["total_seconds"]
 
 
+def test_derive_and_verify_have_seconds_of_their_own(office, office_reqs):
+    res = synth(office, office_reqs)
+    assert res.ok
+    for key in ("derive_seconds", "verify_seconds"):
+        assert res.stats[key] >= 0, key
+    assert res.stats["encode_seconds"] + sum(res.stats[key] for key in STAGES) \
+        + res.stats["derive_seconds"] + res.stats["verify_seconds"] \
+        <= res.stats["total_seconds"]
+
+
 def test_synth_rejects_unknown_arguments(triangle):
     with pytest.raises(ValueError, match="template"):
         synth(triangle, [], template="fancy")

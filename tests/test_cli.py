@@ -7,6 +7,7 @@ from gatesynth.app import verify
 from gatesynth import cli
 from gatesynth.cli import main
 from gatesynth.model import SynthesisError, load_config, load_model, save_model
+from gatesynth.rules import MAX_NESTING
 
 OFFICE = data.path(data.OFFICE_MODEL)
 OFFICE_RULES = data.path(data.OFFICE_REQUIREMENTS)
@@ -224,6 +225,7 @@ def test_stats_as_json(capsys):
     for key in ("regions", "iterations", "cnf_vars", "decisions", "propagations"):
         assert attempt[key] > 0 and stats[key] == attempt[key]
     assert stats["total_seconds"] > 0
+    assert stats["derive_seconds"] >= 0 and stats["verify_seconds"] >= 0
 
 
 def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
@@ -232,3 +234,46 @@ def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "synth", broken_synth)
     assert main(["synth", OFFICE, OFFICE_RULES]) == 3
     assert "internal error: solver model failed" in capsys.readouterr().err
+
+
+def visitor_chain(depth):
+    """`role = visitor` and-ed with itself: a target nested depth deep."""
+    return " and ".join(["role = visitor"] * depth)
+
+
+RULE_SHAPES = {
+    "target": lambda depth: visitor_chain(depth) + " => deny(sec_zone)",
+    "constraint": lambda depth: "role = visitor => " + "EX " * (depth - 1) + "sec_zone",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RULE_SHAPES))
+@pytest.mark.parametrize("template", ["dnf", "complete"])
+def test_rules_nested_to_the_bound_synthesize_and_deeper_ones_are_refused(
+        tmp_path, capsys, shape, template):
+    with open(OFFICE_RULES) as fh:
+        office_rules = fh.read()
+    rules = tmp_path / "deep.rules"
+    for depth, codes in ((MAX_NESTING, (0, 1)), (MAX_NESTING + 1, (2,))):
+        rules.write_text(office_rules + RULE_SHAPES[shape](depth) + "\n")
+        code = main(["synth", OFFICE, str(rules), "--template", template,
+                     "--no-explain"])
+        err = capsys.readouterr().err
+        assert code in codes, (depth, err[-300:])
+        assert ("formula nested too deeply" in err) == (code == 2)
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_policies_nested_to_the_bound_are_checked_and_deeper_ones_are_refused(
+        tmp_path, capsys, command):
+    with open(OFFICE_CONFIG) as fh:
+        doc = json.load(fh)
+    config = tmp_path / "deep.config.json"
+    for depth, code in ((MAX_NESTING, 0), (MAX_NESTING + 1, 2)):
+        doc["cor->mr"] = visitor_chain(depth)      # the same policy, spelt out
+        config.write_text(json.dumps(doc))
+        args = ([OFFICE, OFFICE_RULES, str(config)] if command == "verify"
+                else [OFFICE, str(config), "--request", "role=visitor"])
+        assert main([command] + args) == code
+        err = capsys.readouterr().err
+        assert ("error: " in err and "formula nested too deeply" in err) == (code == 2)

@@ -9,10 +9,12 @@ from gatesynth.app import synth, verify
 from gatesynth.model import config_to_json
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, NEGATIVE, POSITIVE, UNKNOWN, And, Atom, IntervalSet, Not,
-    Top, deadlock_free_constraint, strict_deadlock_free_constraint,
+    Top, children, deadlock_free_constraint, strict_deadlock_free_constraint,
+    subformulas,
 )
+from gatesynth import rules
 from gatesynth.rules import (
-    RESERVED, ParseError, format_constraint, format_request, format_requirement, format_target,
+    MAX_NESTING, RESERVED, ParseError, format_constraint, format_request, format_requirement, format_target,
     parse_constraint, parse_request, parse_requirement, parse_requirements,
     parse_target,
 )
@@ -293,6 +295,44 @@ _BODIES = st.one_of(
               _FORMULAS, _FORMULAS))
 _TOKENS = st.sampled_from(["=>", "(", ")", "]", ",", "and", "not", "#", "\n", "U"]) \
     | st.text(max_size=3)
+
+
+_OFFICE_LINES = st.builds("{} => {}".format, TARGET_TEXTS, st.one_of(
+    CONSTRAINT_TEXTS,
+    st.builds("{}({})".format, st.sampled_from(["grant", "deny"]), CONSTRAINT_TEXTS),
+    st.builds("{}({}, {})".format, st.sampled_from(["waypoint", "blocking"]),
+              CONSTRAINT_TEXTS, CONSTRAINT_TEXTS)))
+
+
+def nesting(f):
+    """The number of nodes on the longest path from f down to a leaf."""
+    depth = {}
+    for g in subformulas(f):
+        depth[g] = 1 + max((depth[c] for c in children(g)), default=0)
+    return depth[f]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OFFICE_LINES)
+def test_no_token_adds_more_than_three_levels(office, line):
+    # the parser's nesting check walks only input of more than
+    # MAX_NESTING / 3 tokens, which rests on this
+    try:
+        r = parse_requirement(line, office.sig)
+    except ParseError:
+        return
+    tokens = len(rules._tokenize(line, 1))
+    assert max(nesting(r.target), nesting(r.constraint)) <= 3 * tokens, line
+
+
+def test_short_input_nested_past_the_bound_is_refused(office):
+    # AG is not(EF not ..), three levels per token: 133 of them and an
+    # atom nest exactly MAX_NESTING deep in 135 tokens
+    assert 3 * 133 + 1 == MAX_NESTING
+    deep = "AG " * 133 + "sec_zone"
+    assert nesting(parse_constraint(deep, office.sig)) == MAX_NESTING
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_constraint("not " + deep, office.sig)
 
 
 @st.composite

@@ -1,20 +1,30 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gatesynth.encoder import CTrue, CVarEq, eval_formula
+from gatesynth.app import effective_requirements
+from gatesynth.encoder import (
+    CTrue, CVarEq, cand, cor, emit_smtlib, encode, eval_formula, expand_guards,
+    ground_forall, target_to_control,
+)
 from gatesynth.formulas import (
-    BOTTOM, And, Atom, Not, Top, conj, disj, eval_target, falsum,
-    target_equiv,
+    BOTTOM, NUMERIC, And, Atom, IntervalSet, Not, Top, build_regions,
+    collect_atoms, conj, disj, eval_target, falsum, target_equiv,
 )
 from gatesynth import formulas
-from gatesynth.model import SynthesisError
+from gatesynth.model import ResourceStructure, SynthesisError
 from gatesynth.templates import (
-    DnfTemplate, MenuTemplate, SingletonTemplate, dnf_template,
-    interval_candidates, simplify_policy,
+    CapExceeded, DnfTemplate, MenuTemplate, SingletonTemplate, Template,
+    complete_template, dnf_template, interval_candidates, simplify_policy,
 )
 from gatesynth.rules import parse_target
+
+from genutil import (
+    random_config, random_model, random_pattern_requirement, random_policy,
+)
 
 
 def vis():
@@ -199,3 +209,152 @@ def test_clause_template_two_clauses_disjoin(office, office_reqs):
     pol = tpl.derive(m)[e0]
     assert target_equiv(pol, Atom("role", frozenset(["visitor", "employee"])),
                         office.sig)
+
+
+# The hand-written derives and the singleton that templates had before
+# derive read the configuration off the symbolic policy, kept here as
+# the references the substitution is checked against.
+
+def old_dnf_derive(tpl, m):
+    def test_target(ei, j, t):
+        if m.get(tpl._name("use", ei, j, t), 0) == 0:
+            return None
+        attr = tpl.attrs[m.get(tpl._name("attr", ei, j, t), 0)]
+        if tpl.sig.get(attr).kind == NUMERIC:
+            lowers, uppers = tpl._bounds(attr)
+            lo = lowers[m.get(tpl._name("lo", ei, j, t, attr), 0)]
+            hi = uppers[m.get(tpl._name("hi", ei, j, t, attr), 0)]
+            parts = []
+            if lo > 0:
+                parts.append(Not(Atom(attr, IntervalSet([(0, lo - 1)]))))
+            if hi is not None:
+                parts.append(Atom(attr, IntervalSet([(0, hi)])))
+            return conj(parts)
+        v = tpl._value_domain(attr)[m.get(tpl._name("val", ei, j, t, attr), 0)]
+        atom = Atom(attr, frozenset([v]))
+        return atom if m.get(tpl._name("op", ei, j, t, attr), 0) == 0 else Not(atom)
+
+    out = {}
+    for ei, e in enumerate(tpl.edges()):
+        clauses = [conj([x for x in (test_target(ei, j, t) for t in range(tpl.k))
+                         if x is not None])
+                   for j in range(tpl.k) if m.get(tpl._name("clause", ei, j), 0) == 1]
+        policy = functools.reduce(disj, clauses) if clauses else falsum()
+        out[e] = simplify_policy(policy, tpl.sig)
+    return out
+
+
+def old_class_derive(tpl, m):
+    return {e: simplify_policy(conj([Not(t) for v, t in zip(bits, tpl.classes)
+                                     if m.get(v.name, 0)]), tpl.sig)
+            for e, bits in tpl._bits.items()}
+
+
+def old_class_policy(tpl, e):
+    """OR over the classes of (bit clear and in the class)."""
+    return cor([cand([CVarEq(v.name, 0), target_to_control(t)])
+                for v, t in zip(tpl._bits[e], tpl.classes)])
+
+
+class OldSingleton(Template):
+    def __init__(self, S, config):
+        super().__init__(S)
+        self.config = dict(config)
+
+    def control_vars(self):
+        return []
+
+    def _controlled_policy(self, e):
+        return target_to_control(self.config[e])
+
+    def derive(self, m):
+        return dict(self.config)
+
+
+def random_setting(seed):
+    """A random model with numeric attributes, sometimes fixed doors and
+    one door fixed to a random policy, and its effective requirements."""
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True)
+    if S.controlled_edges() and rng.random() < 0.4:
+        edges = dict(S.edges)
+        edges[rng.choice(S.controlled_edges())] = random_policy(rng, S.sig)
+        S = ResourceStructure(S.sig, S.entry, S.labels, edges)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
+    return rng, S, effective_requirements(S, reqs)
+
+
+def random_assignments(rng, tpl, count):
+    """The all-zero assignment, then random ones; each variable is left
+    unset (read as 0) a quarter of the time."""
+    yield {}
+    for _ in range(count):
+        yield {v.name: rng.randrange(v.size) for v in tpl.control_vars()
+               if rng.random() < 0.75}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_derive_by_substitution_returns_what_the_old_derives_did(seed):
+    rng, S, eff = random_setting(seed)
+    if not S.controlled_edges():
+        return
+    cases = [(dnf_template(S, eff, k), old_dnf_derive) for k in (1, 2, 3)]
+    try:
+        cases.append((complete_template(S, eff, 256), old_class_derive))
+    except CapExceeded:
+        pass
+    for tpl, old_derive in cases:
+        for m in random_assignments(rng, tpl, 6):
+            new, old = tpl.derive(m), old_derive(tpl, m)
+            assert list(new) == list(old)
+            for e in new:
+                assert new[e] is old[e], (type(tpl).__name__, e, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_class_policy_agrees_with_the_old_one_at_every_request(seed):
+    rng, S, eff = random_setting(seed)
+    try:
+        tpl = complete_template(S, eff, 256)
+    except CapExceeded:
+        return
+    atoms = [a for t in tpl.classes for a in collect_atoms(t)]
+    requests = list(build_regions(S.sig, atoms).representatives())
+    for e in tpl.edges():
+        new, old = tpl.edge_policy_formula(e), old_class_policy(tpl, e)
+        for m in random_assignments(rng, tpl, 6):
+            for q in requests:
+                assert eval_formula(new, q, m) == eval_formula(old, q, m), (e, m, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_singleton_is_the_old_singleton(seed):
+    rng, S, eff = random_setting(seed)
+    config = random_config(rng, S)
+    new, old = SingletonTemplate(S, config), OldSingleton(S, config)
+    assert new.control_vars() == [] and new.bit_count() == 0
+    assert new.derive({}) == config
+    guard_formula = cand([encode(S, r) for r in eff])
+    scripts = []
+    for tpl in (new, old):
+        expanded = expand_guards(guard_formula, tpl)
+        scripts.append((emit_smtlib(expanded, tpl.control_vars(), sig=S.sig,
+                                    quantified=True),
+                        emit_smtlib(ground_forall(expanded, S.sig), tpl.control_vars())))
+    assert scripts[0] == scripts[1]
+
+
+def test_a_one_entry_menu_has_no_control_variable(office):
+    edges = office.controlled_edges()
+    menus = {e: [Top(), falsum()] for e in edges}
+    menus[edges[1]] = [vis()]
+    tpl = MenuTemplate(office, menus)
+    assert [v.name for v in tpl.control_vars()] == ["choice_0", "choice_2",
+                                                    "choice_3", "choice_4"]
+    assert tpl.edge_policy_formula(edges[1]) == target_to_control(vis())
+    assert tpl.derive({"choice_0": 1})[edges[1]] is vis()
+    assert tpl.count_configurations() == 2 ** 4
