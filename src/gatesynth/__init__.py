@@ -43,8 +43,8 @@ from .templates import (
 from .encoder import (
     CAnd, CAtom, CFalse, CGuard, CImplies, CNot, COr, CTrue, CVarEq,
     ControlAssignment, ControlFormula, ControlVar, SolverError, emit_smtlib,
-    encode, eval_formula, expand_guards, formula_size, ground_forall,
-    run_external, sat_solve,
+    encode, eval_formula, expand_guards, formula_edges, formula_size,
+    ground_forall, run_external, sat_solve,
 )
 from .app import (
     PolarityReport, SimulationReport, SynthesisError, SynthesisResult,

@@ -28,8 +28,8 @@ from .formulas import (
 from . import encoder
 from .checker import HoldsReport, holds
 from .encoder import (
-    SolverError, cand, emit_smtlib, encode, expand_guards, formula_size,
-    ground_forall, run_external, sat_solve,
+    SolverError, cand, emit_smtlib, encode, expand_guards, formula_edges,
+    formula_size, ground_forall, run_external, sat_solve,
 )
 from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
@@ -256,6 +256,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     guard_formula = cand([encode(S, r) for r in eff])
     stats["encode_seconds"] = time.perf_counter() - t_start
     stats["guard_formula_size"] = formula_size(guard_formula)
+    stats["guard_formula_edges"] = formula_edges(guard_formula)
 
     def finish_sat(tpl: Template, model) -> SynthesisResult:
         t0 = time.perf_counter()

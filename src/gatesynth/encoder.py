@@ -35,13 +35,25 @@ Walks over them are formulas.subformulas(); this module keeps only the
 smart constructors, the rewrite, substitute(), the solver and the
 SMT-LIB printer.
 
-The until rewrites unroll simple paths, tracking the set of spaces
-already visited. For the existential until this is exact on every
-structure. For the universal until it agrees with the checker on
-structures whose restriction keeps at least one outgoing edge per
-space, which is why synthesis injects the deadlock-freeness requirement
-whenever a universal until appears. That requirement exempts the entry,
-so encode() decides such a constraint on the entry alone when every
+The until rewrites unroll simple paths. A space where the right side
+holds outright settles the until as true, and one where the left side
+fails outright settles it as the right side's rewrite; the unrolling
+stops there. Elsewhere it steps to every successor not yet visited, so
+its result at a space reads the visited set only through membership
+tests on the successors of the unsettled spaces it can still reach
+without re-entering that set. Its memo therefore keys on those visited
+spaces, the frontier, rather than on the whole set: paths that reach a
+space with the same frontier share one node, which keyed on the whole
+set was built again under every set. The formula is the same either
+way, with far fewer subproblems solved, though the number of frontiers
+still grows exponentially with a grid's size.
+
+For the existential until the unrolling is exact on every structure.
+For the universal until it agrees with the checker on structures whose
+restriction keeps at least one outgoing edge per space, which is why
+synthesis injects the deadlock-freeness requirement whenever a
+universal until appears. That requirement exempts the entry, so
+encode() decides such a constraint on the entry alone when every
 door out of the entry is shut.
 """
 
@@ -140,6 +152,12 @@ def formula_size(f: ControlFormula) -> int:
     return sum(1 for _ in subformulas(f))
 
 
+def formula_edges(f: ControlFormula) -> int:
+    """Sum of the arities of the distinct subterms: the edges of the
+    DAG, which Tseitin clauses follow."""
+    return sum(len(children(g)) for g in subformulas(f))
+
+
 def target_to_control(t: Formula) -> ControlFormula:
     if isinstance(t, (Top, Atom)):
         return t
@@ -201,6 +219,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     shared, so the result is a compact DAG."""
     memo: Dict[Tuple[Formula, str], ControlFormula] = {}
     memo_u: Dict[Tuple[Formula, str, FrozenSet[str]], ControlFormula] = {}
+    decided: Dict[Formula, Dict[str, Optional[ControlFormula]]] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
@@ -235,30 +254,66 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         memo[key] = out
         return out
 
+    def settled(f: Formula, r: str) -> Optional[ControlFormula]:
+        """The until's rewrite at r when r decides it alone: true where
+        its right side holds outright, the right side's rewrite where its
+        left side fails outright. None where the rewrite steps on."""
+        known = decided.setdefault(f, {})
+        if r in known:
+            return known[r]
+        here = tau(f.right, r)
+        out = here if isinstance(here, Top) or isinstance(tau(f.left, r), CFalse) else None
+        known[r] = out
+        return out
+
+    def frontier(f: Formula, r: str, visited: FrozenSet[str]) -> FrozenSet[str]:
+        """The visited spaces the rewrite at r still tests: those entered
+        from the spaces it can reach without re-entering `visited` and
+        without passing a space that settles the until."""
+        if not visited:
+            return visited
+        seen, stack, hit = {r}, [r], []
+        while stack:
+            for s in S.successors(stack.pop()):
+                if s in seen:
+                    continue
+                seen.add(s)
+                if s in visited:
+                    hit.append(s)
+                elif settled(f, s) is None:
+                    stack.append(s)
+        return frozenset(hit)
+
     def tau_eu(f: EU, r: str, visited: FrozenSet[str]) -> ControlFormula:
+        out = settled(f, r)
+        if out is not None:
+            return out
+        visited = frontier(f, r, visited)
         key = (f, r, visited)
         got = memo_u.get(key)
         if got is not None:
             return got
-        here = tau(f.right, r)
         step = cor([cand([guard[(r, s)], tau_eu(f, s, visited | {r})])
                     for s in S.successors(r) if s not in visited])
-        out = cor([here, cand([tau(f.left, r), step])])
+        out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
         memo_u[key] = out
         return out
 
     def tau_au(f: AU, r: str, visited: FrozenSet[str]) -> ControlFormula:
+        out = settled(f, r)
+        if out is not None:
+            return out
+        visited = frontier(f, r, visited)
         key = (f, r, visited)
         got = memo_u.get(key)
         if got is not None:
             return got
-        here = tau(f.right, r)
         fresh = [s for s in S.successors(r) if s not in visited]
         stale = [s for s in S.successors(r) if s in visited]
         all_fresh = cand([cimplies(guard[(r, s)], tau_au(f, s, visited | {r}))
                           for s in fresh])
         no_loop_back = cand([cnot(guard[(r, s)]) for s in stale])
-        out = cor([here, cand([tau(f.left, r), all_fresh, no_loop_back])])
+        out = cor([tau(f.right, r), cand([tau(f.left, r), all_fresh, no_loop_back])])
         memo_u[key] = out
         return out
 

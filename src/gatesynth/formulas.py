@@ -324,8 +324,22 @@ class Node:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__,
-                           ", ".join(repr(getattr(self, f)) for f in self._fields))
+        """The constructor call of the node. A connective below it with
+        two or more parents prints once, as `_n = ...` after `where`, and
+        as its name elsewhere, so the text grows with the DAG rather
+        than with the tree it unfolds to."""
+        parents: Dict[Node, int] = {}
+        for g in subformulas(self):
+            for ch in children(g):
+                parents[ch] = parents.get(ch, 0) + 1
+        names = {g: "_%d" % i for i, g in enumerate(
+            g for g in subformulas(self)
+            if g is not self and parents.get(g, 0) >= 2 and children(g))}
+        text = _node_text(self, names)
+        if not names:
+            return text
+        return "%s where %s" % (text, "; ".join("%s = %s" % (name, _node_text(g, names))
+                                                for g, name in names.items()))
 
 
 class Top(Node):
@@ -566,6 +580,37 @@ def subformulas(f: Node) -> Iterator[Node]:
             stack.append((g, True))
             for ch in children(g):
                 stack.append((ch, False))
+
+
+def _node_text(f: Node, names: Dict[Node, str]) -> str:
+    """f as a constructor call, with the nodes below it that `names`
+    lists printed as their names. Iterative, as subformulas() is."""
+    out: List[str] = []
+    stack: List[object] = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item is not f and item in names:
+            out.append(names[item])
+        else:
+            parts: List[object] = [type(item).__name__ + "("]
+            for i, name in enumerate(item._fields):
+                value = getattr(item, name)
+                if i:
+                    parts.append(", ")
+                if isinstance(value, Node):
+                    parts.append(value)
+                elif isinstance(value, tuple) and value and isinstance(value[0], Node):
+                    parts.append("(")
+                    for j, v in enumerate(value):
+                        parts.extend((", ", v) if j else (v,))
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def collect_atoms(f: Node) -> List[Atom]:

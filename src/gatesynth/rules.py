@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .formulas import (
     AU, AX, BOOLEAN, BOTTOM, ENUM, EU, EX, NEGATIVE, NUMERIC,
@@ -52,13 +52,25 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+# Characters of the offending line an error quotes on either side of
+# its column; a line of up to twice this many is quoted whole.
+QUOTE_WIDTH = 36
+
+
 class ParseError(ValueError):
+    """A line that does not parse: the message, then the line quoted
+    around the error column with a caret under that column."""
+
     def __init__(self, message: str, text: str, line: int, col: int):
         self.line = line
         self.col = col
-        caret = " " * (col - 1) + "^"
+        start = max(0, min(col - 1 - QUOTE_WIDTH, len(text) - 2 * QUOTE_WIDTH))
+        end = start + 2 * QUOTE_WIDTH
+        lead = "..." if start else ""
+        quote = lead + text[start:end] + ("..." if end < len(text) else "")
+        caret = " " * (len(lead) + col - 1 - start) + "^"
         super().__init__("line %d, column %d: %s\n  %s\n  %s"
-                         % (line, col, message, text, caret))
+                         % (line, col, message, quote, caret))
 
 
 @dataclass
@@ -91,6 +103,11 @@ class _Parser:
         self.line_no = line_no
         self.tokens = _tokenize(text, line_no)
         self.i = 0
+        # No token adds more than three levels (`a or b` is not(not a and
+        # not b)), so only a line of more tokens than a third of the
+        # bound can nest too deeply, and only its nodes are measured.
+        self.long = 3 * len(self.tokens) > MAX_NESTING
+        self.depth: Dict[Formula, int] = {}
 
     # -- token plumbing ----------------------------------------------
 
@@ -120,6 +137,24 @@ class _Parser:
     def fail(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
         raise ParseError(message, self.text, self.line_no, tok.col)
+
+    def nested(self, f: Formula, tok: _Token) -> Formula:
+        """f, built at the operator `tok`, unless it nests deeper than
+        MAX_NESTING nodes: then the caret goes under `tok`, where the
+        bound is crossed."""
+        if self.long and self.nesting(f) > MAX_NESTING:
+            self.fail("formula nested too deeply", tok)
+        return f
+
+    def nesting(self, f: Formula) -> int:
+        """The number of nodes on the longest path from f to a leaf. The
+        nodes the grammar builds at an operator are all checked by
+        nested(), so this recurses only through the few nodes one token
+        adds."""
+        got = self.depth.get(f)
+        if got is None:
+            got = self.depth[f] = 1 + max((self.nesting(c) for c in children(f)), default=0)
+        return got
 
     def validated(self, check, f: Formula) -> Formula:
         """f once `check` accepts it under the signature; a rejection,
@@ -153,7 +188,9 @@ class _Parser:
             self.expect("(")
             goal = self.expression(True)
             self.expect(")")
-            return (grant(goal), POSITIVE) if name == "grant" else (deny(goal), NEGATIVE)
+            if name == "grant":
+                return self.nested(grant(goal), t), POSITIVE
+            return self.nested(deny(goal), t), NEGATIVE
         if t.kind == "ident" and t.value in ("waypoint", "blocking") \
                 and self.tokens[self.i + 1].value == "(":
             name = self.next().value
@@ -163,7 +200,7 @@ class _Parser:
             second = self.expression(True)
             self.expect(")")
             f = waypoint(first, second) if name == "waypoint" else blocking(first, second)
-            return f, NEGATIVE
+            return self.nested(f, t), NEGATIVE
         f = self.expression(True)
         if is_deadlock_freeness(f):
             return f, NEGATIVE
@@ -186,28 +223,30 @@ class _Parser:
 
     def expression(self, temporal: bool) -> Formula:
         left = self.disjunction(temporal)
-        if self.accept("->"):
-            right = self.expression(temporal)
-            return implies(left, right)
+        if self.at("->"):
+            tok = self.next()
+            return self.nested(implies(left, self.expression(temporal)), tok)
         return left
 
     def disjunction(self, temporal: bool) -> Formula:
         f = self.conjunction(temporal)
-        while self.accept("or"):
-            f = disj(f, self.conjunction(temporal))
+        while self.at("or"):
+            tok = self.next()
+            f = self.nested(disj(f, self.conjunction(temporal)), tok)
         return f
 
     def conjunction(self, temporal: bool) -> Formula:
         f = self.unary(temporal)
-        while self.accept("and"):
-            f = And(f, self.unary(temporal))
+        while self.at("and"):
+            tok = self.next()
+            f = self.nested(And(f, self.unary(temporal)), tok)
         return f
 
     def unary(self, temporal: bool) -> Formula:
         t = self.peek()
         if t.value == "not":
             self.next()
-            return Not(self.unary(temporal))
+            return self.nested(Not(self.unary(temporal)), t)
         if t.kind == "ident" and t.value in ("EX", "AX", "EF", "AG", "AF", "EG", "E", "A"):
             if not temporal:
                 self.fail("temporal operator %r not allowed in a target" % t.value)
@@ -215,16 +254,18 @@ class _Parser:
                 self.next()
                 sub = self.unary(temporal)
                 if t.value == "EX":
-                    return EX(sub)
-                if t.value == "AX":
-                    return AX(sub)
-                if t.value == "EF":
-                    return EU(Top(), sub)
-                if t.value == "AG":
-                    return Not(EU(Top(), Not(sub)))
-                if t.value == "AF":
-                    return AU(Top(), sub)
-                return Not(AU(Top(), Not(sub)))
+                    f: Formula = EX(sub)
+                elif t.value == "AX":
+                    f = AX(sub)
+                elif t.value == "EF":
+                    f = EU(Top(), sub)
+                elif t.value == "AG":
+                    f = Not(EU(Top(), Not(sub)))
+                elif t.value == "AF":
+                    f = AU(Top(), sub)
+                else:
+                    f = Not(AU(Top(), Not(sub)))
+                return self.nested(f, t)
             # E[.. U ..] / A[.. U ..] / A[.. R ..]
             quant = self.next().value
             self.expect("[")
@@ -237,10 +278,12 @@ class _Parser:
             right = self.expression(temporal)
             self.expect("]")
             if quant == "E":
-                return EU(left, right)
-            if sep.value == "U":
-                return AU(left, right)
-            return Not(EU(Not(left), Not(right)))
+                f = EU(left, right)
+            elif sep.value == "U":
+                f = AU(left, right)
+            else:
+                f = Not(EU(Not(left), Not(right)))
+            return self.nested(f, t)
         return self.primary(temporal)
 
     def primary(self, temporal: bool) -> Formula:
@@ -384,21 +427,14 @@ MAX_NESTING = 400
 def _parse(text: str, sig: AttributeSignature, line_no: int, entry):
     """Run one entry point of the parser. A formula nested deeper than
     MAX_NESTING nodes, or too deep for the parser's own recursion, is
-    reported as a parse error."""
+    reported as a parse error, with the caret under the token where the
+    bound is crossed."""
     parser = _Parser(text, sig, line_no)
     try:
-        out = entry(parser)
+        return entry(parser)
     except RecursionError:
-        raise ParseError("formula nested too deeply", text, line_no, 1) from None
-    # No token adds more than three levels (`a or b` is not(not a and
-    # not b)), so only long input is walked, one layer of nodes per level.
-    if 3 * len(parser.tokens) > MAX_NESTING:
-        level = {out.target, out.constraint} if isinstance(out, Requirement) else {out}
-        for _ in range(MAX_NESTING):
-            level = {c for g in level for c in children(g)}
-        if level:
-            raise ParseError("formula nested too deeply", text, line_no, 1)
-    return out
+        where = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
+        raise ParseError("formula nested too deeply", text, line_no, where.col) from None
 
 
 def parse_requirement(text: str, sig: AttributeSignature, line_no: int = 1) -> Requirement:

@@ -33,7 +33,8 @@ def request_signature(rng: random.Random, max_symbols: int = 2,
 def random_model(rng: random.Random, n_nodes: int,
                  backbone_fixed_true: bool = False,
                  max_symbols: int = 2,
-                 with_numeric: bool = False) -> ResourceStructure:
+                 with_numeric: bool = False,
+                 two_way: float = 0.0) -> ResourceStructure:
     """A connected structure on `n_nodes` spaces (n_nodes >= 2).
 
     A chain entry -> room1 -> ... plus a final edge back to the entry
@@ -41,7 +42,9 @@ def random_model(rng: random.Random, n_nodes: int,
     `backbone_fixed_true` those backbone edges are fixed always-grant
     policies, so every restriction of the structure keeps an exit per
     space (no restriction can deadlock). Extra random edges are
-    sprinkled on top and are always controlled.
+    sprinkled on top and are always controlled. With `two_way`, each
+    edge also gets a controlled door back with that probability; at 0
+    no draw is made for it, so older seeds build what they built.
     """
     if n_nodes < 2:
         raise ValueError("need at least two spaces")
@@ -60,8 +63,38 @@ def random_model(rng: random.Random, n_nodes: int,
     for _ in range(rng.randint(0, n_nodes)):
         a, b = rng.sample(names, 2)
         edges.setdefault((a, b), None)
+    if two_way:
+        for a, b in list(edges):
+            if rng.random() < two_way:
+                edges.setdefault((b, a), None)
     S = ResourceStructure(sig, names[0], labels, edges)
     S.validate(as_given=True)
+    return S
+
+
+def grid_building(rows: int, cols: int, secure=()) -> ResourceStructure:
+    """A rows x cols grid of two-way controlled doors between neighbouring
+    cells c<i>_<j>, entered at c0_0. The cells in `secure` are in the
+    secure zone, the others in the public one. Requests have a role,
+    guest or staff, and a badge."""
+    cells = ["c%d_%d" % (i, j) for i in range(rows) for j in range(cols)]
+    sig = AttributeSignature([
+        AttributeDecl("role", SUBJECT, ENUM, ("guest", "staff")),
+        AttributeDecl("badge", CONTEXTUAL, BOOLEAN),
+        AttributeDecl("id", RESOURCE, ENUM, tuple(cells)),
+        AttributeDecl("zone", RESOURCE, ENUM, ("public", "secure")),
+    ])
+    labels = {c: {"id": c, "zone": "secure" if c in secure else "public"}
+              for c in cells}
+    edges: Dict[Edge, Optional[Formula]] = {}
+    for i in range(rows):
+        for j in range(cols):
+            for a, b in ((i + 1, j), (i, j + 1)):
+                if a < rows and b < cols:
+                    edges[("c%d_%d" % (i, j), "c%d_%d" % (a, b))] = None
+                    edges[("c%d_%d" % (a, b), "c%d_%d" % (i, j))] = None
+    S = ResourceStructure(sig, "c0_0", labels, edges)
+    S.validate()
     return S
 
 

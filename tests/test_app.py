@@ -130,6 +130,22 @@ def test_synth_records_every_attempt(office):
         assert "encode_seconds" not in attempt and "guard_formula_size" not in attempt
 
 
+def test_stats_report_guard_formula_edges_beside_its_nodes(office, office_reqs):
+    # a chain of EFs splices each level's disjunction into the next: the
+    # nodes grow linearly with the chain, the edges quadratically
+    stats = []
+    for n in (10, 20, 40):
+        chain = parse_requirements("role = visitor => " + "EF " * n + "sec_zone", office.sig)
+        stats.append(synth(office, office_reqs + chain).stats)
+    nodes = [s["guard_formula_size"] for s in stats]
+    edges = [s["guard_formula_edges"] for s in stats]
+    assert nodes[2] < 2.1 * nodes[1] < 4.5 * nodes[0]
+    assert edges[2] > 3.5 * edges[1] > 12 * edges[0]
+    assert all(e >= n - 1 for n, e in zip(nodes, edges))
+    for attempt in stats[0]["attempts"]:
+        assert "guard_formula_edges" not in attempt
+
+
 STAGES = ("expand_seconds", "ground_seconds", "cnf_seconds", "solve_seconds")
 
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import stat
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,22 +12,23 @@ from gatesynth.checker import check_at, holds
 from gatesynth.encoder import (
     CAnd, CAtom, CFalse, CGuard, CImplies, CNot, COr, CTrue, CVarEq,
     ControlVar, SolverError, cand, cguard, cimplies, cnot,
-    cor, emit_smtlib, encode, eval_formula, expand_guards,
+    cor, emit_smtlib, encode, eval_formula, expand_guards, formula_edges,
     formula_size, fold_atoms, ground_forall, rewrite_constraint, run_external,
     _Cnf, sat_solve, target_to_control, var_bits,
 )
+from gatesynth.app import effective_requirements
 from gatesynth.formulas import (
-    AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top, collect_atoms,
-    subformulas,
+    AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top, children,
+    collect_atoms, subformulas,
 )
 from gatesynth import formulas
 from gatesynth.model import restrict, scale_replicate
-from gatesynth.rules import parse_constraint, parse_target
+from gatesynth.rules import parse_constraint, parse_requirements, parse_target
 from gatesynth.templates import SingletonTemplate
 
 from genutil import (
-    random_config, random_constraint, random_model, random_pattern_requirement,
-    random_policy,
+    grid_building, random_config, random_constraint, random_model,
+    random_pattern_requirement, random_policy,
 )
 from test_rules import CONSTRAINT_TEXTS, TARGET_TEXTS
 
@@ -333,6 +335,154 @@ def test_encoding_is_exact_where_only_the_entry_may_dead_end():
             shut_entries += not sub.successors(S.entry)
             assert eval_guards(enc, kept) == check_at(sub, S.entry, phi), (phi, kept)
     assert shut_entries >= 40
+
+
+def visited_set_rewrite(S, phi, start):
+    """The until rewrite keyed on the whole set of spaces a path has
+    visited, kept as the reference for the frontier-keyed one: the same
+    unrolling, with every subproblem found again under every visited set
+    that leads to it."""
+    memo, memo_u = {}, {}
+
+    def tau(f, r):
+        key = (f, r)
+        if key in memo:
+            return memo[key]
+        if isinstance(f, Top):
+            out = Top()
+        elif isinstance(f, Atom):
+            out = CTrue() if S.labels[r].get(f.attr, BOTTOM) in f.values else CFalse()
+        elif isinstance(f, Not):
+            out = cnot(tau(f.sub, r))
+        elif isinstance(f, And):
+            out = cand([tau(f.left, r), tau(f.right, r)])
+        elif isinstance(f, EX):
+            out = cor([cand([cguard((r, s)), tau(f.sub, s)]) for s in S.successors(r)])
+        elif isinstance(f, AX):
+            out = cand([cimplies(cguard((r, s)), tau(f.sub, s)) for s in S.successors(r)])
+        elif isinstance(f, EU):
+            out = tau_eu(f, r, frozenset())
+        else:
+            out = tau_au(f, r, frozenset())
+        memo[key] = out
+        return out
+
+    def tau_eu(f, r, visited):
+        key = (f, r, visited)
+        if key not in memo_u:
+            step = cor([cand([cguard((r, s)), tau_eu(f, s, visited | {r})])
+                        for s in S.successors(r) if s not in visited])
+            memo_u[key] = cor([tau(f.right, r), cand([tau(f.left, r), step])])
+        return memo_u[key]
+
+    def tau_au(f, r, visited):
+        key = (f, r, visited)
+        if key not in memo_u:
+            all_fresh = cand([cimplies(cguard((r, s)), tau_au(f, s, visited | {r}))
+                              for s in S.successors(r) if s not in visited])
+            no_loop_back = cand([cnot(cguard((r, s)))
+                                 for s in S.successors(r) if s in visited])
+            memo_u[key] = cor([tau(f.right, r),
+                               cand([tau(f.left, r), all_fresh, no_loop_back])])
+        return memo_u[key]
+
+    return tau(phi, start)
+
+
+def random_until(rng, S):
+    """An until, existential or universal, over random constraints, and
+    sometimes nested under EX, AX, Not or And."""
+    sides = [random_constraint(rng, S, rng.randint(0, 2)) for _ in range(2)]
+    f = (EU if rng.random() < 0.5 else AU)(*sides)
+    for _ in range(rng.randint(0, 2)):
+        roll = rng.random()
+        if roll < 0.25:
+            f = EX(f)
+        elif roll < 0.5:
+            f = AX(f)
+        elif roll < 0.75:
+            f = Not(f)
+        else:
+            f = And(f, random_constraint(rng, S, 1))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 7), st.sampled_from([0.0, 0.5, 1.0]))
+def test_frontier_keys_build_the_visited_set_rewrite(seed, n, two_way):
+    # one-way and two-way doors; the name tests hold at some spaces and
+    # not at others, so untils meet spaces that settle them and spaces
+    # where they step on
+    rng = random.Random(seed)
+    S = random_model(rng, n, two_way=two_way)
+    for _ in range(4):
+        phi = random_until(rng, S)
+        start = rng.choice(S.nodes)
+        assert rewrite_constraint(S, phi, start) is visited_set_rewrite(S, phi, start), phi
+
+
+def test_frontier_keys_build_the_visited_set_rewrite_on_the_bundled_buildings(
+        office, office_reqs, firm, firm_reqs):
+    grid = grid_building(4, 4, secure={"c1_1", "c2_3"})
+    grid_reqs = parse_requirements(
+        "role = staff and badge => grant(id = c3_3)\n"
+        "role = guest => waypoint(id = c1_2, id = c3_2)\n"
+        "role = guest => deny(zone = secure)\n"
+        "role = staff => AF id = c3_3\n", grid.sig)
+    for S, reqs in ((office, office_reqs), (firm, firm_reqs), (grid, grid_reqs)):
+        for r in effective_requirements(S, reqs, "on", False, None):
+            new = rewrite_constraint(S, r.constraint, S.entry)
+            assert new is visited_set_rewrite(S, r.constraint, S.entry), r.source
+
+
+def test_until_rewrite_scales_to_a_5x6_grid():
+    # three rules as on the benchmark's grids; keyed on whole visited
+    # sets this encode took 41 s and 1 GB, keyed on frontiers 1.3 s
+    S = grid_building(5, 6, secure={"c1_1", "c1_3", "c2_4", "c3_1", "c3_2"})
+    reqs = parse_requirements("role = staff and badge => grant(id = c4_5)\n"
+                              "role = guest => grant(id = c4_3)\n"
+                              "role = guest => deny(zone = secure)\n", S.sig)
+    t0 = time.perf_counter()
+    f = cand([encode(S, r) for r in reqs])
+    elapsed = time.perf_counter() - t0
+    assert formula_size(f) == 6059          # as keyed on whole visited sets
+    assert elapsed < 15.0, elapsed
+
+
+def test_node_repr_grows_with_the_dag():
+    # a guard formula shares its until subproblems; printed as a tree,
+    # this 4x4 grid's ran to 117 characters per node (3x3: 32)
+    for n in (3, 4):
+        S = grid_building(n, n, secure={"c1_1"})
+        reqs = parse_requirements("role = staff => grant(id = c%d_%d)\n"
+                                  "role = guest => deny(zone = secure)\n" % (n - 1, n - 1),
+                                  S.sig)
+        f = cand([encode(S, r) for r in reqs])
+        text = repr(f)
+        assert " where _0 = " in text
+        assert len(text) < 50 * formula_size(f), (n, len(text), formula_size(f))
+
+
+def test_node_repr_names_each_shared_connective_once():
+    a, g = Atom("x", frozenset(["a"])), cguard(("p", "q"))
+    assert repr(CAnd((a, g))) == "CAnd((Atom('x', frozenset({'a'})), CGuard(('p', 'q'))))"
+    assert repr(CAnd((a,))) == "CAnd((Atom('x', frozenset({'a'})),))"
+    shared = COr((a, g))
+    assert repr(CAnd((shared, CNot(shared)))) == (
+        "CAnd((_0, Not(_0))) where _0 = COr((Atom('x', frozenset({'a'})), "
+        "CGuard(('p', 'q'))))")
+    deep = Atom("x", frozenset(["a"]))
+    for _ in range(5000):
+        deep = CNot(CAnd((deep, g)))
+    assert len(repr(deep)) < 5000 * 40
+
+
+def test_formula_edges_sums_arities():
+    a, b = x_eq(0), y_eq(1)
+    f = CAnd((COr((a, b)), CNot(COr((a, b))), a))
+    assert formula_edges(f) == 3 + 1 + 2
+    assert formula_edges(a) == 0
+    assert formula_edges(f) == sum(len(children(g)) for g in subformulas(f))
 
 
 def test_next_operators_rewrite(triangle):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -333,6 +334,32 @@ def test_short_input_nested_past_the_bound_is_refused(office):
     assert nesting(parse_constraint(deep, office.sig)) == MAX_NESTING
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_constraint("not " + deep, office.sig)
+
+
+def test_nesting_errors_quote_a_window_with_the_caret_where_the_bound_is_crossed(office):
+    # a 1,200-test `and` chain crosses the bound at its 400th `and`: the
+    # conjunction built there is the first to nest 401 nodes deep
+    text = " and ".join(["role = visitor"] * 1200)
+    with pytest.raises(ParseError, match="nested too deeply") as ei:
+        parse_target(text, office.sig)
+    crossing = [m.start() for m in re.finditer(" and ", text)][399] + 2
+    assert ei.value.col == crossing
+    message = str(ei.value)
+    assert len(message) < 200, len(message)
+    _, quote, caret = message.split("\n")
+    assert caret.endswith("^") and quote[len(caret) - 1:].startswith("and role")
+    # right-nested: the 101st of 500 `not`s builds the 401st level
+    with pytest.raises(ParseError, match="nested too deeply") as ei:
+        parse_constraint("not " * 500 + "sec_zone", office.sig)
+    assert ei.value.col == 4 * 100 + 1
+
+
+def test_parse_errors_quote_short_lines_whole(office):
+    line = "role = visitor => grant(id = mr"
+    with pytest.raises(ParseError) as ei:
+        parse_requirement(line, office.sig)
+    _, quote, caret = str(ei.value).split("\n")
+    assert quote == "  " + line and len(caret) == 2 + ei.value.col
 
 
 @st.composite
