@@ -5,12 +5,15 @@ requirement when universal untils call for it, optionally add a
 deny-by-default floor, encode the requirements once, expand them over
 a template, ground and solve request by request until the model holds
 at every request, extract a configuration, and verify it with the
-independent checker before handing it back. When the clause templates
-run out of room it escalates to the complete class template (one bit
-per door and request class), whose failure refutes every
-configuration, not just the searched family. Every template tried is
-recorded in stats["attempts"]; deriving and verifying the configuration
-found are timed as derive_seconds and verify_seconds.
+independent checker before handing it back. The templates are tried
+in the order: one clause, then the complete class template (one bit
+per door and request class), then 2 up to max_k clauses. The class
+template can express every configuration up to request class, so its
+failure refutes every configuration, not just the searched family,
+and no later template needs to run; when it succeeds its model is kept
+and answers if the wider clause templates fail too. Every template
+tried is recorded in stats["attempts"]; deriving and verifying the
+configuration found are timed as derive_seconds and verify_seconds.
 """
 
 from __future__ import annotations
@@ -139,6 +142,15 @@ def _solve(grounded: ControlFormula, template: Template, solver: str,
     raise ValueError("unknown solver %r" % solver)
 
 
+def _write_script(path: str, S: ResourceStructure, expanded: ControlFormula,
+                  template: Template) -> None:
+    """Write an expanded formula as an SMT-LIB script with the request
+    kept universally quantified."""
+    with open(path, "w") as fh:
+        fh.write(emit_smtlib(expanded, template.control_vars(),
+                             sig=S.sig, quantified=True))
+
+
 def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
@@ -146,7 +158,8 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     """Expand, ground and solve the guard formula over one template. Its
     sizes, seconds and counters go into stats["attempts"]; the top-level
     keys sum the seconds over all attempts and keep the rest of the
-    latest one.
+    latest one (synth puts back the class attempt's when its kept model
+    gives the answer).
 
     Grounding is counterexample-guided: solve over the instances of the
     requests picked so far (at first none, so the first model is all
@@ -170,9 +183,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     expanded = expand_guards(guard_formula, template)
     t1 = time.perf_counter()
     if emit_smt:
-        with open(emit_smt, "w") as fh:
-            fh.write(emit_smtlib(expanded, template.control_vars(),
-                                 sig=S.sig, quantified=True))
+        _write_script(emit_smt, S, expanded, template)
     store = encoder._Cnf(template.control_vars(), timeout)
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
@@ -234,10 +245,18 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     """Find a configuration making every requirement hold, or report
     that none exists in the searched space.
 
-    template may be "dnf" (clause templates of up to max_k clauses, then
-    the complete class template as a last resort), "complete" (the class
-    template directly), or a Template instance. complete_cap bounds the
-    number of request classes the class template may have. The
+    template may be "dnf", "complete" (the class template directly), or
+    a Template instance. "dnf" tries the one-clause template, then the
+    complete class template, then clause templates of 2 up to max_k
+    clauses. The class template's unsat answer is exhaustive and is
+    returned at once (stats["clauses_reached"] is then 1); its model,
+    when it has one, gives the configuration if every clause template
+    fails. With max_k of 0 or 1 the class template comes last, as the
+    only attempt or after the one-clause one. complete_cap bounds the
+    number of request classes the class template may have; past it the
+    clause templates still run, and the answer when they all fail is a
+    non-exhaustive unsat. timeout is one deadline per attempt, so the
+    class attempt can time out before two clauses are tried. The
     requirements are encoded once; every template tried expands that
     one guard formula.
     """
@@ -291,28 +310,50 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
             return finish_sat(template, model)
         return finish_unsat(False, "no candidate in the given template works")
 
-    if template == "dnf":
-        for k in range(1, max_k + 1):
+    # the class template is complete: its unsat answer is every wider
+    # clause template's too
+    widths = range(1, max_k + 1) if template == "dnf" else range(0)
+
+    def clause_attempts(ks: range) -> Optional[SynthesisResult]:
+        for k in ks:
             tpl = dnf_template(S, eff, k)
             stats["clauses_reached"] = k
             model = attempt(tpl)
             if model is not None:
                 return finish_sat(tpl, model)
+        return None
 
+    found = clause_attempts(widths[:1])
+    if found is not None:
+        return found
     try:
-        tpl = complete_template(S, eff, complete_cap)
+        complete = complete_template(S, eff, complete_cap)
     except CapExceeded as exc:
         if template == "complete":
             stats["total_seconds"] = time.perf_counter() - t_start
             return SynthesisResult("cap-exceeded", requirements=eff,
                                    message=str(exc), stats=stats)
+        found = clause_attempts(widths[1:])
+        if found is not None:
+            return found
         return finish_unsat(False,
                             "no clause policy with up to %d clauses works, and the "
                             "complete template is out of reach (%s)" % (max_k, exc))
-    model = attempt(tpl)
-    if model is not None:
-        return finish_sat(tpl, model)
-    return finish_unsat(True, "no configuration at all can satisfy these requirements")
+    complete_model = attempt(complete)
+    if complete_model is None:
+        return finish_unsat(True, "no configuration at all can satisfy these requirements")
+    complete_attempt = stats["attempts"][-1]
+    found = clause_attempts(widths[1:])
+    if found is not None:
+        return found
+    if widths[1:]:
+        # clause attempts ran after the class attempt, whose model answers:
+        # put back its sizes and counters at the top level, and its script
+        stats.update((key, value) for key, value in complete_attempt.items()
+                     if not key.endswith("_seconds"))
+        if emit_smt:
+            _write_script(emit_smt, S, expand_guards(guard_formula, complete), complete)
+    return finish_sat(complete, complete_model)
 
 
 def verify(S: ResourceStructure, reqs: Sequence[Requirement],

@@ -205,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--template", default="dnf",
                     help="dnf, complete, menu:FILE, or config:FILE (default dnf)")
     ps.add_argument("--max-k", type=int, default=3,
-                    help="largest clause count to try (default 3)")
+                    help="largest clause count to try; the complete class template "
+                         "runs after the one-clause attempt, or alone with 0 "
+                         "(default 3)")
     ps.add_argument("--solver", choices=["builtin", "external"], default="builtin")
     ps.add_argument("--solver-cmd", help="external solver command line")
     ps.add_argument("--timeout", type=float,

@@ -1,10 +1,13 @@
 import os
+import random
 import stat
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gatesynth import data
 from gatesynth.app import (
     DEADLOCK_SOURCE, DENY_DEFAULT_SOURCE, SynthesisError, classify,
     deny_by_default_requirement, effective_requirements, minimal_conflict,
@@ -12,13 +15,17 @@ from gatesynth.app import (
 )
 from gatesynth.classic import s_cs
 from gatesynth.formulas import (
-    AU, AX, BOOLEAN, ENUM, NEGATIVE, POSITIVE, RESOURCE, SUBJECT, UNKNOWN,
-    Atom, AttributeDecl, AttributeSignature, Not, Requirement, Top,
-    conj, deadlock_free_constraint, deny, falsum, grant, target_equiv,
+    AU, AX, BOOLEAN, CONTEXTUAL, ENUM, NEGATIVE, NUMERIC, POSITIVE, RESOURCE,
+    SUBJECT, UNKNOWN, Atom, AttributeDecl, AttributeSignature, Not, Requirement,
+    Top, conj, deadlock_free_constraint, deny, falsum, grant, target_equiv,
 )
-from gatesynth.model import ResourceStructure
+from gatesynth.model import ResourceStructure, config_to_json
 from gatesynth.rules import parse_request, parse_requirements, parse_target
-from gatesynth.templates import SingletonTemplate
+from gatesynth.templates import (
+    CapExceeded, SingletonTemplate, complete_template, dnf_template,
+)
+
+from genutil import random_model, random_pattern_requirement
 
 
 def vis_grants_vault(S):
@@ -115,15 +122,18 @@ def test_synth_records_every_attempt(office):
     res = synth(office, clash)
     assert res.outcome == "unsat" and res.exhaustive
     attempts = res.stats["attempts"]
-    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate"] * 3 + ["ClassTemplate"]
-    assert [a["template"].get("clauses") for a in attempts] == [1, 2, 3, None]
+    # the class template refutes right after the one-clause attempt
+    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate", "ClassTemplate"]
+    assert [a["template"].get("clauses") for a in attempts] == [1, None]
+    assert res.stats["clauses_reached"] == 1
     for key in ("ground_seconds", "solve_seconds"):
         assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts))
     last = attempts[-1]
     for key in ("expanded_size", "grounded_size", "control_vars", "control_bits",
                 "template"):
         assert res.stats[key] == last[key]
-    assert attempts[0]["control_bits"] < attempts[1]["control_bits"]
+    assert last["control_bits"] == last["template"]["classes"] * len(
+        office.controlled_edges())
     # the requirements are encoded once for the whole call, not per attempt
     assert res.stats["encode_seconds"] >= 0 and res.stats["guard_formula_size"] > 0
     for attempt in attempts:
@@ -145,6 +155,154 @@ def test_stats_report_guard_formula_edges_beside_its_nodes(office, office_reqs):
     for attempt in stats[0]["attempts"]:
         assert "guard_formula_edges" not in attempt
 
+
+# ---------------------------------------------------------------------------
+# The template ladder: k=1, the class template, then k=2..max_k
+# ---------------------------------------------------------------------------
+
+def class_last_ladder(S, reqs, max_k=3, complete_cap=4096):
+    """The reference ladder, with the class template last: clause
+    templates of width 1..max_k, then the class template, each through
+    synth with a Template instance. Returns what answer() returns."""
+    eff = effective_requirements(S, reqs)
+    for k in range(1, max_k + 1):
+        res = synth(S, reqs, template=dnf_template(S, eff, k))
+        if res.ok:
+            return answer(S, res)
+    try:
+        tpl = complete_template(S, eff, complete_cap)
+    except CapExceeded as exc:
+        return ("unsat", False, "no clause policy with up to %d clauses works, and "
+                "the complete template is out of reach (%s)" % (max_k, exc), None)
+    res = synth(S, reqs, template=tpl)
+    if res.ok:
+        return answer(S, res)
+    return ("unsat", True, "no configuration at all can satisfy these requirements",
+            None)
+
+
+def answer(S, res):
+    config = None if res.configuration is None else config_to_json(S, res.configuration)
+    return res.outcome, res.exhaustive, res.message, config
+
+
+def ladder(res):
+    return [(a["template"]["kind"], a["template"].get("clauses"))
+            for a in res.stats["attempts"]]
+
+
+def office_rules(extra=""):
+    with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
+        return fh.read() + extra
+
+
+# employees without the pin are kept out of the bureau outside opening
+# hours: the corridor door needs two clauses
+OFFICE_NEEDS_TWO_CLAUSES = (
+    "role = employee and not correct_pin and 0 <= time <= 7 => deny(id = bur)\n"
+    "role = employee and not correct_pin and 21 <= time <= 100000 => deny(id = bur)\n")
+
+# the office-conflict benchmark's rules at seed 1001: a wide visitor window
+# with one denied time inside it
+OFFICE_CONFLICT_RULES = """\
+role = visitor and 730 <= time <= 19930 => grant(id = mr)
+role = visitor => waypoint(id = lob, id = mr)
+role = employee and 8 <= time <= 20 => grant(id = bur)
+role = employee and correct_pin => grant(id = bur)
+role != employee => deny(sec_zone)
+role = visitor and 10232 <= time <= 10232 => deny(id = mr)
+"""
+
+
+def three_clause_door():
+    """One controlled door whose policy needs three clauses: a with the
+    flag, b without it, and c early, whatever the rest."""
+    sig = AttributeSignature([
+        AttributeDecl("role", SUBJECT, ENUM, ("a", "b", "c")),
+        AttributeDecl("flag", CONTEXTUAL, BOOLEAN),
+        AttributeDecl("time", CONTEXTUAL, NUMERIC),
+        AttributeDecl("id", RESOURCE, ENUM, ("out", "room")),
+    ])
+    S = ResourceStructure(sig, "out", {"out": {"id": "out"}, "room": {"id": "room"}},
+                          {("out", "room"): None, ("room", "out"): Top()})
+    S.validate()
+    reqs = parse_requirements("""\
+role = a and flag => grant(id = room)
+role = a and not flag => deny(id = room)
+role = b and not flag => grant(id = room)
+role = b and flag => deny(id = room)
+role = c and 0 <= time <= 5 => grant(id = room)
+role = c and 6 <= time <= 1000 => deny(id = room)
+""", sig)
+    return S, reqs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3), st.sampled_from([1, 4, 4096]))
+def test_the_ladder_answers_as_with_the_class_template_last_on_random_rules(
+        seed, max_k, cap):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True, max_symbols=3)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 5))]
+    res = synth(S, reqs, max_k=max_k, complete_cap=cap)
+    assert answer(S, res) == class_last_ladder(S, reqs, max_k, cap)
+
+
+@pytest.mark.parametrize("max_k", [0, 1, 2, 3])
+def test_the_ladder_answers_as_with_the_class_template_last_on_fixed_rules(
+        office, firm, firm_reqs, max_k):
+    cases = [(S, parse_requirements(text, S.sig)) for S, text in (
+        (office, office_rules()),
+        (office, office_rules(OFFICE_NEEDS_TWO_CLAUSES)),
+        (office, OFFICE_CONFLICT_RULES),
+    )] + [(firm, firm_reqs), three_clause_door()]
+    for S, reqs in cases:
+        # a cap of 1 puts the class template out of reach
+        for cap in (1, 4096):
+            assert answer(S, synth(S, reqs, max_k=max_k, complete_cap=cap)) == \
+                class_last_ladder(S, reqs, max_k, cap)
+
+
+def test_the_class_template_comes_right_after_one_clause(office):
+    reqs = parse_requirements(office_rules(OFFICE_NEEDS_TWO_CLAUSES), office.sig)
+    res = synth(office, reqs)
+    assert res.ok and res.stats["clauses_reached"] == 2
+    assert ladder(res) == [("DnfTemplate", 1), ("ClassTemplate", None),
+                           ("DnfTemplate", 2)]
+    assert res.stats["template"] == res.stats["attempts"][-1]["template"]
+    # a refutation needs the one-clause attempt and the class attempt only
+    clash = parse_requirements(OFFICE_CONFLICT_RULES, office.sig)
+    for max_k in (1, 2, 3):
+        res = synth(office, clash, max_k=max_k)
+        assert res.outcome == "unsat" and res.exhaustive
+        assert ladder(res) == [("DnfTemplate", 1), ("ClassTemplate", None)]
+        assert res.stats["clauses_reached"] == 1
+
+
+def test_the_class_model_answers_when_every_clause_template_fails(tmp_path):
+    S, reqs = three_clause_door()
+    script = tmp_path / "ladder.smt2"
+    res = synth(S, reqs, max_k=2, emit_smt=str(script))
+    assert res.ok and res.stats["clauses_reached"] == 2
+    # the class attempt ran once; its model gave the configuration
+    assert ladder(res) == [("DnfTemplate", 1), ("ClassTemplate", None),
+                           ("DnfTemplate", 2)]
+    complete_script = tmp_path / "complete.smt2"
+    complete = synth(S, reqs, template="complete", emit_smt=str(complete_script))
+    assert config_to_json(S, res.configuration) == config_to_json(
+        S, complete.configuration)
+    assert script.read_text() == complete_script.read_text()
+    # the top-level keys describe the class attempt, the seconds sum all three
+    attempts = res.stats["attempts"]
+    for key, value in attempts[1].items():
+        if key.endswith("_seconds"):
+            assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts)), key
+        else:
+            assert res.stats[key] == value == complete.stats[key], key
+    # three clauses are enough
+    res = synth(S, reqs, max_k=3)
+    assert res.ok and ladder(res)[-1] == ("DnfTemplate", 3)
 
 STAGES = ("expand_seconds", "ground_seconds", "cnf_seconds", "solve_seconds")
 

@@ -46,6 +46,18 @@ def test_synth_explains_an_unsat_core(tmp_path, capsys, triangle):
     assert "first requirement" not in captured.err
 
 
+def test_synth_says_no_after_two_attempts(tmp_path, capsys):
+    rules = tmp_path / "conflict.rules"
+    with open(OFFICE_RULES) as fh:
+        rules.write_text(fh.read() + "role = visitor and 14 <= time <= 14 => deny(id = mr)\n")
+    code = main(["synth", OFFICE, str(rules), "--stats=json", "--no-explain"])
+    captured = capsys.readouterr()
+    assert code == 1
+    stats_line, verdict = captured.err.splitlines()
+    assert verdict == "unsat: no configuration at all can satisfy these requirements"
+    attempts = json.loads(stats_line)["attempts"]
+    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate", "ClassTemplate"]
+
 def test_synth_with_a_menu_template(tmp_path, capsys, triangle):
     model = tmp_path / "triangle.json"
     save_model(triangle, str(model))

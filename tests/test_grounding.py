@@ -147,15 +147,18 @@ def test_attempts_record_the_loop_and_the_solver(office, office_reqs):
 
 def test_synth_encodes_each_requirement_once(monkeypatch, office):
     # the office rules plus a rule denying visitors the meeting room
-    # inside their granted window: no clause template works, so all four
-    # templates of the ladder are tried
+    # inside their granted window: the one-clause template fails and the
+    # class template refutes, so the ladder stops after those two
     with open(data.path(data.OFFICE_REQUIREMENTS)) as fh:
         text = fh.read() + "role = visitor and 14 <= time <= 14 => deny(id = mr)\n"
     reqs = parse_requirements(text, office.sig)
     calls = []
     monkeypatch.setattr(app, "encode", lambda S, r: calls.append(r) or encode(S, r))
     res = synth(office, reqs)
-    assert res.outcome == "unsat" and len(res.stats["attempts"]) == 4
+    assert res.outcome == "unsat" and res.exhaustive
+    attempts = res.stats["attempts"]
+    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate", "ClassTemplate"]
+    assert [a["template"].get("clauses") for a in attempts] == [1, None]
     assert calls == res.requirements
 
 
