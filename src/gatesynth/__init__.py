@@ -12,7 +12,7 @@ verification checks any given policy set independently.
 __version__ = "0.1.0"
 
 from .formulas import (
-    AU, AX, BOTTOM, EF, EU, EX, AG, NEGATIVE, POSITIVE, UNKNOWN,
+    AF, AG, AU, AX, BOTTOM, EF, EG, EU, EX, NEGATIVE, POSITIVE, UNKNOWN,
     AccessRequest, And, Atom, AttributeDecl, AttributeSignature, Formula,
     Not, Requirement, Top, Value, blocking, build_regions, conj,
     deadlock_free_constraint, deny, disj, falsum, grant, implies, neg,

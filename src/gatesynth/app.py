@@ -38,6 +38,7 @@ from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
     restrict, to_dot,
 )
+from .rules import format_request
 from .templates import CapExceeded, Template, complete_template, dnf_template
 
 
@@ -450,7 +451,7 @@ def simulate(S: ResourceStructure, config: Configuration,
     reachable = sorted(sub.reachable())
     stranded = [r for r in S.nodes if r not in reachable]
     dot = to_dot(S, config, granted=granted,
-                 title="request " + ", ".join("%s=%s" % (a, q[a]) for a in sorted(q)))
+                 title="request " + format_request(q, S.sig))
     return SimulationReport(dict(q), granted, denied, reachable, stranded, dot)
 
 

@@ -17,14 +17,14 @@ from typing import List, Optional
 from . import __version__
 from .app import minimal_conflict, simulate, synth, verify
 from .encoder import SolverError
-from .formulas import BOTTOM, RESOURCE, Requirement, format_value
+from .formulas import BOTTOM, RESOURCE, Requirement
 from .model import (
     ModelError, SynthesisError, _expect, _parse_edge_key, load_config,
     load_model, save_config, save_model, scale_replicate,
 )
 from .rules import (
-    ParseError, format_requirement, format_target, parse_constraint,
-    parse_request, parse_requirements, parse_target,
+    ParseError, format_request, format_requirement, format_target,
+    parse_constraint, parse_request, parse_requirements, parse_target,
 )
 from .templates import MenuTemplate, SingletonTemplate
 
@@ -95,9 +95,8 @@ def _print_report(S, report) -> None:
         if v.ok:
             print("PASS  %s" % name)
         else:
-            request = ", ".join("%s=%s" % (a, format_value(v.witness[a]))
-                                for a in sorted(v.witness))
-            print("FAIL  %s  [witness request: %s]" % (name, request))
+            print("FAIL  %s  [witness request: %s]"
+                  % (name, format_request(v.witness, S.sig)))
 
 
 def _cmd_synth(args) -> int:

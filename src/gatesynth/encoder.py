@@ -35,10 +35,12 @@ Walks over them are formulas.subformulas(); this module keeps only the
 smart constructors, the rewrite, substitute(), the solver and the
 SMT-LIB printer.
 
-The until rewrites unroll simple paths. A space where the right side
-holds outright settles the until as true, and one where the left side
-fails outright settles it as the right side's rewrite; the unrolling
-stops there. Elsewhere it steps to every successor not yet visited, so
+Both untils share one unrolling over simple paths. A space where the
+right side holds outright settles the until as true, and one where the
+left side fails outright settles it as the right side's rewrite; the
+unrolling stops there. Elsewhere it steps to every successor not yet
+visited, through some open door (E) or every open door (A); a door
+back into a visited space is dropped by E and must be shut under A. So
 its result at a space reads the visited set only through membership
 tests on the successors of the unsettled spaces it can still reach
 without re-entering that set. Its memo therefore keys on those visited
@@ -245,10 +247,8 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         elif isinstance(f, AX):
             out = cand([cimplies(guard[(r, s)], tau(f.sub, s))
                         for s in S.successors(r)])
-        elif isinstance(f, EU):
-            out = tau_eu(f, r, frozenset())
-        elif isinstance(f, AU):
-            out = tau_au(f, r, frozenset())
+        elif isinstance(f, (EU, AU)):
+            out = tau_until(f, r, frozenset())
         else:
             raise TypeError("unknown formula node %r" % (f,))
         memo[key] = out
@@ -284,7 +284,9 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
                     stack.append(s)
         return frozenset(hit)
 
-    def tau_eu(f: EU, r: str, visited: FrozenSet[str]) -> ControlFormula:
+    def tau_until(f: Formula, r: str, visited: FrozenSet[str]) -> ControlFormula:
+        """The until f at r over the simple paths that avoid `visited`;
+        E and A differ only in how a step combines the successors."""
         out = settled(f, r)
         if out is not None:
             return out
@@ -293,27 +295,14 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         got = memo_u.get(key)
         if got is not None:
             return got
-        step = cor([cand([guard[(r, s)], tau_eu(f, s, visited | {r})])
-                    for s in S.successors(r) if s not in visited])
-        out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
-        memo_u[key] = out
-        return out
-
-    def tau_au(f: AU, r: str, visited: FrozenSet[str]) -> ControlFormula:
-        out = settled(f, r)
-        if out is not None:
-            return out
-        visited = frontier(f, r, visited)
-        key = (f, r, visited)
-        got = memo_u.get(key)
-        if got is not None:
-            return got
+        later = visited | {r}
         fresh = [s for s in S.successors(r) if s not in visited]
-        stale = [s for s in S.successors(r) if s in visited]
-        all_fresh = cand([cimplies(guard[(r, s)], tau_au(f, s, visited | {r}))
-                          for s in fresh])
-        no_loop_back = cand([cnot(guard[(r, s)]) for s in stale])
-        out = cor([tau(f.right, r), cand([tau(f.left, r), all_fresh, no_loop_back])])
+        if isinstance(f, EU):
+            step = cor([cand([guard[(r, s)], tau_until(f, s, later)]) for s in fresh])
+        else:
+            step = cand([cimplies(guard[(r, s)], tau_until(f, s, later)) for s in fresh]
+                        + [cnot(guard[(r, s)]) for s in S.successors(r) if s in visited])
+        out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
         memo_u[key] = out
         return out
 

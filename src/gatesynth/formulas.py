@@ -477,6 +477,14 @@ def AG(f: Formula) -> Formula:
     return Not(EU(Top(), Not(f)))
 
 
+def AF(f: Formula) -> Formula:
+    return AU(Top(), f)
+
+
+def EG(f: Formula) -> Formula:
+    return Not(AU(Top(), Not(f)))
+
+
 def release(a: Formula, b: Formula) -> Formula:
     """A[a R b] in its literal dual form."""
     return Not(EU(Not(a), Not(b)))

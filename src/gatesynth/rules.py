@@ -7,7 +7,10 @@ One requirement per line:
 where the body is a pattern call (grant, deny, waypoint, blocking) or a
 raw branching-time formula. `#` starts a comment. Operator precedence,
 tightest first: not and the unary temporal operators, `and`, `or`,
-`->` (right associative).
+`->` (right associative). The temporal operators and the patterns are
+looked up in tables (_PREFIX, _PATH, _PATTERNS) that name the
+constructor of formulas each one stands for, so the parser builds
+exactly what those constructors build.
 
 Membership shorthands, all desugared at parse time:
 
@@ -30,18 +33,30 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .formulas import (
-    AU, AX, BOOLEAN, BOTTOM, ENUM, EU, EX, NEGATIVE, NUMERIC,
+    AF, AG, AU, AX, BOOLEAN, BOTTOM, EF, EG, ENUM, EU, EX, NEGATIVE, NUMERIC,
     POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom,
     AttributeSignature, Formula, IntervalSet, Not, Requirement, Top, Value,
     ValueSet, blocking, children, deny, disj, falsum, format_value, grant,
-    implies, intervals_of, is_deadlock_freeness, validate_constraint,
+    implies, intervals_of, is_deadlock_freeness, release, validate_constraint,
     validate_target, value_key, waypoint,
 )
 
+# The temporal operators: prefix ones by keyword, path ones by
+# quantifier and separator, each with the constructor it stands for.
+_PREFIX = {"EX": EX, "AX": AX, "EF": EF, "AG": AG, "AF": AF, "EG": EG}
+_PATH = {("E", "U"): EU, ("A", "U"): AU, ("A", "R"): release}
+
+# The requirement patterns: name -> (constructor, arity, polarity).
+_PATTERNS = {
+    "grant": (grant, 1, POSITIVE),
+    "deny": (deny, 1, NEGATIVE),
+    "waypoint": (waypoint, 2, NEGATIVE),
+    "blocking": (blocking, 2, NEGATIVE),
+}
+
 RESERVED = {
-    "and", "or", "not", "true", "false", "bot", "in",
-    "E", "A", "U", "R", "EX", "AX", "EF", "AG", "AF", "EG",
-    "grant", "deny", "waypoint", "blocking",
+    "and", "or", "not", "true", "false", "bot", "in", "E", "A", "U", "R",
+    *_PREFIX, *_PATTERNS,
 }
 
 _TOKEN_RE = re.compile(r"""
@@ -182,25 +197,15 @@ class _Parser:
 
     def body(self) -> Tuple[Formula, str]:
         t = self.peek()
-        if t.kind == "ident" and t.value in ("grant", "deny") \
-                and self.tokens[self.i + 1].value == "(":
-            name = self.next().value
+        if t.value in _PATTERNS and self.tokens[self.i + 1].value == "(":
+            build, arity, polarity = _PATTERNS[self.next().value]
             self.expect("(")
-            goal = self.expression(True)
+            args = [self.expression(True)]
+            while len(args) < arity:
+                self.expect(",")
+                args.append(self.expression(True))
             self.expect(")")
-            if name == "grant":
-                return self.nested(grant(goal), t), POSITIVE
-            return self.nested(deny(goal), t), NEGATIVE
-        if t.kind == "ident" and t.value in ("waypoint", "blocking") \
-                and self.tokens[self.i + 1].value == "(":
-            name = self.next().value
-            self.expect("(")
-            first = self.expression(True)
-            self.expect(",")
-            second = self.expression(True)
-            self.expect(")")
-            f = waypoint(first, second) if name == "waypoint" else blocking(first, second)
-            return self.nested(f, t), NEGATIVE
+            return self.nested(build(*args), t), polarity
         f = self.expression(True)
         if is_deadlock_freeness(f):
             return f, NEGATIVE
@@ -247,43 +252,23 @@ class _Parser:
         if t.value == "not":
             self.next()
             return self.nested(Not(self.unary(temporal)), t)
-        if t.kind == "ident" and t.value in ("EX", "AX", "EF", "AG", "AF", "EG", "E", "A"):
+        if t.value in _PREFIX or t.value in ("E", "A"):
             if not temporal:
                 self.fail("temporal operator %r not allowed in a target" % t.value)
-            if t.value in ("EX", "AX", "EF", "AG", "AF", "EG"):
-                self.next()
-                sub = self.unary(temporal)
-                if t.value == "EX":
-                    f: Formula = EX(sub)
-                elif t.value == "AX":
-                    f = AX(sub)
-                elif t.value == "EF":
-                    f = EU(Top(), sub)
-                elif t.value == "AG":
-                    f = Not(EU(Top(), Not(sub)))
-                elif t.value == "AF":
-                    f = AU(Top(), sub)
-                else:
-                    f = Not(AU(Top(), Not(sub)))
-                return self.nested(f, t)
+            self.next()
+            if t.value in _PREFIX:
+                return self.nested(_PREFIX[t.value](self.unary(temporal)), t)
             # E[.. U ..] / A[.. U ..] / A[.. R ..]
-            quant = self.next().value
             self.expect("[")
             left = self.expression(temporal)
             sep = self.next()
             if sep.value not in ("U", "R"):
                 self.fail("expected U or R inside the path operator", sep)
-            if sep.value == "R" and quant == "E":
+            if (t.value, sep.value) not in _PATH:
                 self.fail("release is only supported under A[..]", sep)
             right = self.expression(temporal)
             self.expect("]")
-            if quant == "E":
-                f = EU(left, right)
-            elif sep.value == "U":
-                f = AU(left, right)
-            else:
-                f = Not(EU(Not(left), Not(right)))
-            return self.nested(f, t)
+            return self.nested(_PATH[t.value, sep.value](left, right), t)
         return self.primary(temporal)
 
     def primary(self, temporal: bool) -> Formula:

@@ -166,6 +166,10 @@ class DnfTemplate(Template):
     maxima or unbounded. Unbounded intervals admit the unset value,
     bounded ones do not, matching how the comparison shorthands treat
     missing attributes.
+
+    Each edge's policy is built once, and each control variable is
+    declared where the policy first mentions it: clause by clause, test
+    by test. That order is the order the solver decides them in.
     """
 
     def __init__(self, S: ResourceStructure, k: int,
@@ -180,15 +184,14 @@ class DnfTemplate(Template):
             raise ValueError("clause templates need at least one request attribute")
         self._vars: List[ControlVar] = []
         self._names: Dict[Tuple, str] = {}
-        self._build_vars()
+        for ei, e in enumerate(S.controlled_edges()):
+            self._policies[e] = cor([self._clause(ei, j) for j in range(k)])
 
-    # -- variable layout ---------------------------------------------------
-
-    def _add(self, key: Tuple, name: str, size: int) -> ControlVar:
-        v = ControlVar(name, size)
-        self._vars.append(v)
+    def _var(self, name: str, size: int, *key) -> str:
+        """Declare the next control variable; _name(*key) finds it again."""
+        self._vars.append(ControlVar(name, size))
         self._names[key] = name
-        return v
+        return name
 
     def _value_domain(self, attr: str) -> List[Value]:
         d = self.sig.get(attr)
@@ -200,25 +203,6 @@ class DnfTemplate(Template):
         lowers, uppers = self.numeric_bounds.get(attr, ([0], [None]))
         return (lowers or [0]), (uppers or [None])
 
-    def _build_vars(self):
-        for ei in range(len(self.S.controlled_edges())):
-            for j in range(self.k):
-                self._add(("clause", ei, j), "cl_%d_%d" % (ei, j), 2)
-                for t in range(self.k):
-                    base = "t_%d_%d_%d" % (ei, j, t)
-                    self._add(("use", ei, j, t), base + "_use", 2)
-                    self._add(("attr", ei, j, t), base + "_attr", len(self.attrs))
-                    for a in self.attrs:
-                        decl = self.sig.get(a)
-                        if decl.kind == NUMERIC:
-                            lowers, uppers = self._bounds(a)
-                            self._add(("lo", ei, j, t, a), "%s_%s_lo" % (base, a), len(lowers))
-                            self._add(("hi", ei, j, t, a), "%s_%s_hi" % (base, a), len(uppers))
-                        else:
-                            dom = self._value_domain(a)
-                            self._add(("op", ei, j, t, a), "%s_%s_op" % (base, a), 2)
-                            self._add(("val", ei, j, t, a), "%s_%s_val" % (base, a), len(dom))
-
     def control_vars(self) -> List[ControlVar]:
         return list(self._vars)
 
@@ -227,12 +211,24 @@ class DnfTemplate(Template):
 
     # -- symbolic policy ---------------------------------------------------
 
-    def _test_formula(self, ei: int, j: int, t: int, attr: str) -> ControlFormula:
-        decl = self.sig.get(attr)
-        if decl.kind == NUMERIC:
+    def _clause(self, ei: int, j: int) -> ControlFormula:
+        on = self._var("cl_%d_%d" % (ei, j), 2, "clause", ei, j)
+        return cand([CVarEq(on, 1)] + [self._test(ei, j, t) for t in range(self.k)])
+
+    def _test(self, ei: int, j: int, t: int) -> ControlFormula:
+        base = "t_%d_%d_%d" % (ei, j, t)
+        use = self._var(base + "_use", 2, "use", ei, j, t)
+        which = self._var(base + "_attr", len(self.attrs), "attr", ei, j, t)
+        picked = cor([cand([CVarEq(which, ai), self._test_formula(base, ei, j, t, a)])
+                      for ai, a in enumerate(self.attrs)])
+        return cor([CVarEq(use, 0), cand([CVarEq(use, 1), picked])])
+
+    def _test_formula(self, base: str, ei: int, j: int, t: int, attr: str) -> ControlFormula:
+        key = (ei, j, t, attr)
+        if self.sig.get(attr).kind == NUMERIC:
             lowers, uppers = self._bounds(attr)
-            lo_var = self._name("lo", ei, j, t, attr)
-            hi_var = self._name("hi", ei, j, t, attr)
+            lo_var = self._var("%s_%s_lo" % (base, attr), len(lowers), "lo", *key)
+            hi_var = self._var("%s_%s_hi" % (base, attr), len(uppers), "hi", *key)
             lo_part = cor([cand([CVarEq(lo_var, i),
                                  cnot(Atom(attr, IntervalSet([(0, lo - 1)]))) if lo > 0
                                  else Top()]) for i, lo in enumerate(lowers)])
@@ -240,29 +236,16 @@ class DnfTemplate(Template):
                                  Atom(attr, IntervalSet([(0, hi)])) if hi is not None
                                  else Top()]) for i, hi in enumerate(uppers)])
             return cand([lo_part, hi_part])
-        op_var = self._name("op", ei, j, t, attr)
-        val_var = self._name("val", ei, j, t, attr)
+        dom = self._value_domain(attr)
+        op_var = self._var("%s_%s_op" % (base, attr), 2, "op", *key)
+        val_var = self._var("%s_%s_val" % (base, attr), len(dom), "val", *key)
         cases = []
-        for i, v in enumerate(self._value_domain(attr)):
+        for i, v in enumerate(dom):
             atom = Atom(attr, frozenset([v]))
             cases.append(cand([CVarEq(val_var, i),
                                cor([cand([CVarEq(op_var, 0), atom]),
                                     cand([CVarEq(op_var, 1), cnot(atom)])])]))
         return cor(cases)
-
-    def _controlled_policy(self, e: Edge) -> ControlFormula:
-        ei = self.S.controlled_edges().index(e)
-        clauses = []
-        for j in range(self.k):
-            tests = []
-            for t in range(self.k):
-                picked = cor([cand([CVarEq(self._name("attr", ei, j, t), ai),
-                                    self._test_formula(ei, j, t, a)])
-                              for ai, a in enumerate(self.attrs)])
-                tests.append(cor([CVarEq(self._name("use", ei, j, t), 0),
-                                  cand([CVarEq(self._name("use", ei, j, t), 1), picked])]))
-            clauses.append(cand([CVarEq(self._name("clause", ei, j), 1)] + tests))
-        return cor(clauses)
 
     def describe(self) -> Dict[str, object]:
         d = super().describe()

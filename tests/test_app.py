@@ -506,6 +506,14 @@ def test_simulate(office, office_published):
     assert "digraph" in sim.dot and "time=9" in sim.dot
 
 
+def test_simulate_titles_the_request_as_parse_request_reads_it(office, office_published):
+    q = parse_request("role = employee, correct_pin = true", office.sig)
+    sim = simulate(office, office_published, q)
+    title = sim.dot.splitlines()[0]
+    assert title == 'digraph "request role=employee, time=bot, correct_pin=true" {'
+    assert parse_request(title.split('"')[1][len("request "):], office.sig) == q
+
+
 def test_minimal_conflict(triangle):
     good = vis_grants_vault(triangle)
     bad = vis_denied_vault(triangle)

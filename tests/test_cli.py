@@ -7,7 +7,7 @@ from gatesynth.app import verify
 from gatesynth import cli
 from gatesynth.cli import main
 from gatesynth.model import SynthesisError, load_config, load_model, save_model
-from gatesynth.rules import MAX_NESTING
+from gatesynth.rules import MAX_NESTING, format_request, parse_request
 
 OFFICE = data.path(data.OFFICE_MODEL)
 OFFICE_RULES = data.path(data.OFFICE_REQUIREMENTS)
@@ -105,6 +105,21 @@ def test_verify_fail_names_a_witness(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in captured.out
     assert "witness request" in captured.out
+
+
+def test_verify_prints_a_witness_request_that_parses_back(tmp_path, capsys):
+    with open(OFFICE_CONFIG) as fh:
+        doc = json.load(fh)
+    doc["cor->bur"] = "role = employee and not correct_pin"
+    bad = tmp_path / "no_pin.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", OFFICE, OFFICE_RULES, str(bad)]) == 1
+    S = load_model(OFFICE)
+    witnesses = [line.split("[witness request: ")[1].rstrip("]")
+                 for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert "role=employee, time=bot, correct_pin=true" in witnesses
+    for text in witnesses:
+        assert format_request(parse_request(text, S.sig), S.sig) == text
 
 
 def test_check_plain_and_restricted(capsys):

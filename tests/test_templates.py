@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth.app import effective_requirements
 from gatesynth.encoder import (
-    CTrue, CVarEq, cand, cor, emit_smtlib, encode, eval_formula, expand_guards,
-    ground_forall, target_to_control,
+    CTrue, CVarEq, ControlVar, cand, cnot, cor, emit_smtlib, encode,
+    eval_formula, expand_guards, ground_forall, target_to_control,
 )
 from gatesynth.formulas import (
     BOTTOM, NUMERIC, And, Atom, IntervalSet, Not, Top, build_regions,
@@ -242,6 +242,96 @@ def old_dnf_derive(tpl, m):
         policy = functools.reduce(disj, clauses) if clauses else falsum()
         out[e] = simplify_policy(policy, tpl.sig)
     return out
+
+
+def old_dnf_layout(tpl):
+    """The clause template's variables and policies as the two-pass
+    template built them: the whole variable layout first, then each
+    edge's policy by key lookup into that layout."""
+    layout, names = [], {}
+
+    def add(key, name, size):
+        layout.append(ControlVar(name, size))
+        names[key] = name
+
+    edges = tpl.S.controlled_edges()
+    for ei in range(len(edges)):
+        for j in range(tpl.k):
+            add(("clause", ei, j), "cl_%d_%d" % (ei, j), 2)
+            for t in range(tpl.k):
+                base = "t_%d_%d_%d" % (ei, j, t)
+                add(("use", ei, j, t), base + "_use", 2)
+                add(("attr", ei, j, t), base + "_attr", len(tpl.attrs))
+                for a in tpl.attrs:
+                    if tpl.sig.get(a).kind == NUMERIC:
+                        lowers, uppers = tpl._bounds(a)
+                        add(("lo", ei, j, t, a), "%s_%s_lo" % (base, a), len(lowers))
+                        add(("hi", ei, j, t, a), "%s_%s_hi" % (base, a), len(uppers))
+                    else:
+                        dom = tpl._value_domain(a)
+                        add(("op", ei, j, t, a), "%s_%s_op" % (base, a), 2)
+                        add(("val", ei, j, t, a), "%s_%s_val" % (base, a), len(dom))
+
+    def test_formula(ei, j, t, attr):
+        if tpl.sig.get(attr).kind == NUMERIC:
+            lowers, uppers = tpl._bounds(attr)
+            lo_var, hi_var = names["lo", ei, j, t, attr], names["hi", ei, j, t, attr]
+            lo_part = cor([cand([CVarEq(lo_var, i),
+                                 cnot(Atom(attr, IntervalSet([(0, lo - 1)]))) if lo > 0
+                                 else CTrue()]) for i, lo in enumerate(lowers)])
+            hi_part = cor([cand([CVarEq(hi_var, i),
+                                 Atom(attr, IntervalSet([(0, hi)])) if hi is not None
+                                 else CTrue()]) for i, hi in enumerate(uppers)])
+            return cand([lo_part, hi_part])
+        op_var, val_var = names["op", ei, j, t, attr], names["val", ei, j, t, attr]
+        cases = []
+        for i, v in enumerate(tpl._value_domain(attr)):
+            atom = Atom(attr, frozenset([v]))
+            cases.append(cand([CVarEq(val_var, i),
+                               cor([cand([CVarEq(op_var, 0), atom]),
+                                    cand([CVarEq(op_var, 1), cnot(atom)])])]))
+        return cor(cases)
+
+    def policy(ei):
+        clauses = []
+        for j in range(tpl.k):
+            tests = []
+            for t in range(tpl.k):
+                picked = cor([cand([CVarEq(names["attr", ei, j, t], ai),
+                                    test_formula(ei, j, t, a)])
+                              for ai, a in enumerate(tpl.attrs)])
+                use = names["use", ei, j, t]
+                tests.append(cor([CVarEq(use, 0), cand([CVarEq(use, 1), picked])]))
+            clauses.append(cand([CVarEq(names["clause", ei, j], 1)] + tests))
+        return cor(clauses)
+
+    return layout, {e: policy(ei) for ei, e in enumerate(edges)}
+
+
+def assert_two_pass_layout(tpl):
+    """Same variables in the same order (the solver's decision order),
+    and every controlled edge's policy the very node built before."""
+    layout, policies = old_dnf_layout(tpl)
+    assert [(v.name, v.size) for v in tpl.control_vars()] == \
+        [(v.name, v.size) for v in layout]
+    assert list(policies) == tpl.edges()
+    for e, policy in policies.items():
+        assert tpl.edge_policy_formula(e) is policy, e
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_clause_template_lays_out_what_the_two_pass_template_did(
+        k, office, office_reqs, firm, firm_reqs):
+    for S, reqs in ((office, office_reqs), (firm, firm_reqs)):
+        assert_two_pass_layout(dnf_template(S, effective_requirements(S, reqs), k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_clause_template_layout_on_random_buildings(seed):
+    _, S, eff = random_setting(seed)
+    for k in (1, 2, 3):
+        assert_two_pass_layout(dnf_template(S, eff, k))
 
 
 def old_class_derive(tpl, m):
