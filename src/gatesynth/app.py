@@ -155,7 +155,7 @@ def _write_script(path: str, S: ResourceStructure, expanded: ControlFormula,
 def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
-             stats: Dict[str, object]):
+             stats: Dict[str, object], build_seconds: float = 0.0):
     """Expand, ground and solve the guard formula over one template. Its
     sizes, seconds and counters go into stats["attempts"]; the top-level
     keys sum the seconds over all attempts and keep the rest of the
@@ -175,8 +175,9 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     is checked before every solver call, inside the built-in search, and
     it bounds every external solver run.
 
-    The stage seconds are disjoint: expand_seconds the template
-    expansion, ground_seconds the instances and the counterexample
+    The stage seconds are disjoint: expand_seconds the template's
+    construction (build_seconds, timed by the caller) and expansion,
+    ground_seconds the instances and the counterexample
     checks, cnf_seconds the built-in solver's translation to clauses,
     and solve_seconds the rest of the solver calls (the search, or the
     external runs)."""
@@ -218,7 +219,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
         "regions": regions,
         "instances": len(instances),
         "iterations": len(instances) + 1,
-        "expand_seconds": t1 - t0,
+        "expand_seconds": build_seconds + t1 - t0,
         "ground_seconds": ground_seconds,
         "cnf_seconds": cnf_seconds,
         "solve_seconds": solve_seconds - cnf_seconds,
@@ -259,7 +260,8 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     non-exhaustive unsat. timeout is one deadline per attempt, so the
     class attempt can time out before two clauses are tried. The
     requirements are encoded once; every template tried expands that
-    one guard formula.
+    one guard formula. solver_cmd is the external solver's command
+    line; giving one with the built-in solver is a ValueError.
     """
     if max_k < 0:
         raise ValueError("max_k must be at least 0, got %d" % max_k)
@@ -269,6 +271,8 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         raise ValueError("timeout must be at least 0 seconds, got %r" % timeout)
     if not isinstance(template, Template) and template not in ("dnf", "complete"):
         raise ValueError("template must be 'dnf', 'complete', or a Template")
+    if solver_cmd is not None and solver != "external":
+        raise ValueError("a solver command is for the external solver only")
     eff = effective_requirements(S, reqs, deadlock_free, deny_by_default,
                                  entry_label)
     stats: Dict[str, object] = {"solver": solver, "requirements": len(eff)}
@@ -301,9 +305,9 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         return SynthesisResult("unsat", requirements=eff, exhaustive=exhaustive,
                                message=message, stats=stats)
 
-    def attempt(tpl: Template):
+    def attempt(tpl: Template, build_seconds: float = 0.0):
         return _attempt(S, guard_formula, tpl, solver, solver_cmd, timeout,
-                        emit_smt, stats)
+                        emit_smt, stats, build_seconds)
 
     if isinstance(template, Template):
         model = attempt(template)
@@ -317,9 +321,10 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
 
     def clause_attempts(ks: range) -> Optional[SynthesisResult]:
         for k in ks:
+            t_build = time.perf_counter()
             tpl = dnf_template(S, eff, k)
             stats["clauses_reached"] = k
-            model = attempt(tpl)
+            model = attempt(tpl, time.perf_counter() - t_build)
             if model is not None:
                 return finish_sat(tpl, model)
         return None
@@ -327,6 +332,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     found = clause_attempts(widths[:1])
     if found is not None:
         return found
+    t_build = time.perf_counter()
     try:
         complete = complete_template(S, eff, complete_cap)
     except CapExceeded as exc:
@@ -340,7 +346,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         return finish_unsat(False,
                             "no clause policy with up to %d clauses works, and the "
                             "complete template is out of reach (%s)" % (max_k, exc))
-    complete_model = attempt(complete)
+    complete_model = attempt(complete, time.perf_counter() - t_build)
     if complete_model is None:
         return finish_unsat(True, "no configuration at all can satisfy these requirements")
     complete_attempt = stats["attempts"][-1]

@@ -131,10 +131,11 @@ def holds(S: ResourceStructure, c: Configuration,
           reqs: Sequence[Requirement]) -> HoldsReport:
     """Check every requirement against every request class.
 
-    Requests are sampled one per region: the classes into which the
-    mentioned membership tests split the request space. Two requests in
-    the same region open exactly the same edges and match exactly the
-    same targets, so the sample is exhaustive.
+    Requests are sampled one per region: one per vector of verdicts over
+    the membership tests that the targets and the edge policies make.
+    Two requests in the same region open exactly the same edges and
+    match exactly the same targets, so the sample is exhaustive, and no
+    two samples are alike on all of them.
     """
     regions = build_regions(S.sig, verification_atoms(S, c, reqs))
     verdicts = [RequirementVerdict(i, r, True) for i, r in enumerate(reqs)]

@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "runs after the one-clause attempt, or alone with 0 "
                          "(default 3)")
     ps.add_argument("--solver", choices=["builtin", "external"], default="builtin")
-    ps.add_argument("--solver-cmd", help="external solver command line")
+    ps.add_argument("--solver-cmd",
+                    help="external solver command line (with --solver external)")
     ps.add_argument("--timeout", type=float,
                     help="solver deadline per template attempt, seconds")
     ps.add_argument("--deadlock-free", choices=["auto", "on", "off"], default="auto",

@@ -406,19 +406,13 @@ def counterexample(f: ControlFormula, m: Dict[str, int],
     or None when it holds at every request. The residue of f under m
     tests request attributes only, so the answer is the first region
     representative of its attribute tests, in build_regions order, at
-    which it does not fold to true. Regions that agree on every test
-    (numeric cells apart from each other can) share a verdict, so the
-    residue is folded once per verdict vector."""
+    which it does not fold to true. Each region is one vector of
+    verdicts over those tests, so the residue is folded once per
+    vector."""
     residue = assign_controls(f, m)
-    atoms = collect_atoms(residue)
-    holding: Set[Tuple[bool, ...]] = set()
-    for q in build_regions(sig, atoms).representatives():
-        key = tuple(q.get(a.attr, BOTTOM) in a.values for a in atoms)
-        if key in holding:
-            continue
+    for q in build_regions(sig, collect_atoms(residue)).representatives():
         if not isinstance(fold_atoms(residue, q), Top):
             return q
-        holding.add(key)
     return None
 
 

@@ -683,108 +683,72 @@ def eval_target(q: AccessRequest, f: Formula) -> bool:
 #
 # The verification and grounding steps quantify over the finitely many
 # classes of requests that the mentioned membership tests can tell
-# apart, one representative per class. Per attribute:
-#
-#   * bottom forms its own cell as soon as the attribute is mentioned
-#     anywhere (its shorthand behaviour differs from every proper
-#     value, so it must be sampled separately);
-#   * the declared proper values are grouped by their vector of
-#     verdicts over the mentioned sets; numeric values are grouped
-#     into maximal intervals with a constant verdict vector;
-#   * an attribute nobody mentions contributes a single cell whose
-#     representative is bottom.
-#
-# Representatives are canonical: bottom for the bottom cell, the
-# first-declared symbol of an enumerated cell, the smallest number of a
-# bounded interval, and max(mentioned)+1 for the unbounded tail.
-
-
-@dataclass(frozen=True)
-class Cell:
-    rep: Value
-    lo: Optional[int] = None     # numeric cells: inclusive bounds,
-    hi: Optional[int] = None     # hi None means unbounded
+# apart, one representative per class: a region is one vector of
+# verdicts over the given atoms. Every atom tests one attribute, so the
+# regions are the product of each request attribute's cells, a cell
+# being one vector of verdicts over the distinct sets that attribute is
+# tested against. One rule finds the cells of every attribute. Its
+# candidates are the unset value first, then the declared values of a
+# finite attribute, or the first number of each span between
+# consecutive interval ends of a numeric one (verdicts change only at
+# those ends). Candidates with equal verdicts form one cell, and the
+# first of them represents it. An attribute nobody mentions thus has
+# one cell, represented by the unset value.
 
 
 class RegionSet:
-    def __init__(self, sig: AttributeSignature, cells: Dict[str, List[Cell]]):
-        self.sig = sig
-        self.cells = cells
+    """The representatives of each request attribute's cells. A region
+    takes one of them per attribute."""
 
-    def attr_cells(self, name: str) -> List[Cell]:
-        return self.cells[name]
+    def __init__(self, sig: AttributeSignature, reps: Dict[str, List[Value]]):
+        self.sig = sig
+        self.reps = reps
 
     def representatives(self) -> Iterator[AccessRequest]:
         names = [d.name for d in self.sig.request_attrs()]
-        reps = [[c.rep for c in self.cells[n]] for n in names]
-        for combo in itertools.product(*reps):
+        for combo in itertools.product(*(self.reps[n] for n in names)):
             yield dict(zip(names, combo))
 
     def count(self) -> int:
         n = 1
         for d in self.sig.request_attrs():
-            n *= len(self.cells[d.name])
+            n *= len(self.reps[d.name])
         return n
 
 
-def _numeric_cells(sets: List[ValueSet]) -> List[Cell]:
-    # Verdicts change only where an interval starts or ends, so the
-    # spans between consecutive endpoints have constant verdict vectors.
-    breaks = {0}
+def interval_ends(sets: Iterable[ValueSet]) -> List[int]:
+    """The numbers at which a membership test on these sets can change
+    its verdict, in order: 0, and the first number of each interval and
+    the first one after it."""
+    ends = {0}
     for s in sets:
         for lo, hi in intervals_of(s):
-            breaks.update((lo, hi + 1))
-    breaks = sorted(breaks)
-
-    def signature(v: int):
-        return tuple(v in s for s in sets)
-
-    cells = [Cell(rep=BOTTOM)]
-    for i, lo in enumerate(breaks):
-        hi = breaks[i + 1] - 1 if i + 1 < len(breaks) else None
-        if len(cells) > 1 and signature(cells[-1].lo) == signature(lo):
-            cells[-1] = Cell(rep=cells[-1].lo, lo=cells[-1].lo, hi=hi)
-        else:
-            cells.append(Cell(rep=lo, lo=lo, hi=hi))
-    return cells
+            ends.update((lo, hi + 1))
+    return sorted(ends)
 
 
-def _finite_cells(domain: List[Value], sets: List[ValueSet]) -> List[Cell]:
-    cells = [Cell(rep=BOTTOM)]
-    groups: List[Tuple[Tuple[bool, ...], Value]] = []
-    for v in domain:
-        sig_vec = tuple(v in s for s in sets)
-        for i, (g, _) in enumerate(groups):
-            if g == sig_vec:
-                break
-        else:
-            groups.append((sig_vec, v))
-    for _, rep in groups:
-        cells.append(Cell(rep=rep))
-    return cells
+def _cell_representatives(d: AttributeDecl, sets: List[ValueSet]) -> List[Value]:
+    if d.kind == NUMERIC:
+        candidates: Sequence[Value] = interval_ends(sets)
+    elif d.kind == BOOLEAN:
+        candidates = (False, True)
+    else:
+        candidates = d.symbols
+    cells: Dict[Tuple[bool, ...], Value] = {}
+    for v in (BOTTOM, *candidates):
+        cells.setdefault(tuple(v in s for s in sets), v)
+    return list(cells.values())
 
 
 def build_regions(sig: AttributeSignature, atoms: Iterable[Atom]) -> RegionSet:
-    by_attr: Dict[str, List[ValueSet]] = {}
-    for a in atoms:
-        d = sig.get(a.attr)
-        if d.cls == RESOURCE:
-            continue
-        by_attr.setdefault(a.attr, [])
-        if a.values not in by_attr[a.attr]:
-            by_attr[a.attr].append(a.values)
-    cells: Dict[str, List[Cell]] = {}
-    for d in sig.request_attrs():
-        sets = by_attr.get(d.name, [])
-        if not sets:
-            cells[d.name] = [Cell(rep=BOTTOM)]
-        elif d.kind == NUMERIC:
-            cells[d.name] = _numeric_cells(sets)
-        elif d.kind == BOOLEAN:
-            cells[d.name] = _finite_cells([False, True], sets)
-        else:
-            cells[d.name] = _finite_cells(list(d.symbols), sets)
-    return RegionSet(sig, cells)
+    """One region per vector of verdicts over the request atoms given;
+    atoms on resource attributes are ignored."""
+    sets: Dict[str, List[ValueSet]] = {}
+    for a in dict.fromkeys(atoms):      # atoms are hash-consed: one per test
+        if sig.get(a.attr).cls != RESOURCE:
+            sets.setdefault(a.attr, []).append(a.values)
+    return RegionSet(sig, {d.name: _cell_representatives(d, sets.get(d.name, []))
+                           for d in sig.request_attrs()})
 
 
 def target_sat(t: Formula, sig: AttributeSignature) -> Optional[AccessRequest]:

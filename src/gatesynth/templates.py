@@ -32,9 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq,
-    Formula, IntervalSet, Not, Requirement, Top, Value, build_regions,
-    collect_atoms, conj, eval_target, simplify_policy, target_equiv,
-    validate_target,
+    Formula, IntervalSet, Not, Requirement, Top, Value, ValueSet, build_regions,
+    collect_atoms, conj, eval_target, interval_ends, simplify_policy,
+    target_equiv, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import (
@@ -255,29 +255,19 @@ class DnfTemplate(Template):
 
 def interval_candidates(sig: AttributeSignature, reqs: Sequence[Requirement]
                         ) -> Dict[str, Tuple[List[int], List[Optional[int]]]]:
-    """Interval bound candidates for each numeric request attribute,
-    aligned with the value regions the requirement targets distinguish."""
-    atoms = []
+    """Interval bound candidates for each numeric request attribute, read
+    off the interval ends of the sets the requirement targets test it
+    against: each end is a lower bound, each end after 0, less one, is an
+    upper bound, and None is the missing upper bound."""
+    sets: Dict[str, List[ValueSet]] = {}
     for r in reqs:
-        atoms.extend(collect_atoms(r.target))
-    regions = build_regions(sig, atoms)
+        for a in collect_atoms(r.target):
+            sets.setdefault(a.attr, []).append(a.values)
     out: Dict[str, Tuple[List[int], List[Optional[int]]]] = {}
     for d in sig.request_attrs():
-        if d.kind != NUMERIC:
-            continue
-        lowers: List[int] = []
-        uppers: List[Optional[int]] = []
-        for cell in regions.attr_cells(d.name):
-            if cell.lo is None:
-                continue
-            lowers.append(cell.lo)
-            if cell.hi is not None:
-                uppers.append(cell.hi)
-        if not lowers:
-            lowers = [0]
-        uppers = sorted(set(u for u in uppers if u is not None))
-        uppers.append(None)
-        out[d.name] = (sorted(set(lowers)), uppers)
+        if d.kind == NUMERIC:
+            ends = interval_ends(sets.get(d.name, ()))
+            out[d.name] = (ends, [end - 1 for end in ends[1:]] + [None])
     return out
 
 

@@ -9,9 +9,16 @@ Path quantifiers range over maximal paths: paths that are infinite or
 end in a space with no outgoing edges. Every space starts at least one
 maximal path, since a finite graph walk can always either stop at a
 sink or go on forever.
+
+per_value_regions is an independent reference for the request regions:
+it tests values one by one instead of reasoning about interval ends.
 """
 
-from gatesynth.formulas import AU, AX, BOTTOM, EU, EX, And, Atom, Not, Top
+import math
+
+from gatesynth.formulas import (
+    AU, AX, BOOLEAN, BOTTOM, EU, EX, NUMERIC, And, Atom, Not, Top,
+)
 
 
 def naive_check(S, node, f) -> bool:
@@ -87,3 +94,38 @@ def _until_can_fail(S, start, a, b) -> bool:
                 remaining.discard(n)
                 changed = True
     return bool(remaining)
+
+
+def per_value_regions(sig, atoms):
+    """The region representatives of each request attribute, by testing
+    every value that can matter: the unset value first, then the
+    declared values of a finite attribute, or 0 and every mentioned
+    number and the one after it, in order. Values with the same verdicts
+    over the attribute's distinct sets share a region, represented by
+    the first of them."""
+    out = {}
+    for d in sig.request_attrs():
+        sets = []
+        for a in atoms:
+            if a.attr == d.name and a.values not in sets:
+                sets.append(a.values)
+        if d.kind == NUMERIC:
+            mentioned = {v for s in sets for v in s if v is not BOTTOM}
+            values = sorted({0} | mentioned | {v + 1 for v in mentioned})
+        elif d.kind == BOOLEAN:
+            values = [False, True]
+        else:
+            values = list(d.symbols)
+        reps = []
+        seen = []
+        for v in [BOTTOM] + values:
+            verdicts = [v in s for s in sets]
+            if verdicts not in seen:
+                seen.append(verdicts)
+                reps.append(v)
+        out[d.name] = reps
+    return out
+
+
+def per_value_region_count(sig, atoms) -> int:
+    return math.prod(len(reps) for reps in per_value_regions(sig, atoms).values())

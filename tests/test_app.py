@@ -3,11 +3,12 @@ import random
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth import data
+from gatesynth import app, data
 from gatesynth.app import (
     DEADLOCK_SOURCE, DENY_DEFAULT_SOURCE, SynthesisError, classify,
     deny_by_default_requirement, effective_requirements, minimal_conflict,
@@ -335,6 +336,27 @@ def test_derive_and_verify_have_seconds_of_their_own(office, office_reqs):
         <= res.stats["total_seconds"]
 
 
+def test_template_construction_counts_as_expansion(monkeypatch, office, office_reqs):
+    def slowed(build):
+        def slow_build(*args):
+            time.sleep(0.05)
+            return build(*args)
+        return slow_build
+
+    monkeypatch.setattr(app, "dnf_template", slowed(app.dnf_template))
+    monkeypatch.setattr(app, "complete_template", slowed(app.complete_template))
+    clash = office_reqs + [
+        Requirement(Atom("role", frozenset(["visitor"])),
+                    deny(Atom("id", frozenset(["mr"]))), NEGATIVE)]
+    res = synth(office, clash)
+    attempts = res.stats["attempts"]
+    assert [a["template"]["kind"] for a in attempts] == ["DnfTemplate", "ClassTemplate"]
+    for attempt in attempts:
+        assert attempt["expand_seconds"] >= 0.05
+    assert res.stats["encode_seconds"] + sum(
+        a[key] for a in attempts for key in STAGES) <= res.stats["total_seconds"]
+
+
 def test_synth_rejects_unknown_arguments(triangle):
     with pytest.raises(ValueError, match="template"):
         synth(triangle, [], template="fancy")
@@ -342,6 +364,11 @@ def test_synth_rejects_unknown_arguments(triangle):
         synth(triangle, [], solver="quantum")
     with pytest.raises(ValueError, match="solver command"):
         synth(triangle, [], solver="external")
+
+
+def test_a_solver_command_needs_the_external_solver(office, office_reqs):
+    with pytest.raises(ValueError, match="external solver only"):
+        synth(office, office_reqs, solver_cmd="z3")
 
 
 def cycle_structure():

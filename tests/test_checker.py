@@ -1,7 +1,7 @@
 import random
 
 from gatesynth.formulas import (
-    AU, AX, BOTTOM, EU, EX, AG, And, Atom, Not, Top,
+    AU, AX, BOTTOM, EU, EX, AG, And, Atom, Not, Top, collect_atoms,
     deadlock_free_constraint, strict_deadlock_free_constraint,
 )
 from gatesynth.checker import check_at, holds, label_structure, model_check
@@ -9,7 +9,7 @@ from gatesynth.model import ResourceStructure, restrict
 from gatesynth.rules import format_constraint, parse_constraint, parse_request
 
 from genutil import random_config, random_constraint, random_model
-from oracle import naive_check
+from oracle import naive_check, per_value_region_count
 
 
 def chain(labels_hot, edges):
@@ -154,7 +154,10 @@ def test_holds_accepts_the_published_office_policies(
         office, office_safe_reqs, office_published):
     report = holds(office, office_published, office_safe_reqs)
     assert report.ok
-    assert report.representatives == 36
+    atoms = [a for r in office_safe_reqs for a in collect_atoms(r.target)]
+    atoms += [a for e, fixed in office.edges.items()
+              for a in collect_atoms(office_published.get(e, fixed))]
+    assert report.representatives == per_value_region_count(office.sig, atoms) == 18
     assert len(report.verdicts) == 6
     assert report.failures() == []
 

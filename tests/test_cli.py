@@ -6,8 +6,11 @@ from gatesynth import data
 from gatesynth.app import verify
 from gatesynth import cli
 from gatesynth.cli import main
+from gatesynth.formulas import collect_atoms
 from gatesynth.model import SynthesisError, load_config, load_model, save_model
 from gatesynth.rules import MAX_NESTING, format_request, parse_request
+
+from oracle import per_value_region_count
 
 OFFICE = data.path(data.OFFICE_MODEL)
 OFFICE_RULES = data.path(data.OFFICE_REQUIREMENTS)
@@ -85,13 +88,18 @@ def test_synth_with_a_config_template(capsys):
     assert "out -> cor := role != visitor" in captured.out
 
 
-def test_verify_pass(capsys):
+def test_verify_pass(capsys, office, office_reqs, office_published):
     code = main(["verify", OFFICE, OFFICE_RULES, OFFICE_CONFIG])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.count("PASS") == 5
     assert "FAIL" not in captured.out
-    assert "checked 36 request classes" in captured.err
+    atoms = [a for r in office_reqs for a in collect_atoms(r.target)]
+    atoms += [a for e, fixed in office.edges.items()
+              for a in collect_atoms(office_published.get(e, fixed))]
+    classes = per_value_region_count(office.sig, atoms)
+    assert classes == 18
+    assert "checked %d request classes" % classes in captured.err
 
 
 def test_verify_fail_names_a_witness(tmp_path, capsys):
@@ -206,6 +214,12 @@ def test_bad_bounds_exit_with_code_2(capsys):
     for timeout in ("-1", "nan"):
         assert main(["synth", OFFICE, OFFICE_RULES, "--timeout", timeout]) == 2
         assert "error: timeout must be at least 0" in capsys.readouterr().err
+
+
+def test_a_solver_command_without_the_external_solver_exits_with_code_2(capsys):
+    assert main(["synth", OFFICE, OFFICE_RULES, "--solver-cmd", "z3"]) == 2
+    assert "error: a solver command is for the external solver only" \
+        in capsys.readouterr().err
 
 
 def test_malformed_json_exits_with_code_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The walkthroughs in demos/ run to the end. Each runs from a copy in a
 temporary directory, so what a demo writes next to itself (the .dot file
-of simulate_visitor.py) stays out of the checkout. scale_firm.py is left
-out: it synthesizes firm x3 and takes most of a minute."""
+of simulate_visitor.py) stays out of the checkout. scale_firm.py
+synthesizes and verifies the firm and firm x2 in about a second."""
 
 import os
 import shutil
@@ -11,8 +11,9 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEMOS = ["classic_walk.py", "language_notes.py", "simulate_visitor.py",
-         "solver_bridge.py", "synthesize_office.py", "tour_office.py"]
+DEMOS = ["classic_walk.py", "language_notes.py", "scale_firm.py",
+         "simulate_visitor.py", "solver_bridge.py", "synthesize_office.py",
+         "tour_office.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.encoder import CAtom
 from gatesynth.formulas import (
     AU, AX, BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, EU, EX, NUMERIC, RESOURCE,
-    SUBJECT, AG, EF, And, Atom, AttributeDecl, AttributeSignature, Cell,
-    Not, Requirement, Top, build_regions, collect_atoms, conj, contains_au,
+    SUBJECT, AG, EF, And, Atom, AttributeDecl, AttributeSignature, Not,
+    Requirement, Top, build_regions, collect_atoms, conj, contains_au,
     deadlock_free_constraint, deny, disj, eval_target, falsum, format_value,
     grant, implies, is_deadlock_freeness, release, strict_deadlock_free_constraint,
     subformulas, target_equiv, target_sat, validate_constraint,
     validate_target, value_key, waypoint, blocking, IntervalSet, value_set,
 )
+
+from oracle import per_value_regions
 
 
 SIG = AttributeSignature([
@@ -98,30 +100,29 @@ def test_numeric_regions_from_interval_atoms():
     atoms = [Atom("time", frozenset(range(8, 21))),
              Atom("time", frozenset(range(0, 8)))]
     regions = build_regions(SIG, atoms)
-    cells = regions.attr_cells("time")
-    assert cells == [Cell(rep=BOTTOM), Cell(rep=0, lo=0, hi=7),
-                     Cell(rep=8, lo=8, hi=20), Cell(rep=21, lo=21, hi=None)]
+    # 21 and up is in neither set, as the unset value is: one region
+    assert regions.reps["time"] == [BOTTOM, 0, 8]
 
 
 def test_numeric_regions_when_only_bottom_is_mentioned():
     regions = build_regions(SIG, [Atom("time", frozenset([BOTTOM]))])
-    cells = regions.attr_cells("time")
-    assert cells == [Cell(rep=BOTTOM), Cell(rep=0, lo=0, hi=None)]
+    assert regions.reps["time"] == [BOTTOM, 0]
 
 
 def test_enum_and_boolean_cells_and_unmentioned_attrs():
     regions = build_regions(SIG, [Atom("role", frozenset(["visitor"])),
                                   Atom("pin", frozenset([True]))])
-    assert [c.rep for c in regions.attr_cells("role")] == [BOTTOM, "visitor", "employee"]
-    assert [c.rep for c in regions.attr_cells("pin")] == [BOTTOM, False, True]
-    assert regions.attr_cells("time") == [Cell(rep=BOTTOM)]
-    assert regions.count() == 3 * 3 * 1
+    # employee and false fail their test as the unset value does
+    assert regions.reps["role"] == [BOTTOM, "visitor"]
+    assert regions.reps["pin"] == [BOTTOM, True]
+    assert regions.reps["time"] == [BOTTOM]
+    assert regions.count() == 2 * 2 * 1
 
 
 def test_enum_cells_merge_indistinguishable_symbols():
     # Neither set separates the two symbols, so they share a cell.
     regions = build_regions(SIG, [Atom("role", frozenset(["visitor", "employee"]))])
-    assert [c.rep for c in regions.attr_cells("role")] == [BOTTOM, "visitor"]
+    assert regions.reps["role"] == [BOTTOM, "visitor"]
 
 
 def test_resource_atoms_do_not_affect_regions():
@@ -256,35 +257,13 @@ def test_interval_sets_agree_with_frozensets(a, b):
     assert hash(CAtom("time", ia)) == hash(CAtom("time", fa))
 
 
-def per_value_numeric_cells(sets):
-    """The cells of a numeric attribute found by testing every mentioned
-    value and its successor, as the explicit-set regions did."""
-    mentioned = sorted({v for s in sets for v in s if v is not BOTTOM})
-    cells = [Cell(rep=BOTTOM)]
-    if not mentioned:
-        cells.append(Cell(rep=0, lo=0, hi=None))
-        return cells
-    breaks = sorted({0} | set(mentioned) | {m + 1 for m in mentioned})
-
-    def signature(v):
-        return tuple(v in s for s in sets)
-
-    merged = []
-    for i, b in enumerate(breaks):
-        hi = breaks[i + 1] - 1 if i + 1 < len(breaks) else None
-        if merged and signature(merged[-1][0]) == signature(b):
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((b, hi))
-    return cells + [Cell(rep=lo, lo=lo, hi=hi) for lo, hi in merged]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(interval_sets(), min_size=1, max_size=5))
 def test_numeric_regions_agree_with_per_value_regions(sets):
     atoms = [Atom("time", i) for i, _ in sets]
-    distinct = []
-    for _, f in sets:
-        if f not in distinct:
-            distinct.append(f)
-    assert build_regions(SIG, atoms).attr_cells("time") == per_value_numeric_cells(distinct)
+    regions = build_regions(SIG, atoms)
+    assert regions.reps["time"] == per_value_regions(SIG, atoms)["time"]
+    # one region per verdict vector the explicit member sets tell apart;
+    # 41 is past every interval
+    vectors = {tuple(v in f for _, f in sets) for v in UNIVERSE + [41]}
+    assert regions.count() == len(vectors)
