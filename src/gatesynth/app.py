@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
     AX, AccessRequest, Atom, BOTTOM, ControlFormula, Formula, NEGATIVE,
-    POSITIVE, Not, Requirement, Top, UNKNOWN, collect_atoms, conj, contains_au,
+    POSITIVE, Not, Requirement, Top, UNKNOWN, conj, contains_au,
     deadlock_free_constraint, falsum,
 )
 from . import encoder
@@ -165,7 +165,9 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     Grounding is counterexample-guided: solve over the instances of the
     requests picked so far (at first none, so the first model is all
     zeros), ask counterexample() for a request at which the model fails
-    the expanded formula, and add that request's instance. The partial
+    the expanded formula, and add that request's instance. The expanded
+    formula is compiled once for those checks, and the regions stat is
+    read off the compiled form's atoms. The partial
     conjunction has a superset of the full grounding's models, so its
     least model, once it holds at every request, is the full grounding's
     least model too; an unsat answer is already an unsat answer of the
@@ -177,10 +179,10 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
 
     The stage seconds are disjoint: expand_seconds the template's
     construction (build_seconds, timed by the caller) and expansion,
-    ground_seconds the instances and the counterexample
-    checks, cnf_seconds the built-in solver's translation to clauses,
-    and solve_seconds the rest of the solver calls (the search, or the
-    external runs)."""
+    ground_seconds the instances, check_seconds the compilation and the
+    counterexample checks, cnf_seconds the built-in solver's translation
+    to clauses, and solve_seconds the rest of the solver calls (the
+    search, or the external runs)."""
     t0 = time.perf_counter()
     expanded = expand_guards(guard_formula, template)
     t1 = time.perf_counter()
@@ -190,14 +192,19 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
     t2 = time.perf_counter()
+    compiled = encoder.Compiled(expanded)
+    regions = encoder.build_regions(S.sig, compiled.atoms).count()
+    check_seconds = time.perf_counter() - t2
     grounded: ControlFormula = Top()
     instances: Set[ControlFormula] = set()
     while True:
         t = time.perf_counter()
         model = _solve(grounded, template, solver, solver_cmd, store, counters)
-        solve_seconds += time.perf_counter() - t
+        t3 = time.perf_counter()
+        solve_seconds += t3 - t
         failing = None if model is None else encoder.counterexample(
-            expanded, model, S.sig)
+            compiled, model, S.sig)
+        check_seconds += time.perf_counter() - t3
         if failing is None:
             break
         instance = ground_forall(expanded, S.sig, [failing])
@@ -207,8 +214,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
                 "over; this indicates a grounding gap" % (failing,))
         instances.add(instance)
         grounded = cand([grounded, instance])
-    regions = encoder.build_regions(S.sig, collect_atoms(expanded)).count()
-    ground_seconds = time.perf_counter() - t2 - solve_seconds
+    ground_seconds = time.perf_counter() - t2 - solve_seconds - check_seconds
     cnf_seconds = counters.pop("cnf_seconds", 0.0)
     attempt: Dict[str, object] = {
         "template": template.describe(),
@@ -221,6 +227,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
         "iterations": len(instances) + 1,
         "expand_seconds": build_seconds + t1 - t0,
         "ground_seconds": ground_seconds,
+        "check_seconds": check_seconds,
         "cnf_seconds": cnf_seconds,
         "solve_seconds": solve_seconds - cnf_seconds,
     }

@@ -9,10 +9,14 @@ control-variable formula that a solver can search for a model of.
 Synthesis grounds counterexample-guided: it instantiates only the
 requests that counterexample() returns, each one where the current
 model fails, while ground_forall() over every region stays the
-reference and the source of grounded scripts. Expansion, grounding,
-that check and evaluation are all one walk, substitute(), which
-rebuilds a formula with its leaves replaced; one printer, _sexp(),
-renders control formulas as SMT-LIB terms for both script forms. Both
+reference and the source of grounded scripts. Expansion, grounding and
+evaluation are one walk, substitute(), which rebuilds a formula with
+its leaves replaced. The check rebuilds nothing: synthesis compiles
+each expanded formula once into a flat postorder array (Compiled), and
+every check runs a three-valued pass under the model over it, then
+evaluates what is still unknown on a chunk of regions at once, one bit
+per region. One printer, _sexp(), renders control formulas as SMT-LIB
+terms for both script forms. Both
 forms print each shared connective once: grounded scripts bind it with
 define-fun, quantified ones with let inside the quantifier, because
 there it mentions the request variables. Numeric attribute tests print
@@ -32,8 +36,8 @@ included, so a policy's tests enter them as they are. Nodes are
 hash-consed: an equal node is the same object, memo tables key on nodes
 directly, and each edge has one live guard without a cache of its own.
 Walks over them are formulas.subformulas(); this module keeps only the
-smart constructors, the rewrite, substitute(), the solver and the
-SMT-LIB printer.
+smart constructors, the rewrite, substitute(), the compiled check, the
+solver and the SMT-LIB printer.
 
 Both untils share one unrolling over simple paths. A space where the
 right side holds outright settles the until as true, and one where the
@@ -68,6 +72,7 @@ import subprocess
 import tempfile
 import time
 import os
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
@@ -400,19 +405,162 @@ def assign_controls(f: ControlFormula, m: Dict[str, int]) -> ControlFormula:
     return substitute(f, leaf)
 
 
-def counterexample(f: ControlFormula, m: Dict[str, int],
+# Op codes of the nodes of a Compiled formula.
+_TRUE, _FALSE, _ATOM, _TEST, _NOT, _AND, _OR, _IMPLIES = range(8)
+_OPS = {Top: _TRUE, CFalse: _FALSE, Atom: _ATOM, CVarEq: _TEST, Not: _NOT,
+        CAnd: _AND, COr: _OR, CImplies: _IMPLIES}
+
+# Regions that counterexample() evaluates at once, one bit of a Python
+# int each, so a check's memory does not grow with the region count.
+CHUNK = 1024
+
+
+class Compiled:
+    """A control formula compiled once for many counterexample checks: a
+    flat postorder array, children before parents and the root last.
+    Node i is nodes[i], with op code ops[i] and child indices kids[i].
+    The three-valued pass reads leaves (the value of each constant leaf,
+    None elsewhere), tests (i, variable, value) and connectives (i, op,
+    pick), where pick takes the children's values from the value list.
+    atoms are the attribute tests."""
+
+    __slots__ = ("nodes", "ops", "kids", "leaves", "tests", "connectives", "atoms")
+
+    def __init__(self, f: ControlFormula):
+        self.nodes: List[ControlFormula] = []
+        self.ops: List[int] = []
+        self.kids: List[Tuple[int, ...]] = []
+        self.leaves: List[Optional[bool]] = []
+        self.tests: List[Tuple[int, str, int]] = []
+        self.connectives: List[Tuple[int, int, Callable]] = []
+        index: Dict[ControlFormula, int] = {}
+        at = index.__getitem__
+        for i, g in enumerate(subformulas(f)):
+            op = _OPS.get(type(g))
+            if op is None:
+                raise TypeError("not an expanded control formula: %r" % (g,))
+            ks = tuple(map(at, children(g)))
+            index[g] = i
+            self.nodes.append(g)
+            self.ops.append(op)
+            self.kids.append(ks)
+            self.leaves.append(True if op == _TRUE else False if op == _FALSE else None)
+            if op == _TEST:
+                self.tests.append((i, g.var, g.value))
+            elif ks:
+                self.connectives.append((i, op, itemgetter(*ks)))
+        self.atoms = [g for g, op in zip(self.nodes, self.ops) if op == _ATOM]
+
+
+def _kleene(c: Compiled, m: Dict[str, int]) -> List[Optional[bool]]:
+    """Each node's value under the control assignment m (unset variables
+    are 0): True, False, or None while it still depends on the request.
+    Kleene's strong connectives fold constants exactly as cand, cor,
+    cnot and cimplies do, so the unknown nodes that the root reaches
+    through unknown nodes are the residue assign_controls() builds."""
+    val = c.leaves[:]
+    get = m.get
+    for i, var, value in c.tests:
+        val[i] = get(var, 0) == value
+    for i, op, pick in c.connectives:
+        vs = pick(val)
+        if op == _AND:
+            val[i] = False if False in vs else None if None in vs else True
+        elif op == _OR:
+            val[i] = True if True in vs else None if None in vs else False
+        elif op == _NOT:
+            val[i] = None if vs is None else not vs
+        else:
+            a, b = vs
+            val[i] = (True if a is False or b is True
+                      else None if a is None or b is None else False)
+    return val
+
+
+def _cell_masks(cells: int, stride: int, start: int, width: int) -> List[int]:
+    """Bit b of mask d is set when region start + b takes cell d of an
+    attribute with this many cells. Regions run in itertools.product
+    order, so the attribute moves to its next cell every stride regions."""
+    masks = [0] * cells
+    b = 0
+    while b < width:
+        p = start + b
+        end = min(width, b + stride - p % stride)
+        masks[p // stride % cells] |= ((1 << (end - b)) - 1) << b
+        b = end
+    return masks
+
+
+def counterexample(c: Compiled, m: Dict[str, int],
                    sig: AttributeSignature) -> Optional[AccessRequest]:
-    """A request at which the control assignment m does not make f true,
-    or None when it holds at every request. The residue of f under m
-    tests request attributes only, so the answer is the first region
-    representative of its attribute tests, in build_regions order, at
-    which it does not fold to true. Each region is one vector of
-    verdicts over those tests, so the residue is folded once per
-    vector."""
-    residue = assign_controls(f, m)
-    for q in build_regions(sig, collect_atoms(residue)).representatives():
-        if not isinstance(fold_atoms(residue, q), Top):
-            return q
+    """A request at which the control assignment m does not make the
+    compiled formula true, or None when it holds at every request.
+
+    The answer is the first region representative, in build_regions
+    order over the atoms of the residue (the formula with m decided), at
+    which the formula is false. A three-valued pass under m marks the
+    residue without building it. Its regions are then evaluated CHUNK at
+    a time: each residue node gets one bit per region, atoms from the
+    cells their regions take, connectives by bitwise operations."""
+    val = _kleene(c, m)
+    root = len(val) - 1
+    if val[root]:
+        return None
+    # the residue: the unknown nodes the root reaches through unknown nodes
+    live = {root} if val[root] is None else set()
+    stack = list(live)
+    while stack:
+        for k in c.kids[stack.pop()]:
+            if val[k] is None and k not in live:
+                live.add(k)
+                stack.append(k)
+    residue = sorted(live)
+    regions = build_regions(sig, [c.nodes[i] for i in residue if c.ops[i] == _ATOM])
+    names = [d.name for d in sig.request_attrs()]
+    strides = {}
+    stride = 1
+    for n in reversed(names):
+        strides[n] = stride
+        stride *= len(regions.reps[n])
+    # the cells of its attribute where each residue atom holds
+    holds_in = {}
+    for i in residue:
+        if c.ops[i] == _ATOM:
+            a = c.nodes[i]
+            holds_in[i] = [d for d, v in enumerate(regions.reps[a.attr]) if v in a.values]
+    count = regions.count()
+    for start in range(0, count, CHUNK):
+        width = min(CHUNK, count - start)
+        full = (1 << width) - 1
+        cell_masks = {n: _cell_masks(len(regions.reps[n]), strides[n], start, width)
+                      for n in names}
+        bits: Dict[int, int] = {}
+        for i in residue:
+            op = c.ops[i]
+            if op == _ATOM:
+                masks = cell_masks[c.nodes[i].attr]
+                x = 0
+                for d in holds_in[i]:
+                    x |= masks[d]
+            else:
+                xs = [bits[k] if val[k] is None else full if val[k] else 0
+                      for k in c.kids[i]]
+                if op == _AND:
+                    x = full
+                    for y in xs:
+                        x &= y
+                elif op == _OR:
+                    x = 0
+                    for y in xs:
+                        x |= y
+                elif op == _NOT:
+                    x = full ^ xs[0]
+                else:
+                    x = (full ^ xs[0]) | xs[1]
+            bits[i] = x
+        failing = full ^ bits.get(root, 0)
+        if failing:
+            return regions.representative(start + (failing & -failing).bit_length() - 1)
     return None
 
 

@@ -715,6 +715,15 @@ class RegionSet:
             n *= len(self.reps[d.name])
         return n
 
+    def representative(self, i: int) -> AccessRequest:
+        """The i-th request of representatives(), without the ones before it."""
+        names = [d.name for d in self.sig.request_attrs()]
+        values: List[Value] = []
+        for n in reversed(names):
+            i, cell = divmod(i, len(self.reps[n]))
+            values.append(self.reps[n][cell])
+        return dict(zip(names, reversed(values)))
+
 
 def interval_ends(sets: Iterable[ValueSet]) -> List[int]:
     """The numbers at which a membership test on these sets can change

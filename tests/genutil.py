@@ -209,6 +209,16 @@ def random_pattern_requirement(rng: random.Random, S: ResourceStructure,
                        NEGATIVE)
 
 
+def random_structure(rng: random.Random
+                     ) -> Tuple[ResourceStructure, List[Requirement]]:
+    """A random model with a numeric request attribute, and one to four
+    pattern requirements over it."""
+    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
+                     max_symbols=3, with_numeric=True)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
+    return S, reqs
+
+
 def comparable_configs(rng: random.Random, S: ResourceStructure
                        ) -> Tuple[dict, dict]:
     """Two configurations with the first pointwise at most as permissive

@@ -305,7 +305,8 @@ def test_the_class_model_answers_when_every_clause_template_fails(tmp_path):
     res = synth(S, reqs, max_k=3)
     assert res.ok and ladder(res)[-1] == ("DnfTemplate", 3)
 
-STAGES = ("expand_seconds", "ground_seconds", "cnf_seconds", "solve_seconds")
+STAGES = ("expand_seconds", "ground_seconds", "check_seconds", "cnf_seconds",
+          "solve_seconds")
 
 
 @pytest.mark.parametrize("template", ["dnf", "complete"])

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from gatesynth import app, cli, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
-    CAnd, CFalse, CTrue, ControlVar, SolverError, cand, counterexample, encode,
-    eval_formula, expand_guards, ground_forall, request_regions, sat_solve,
+    CAnd, CFalse, CTrue, Compiled, ControlVar, SolverError, cand, counterexample,
+    encode, eval_formula, expand_guards, ground_forall, request_regions, sat_solve,
 )
 from gatesynth.model import ResourceStructure, config_to_json, scale_replicate
 from gatesynth.rules import parse_requirements
@@ -114,7 +114,7 @@ def test_counterexample_finds_a_failing_request_exactly_when_one_exists(seed):
              if rng.random() < 0.7}
         failing = [q for q in request_regions(expanded, S.sig)
                    if not eval_formula(expanded, q, m)]
-        got = counterexample(expanded, m, S.sig)
+        got = counterexample(Compiled(expanded), m, S.sig)
         if not failing:
             assert got is None, tpl.describe()
         else:

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from gatesynth.app import effective_requirements
 from gatesynth.checker import holds, model_check, verification_atoms
 from gatesynth.encoder import (
-    assign_controls, cand, counterexample, encode, expand_guards, fold_atoms,
+    Compiled, assign_controls, cand, counterexample, encode, expand_guards, fold_atoms,
 )
 from gatesynth.formulas import (
     BOOLEAN, BOTTOM, NUMERIC, RESOURCE, AttributeSignature, Top, build_regions,
@@ -30,8 +30,7 @@ from gatesynth.templates import (
 )
 
 from genutil import (
-    random_config, random_model, random_pattern_requirement, random_request_atom,
-    request_signature,
+    random_config, random_request_atom, random_structure, request_signature,
 )
 
 
@@ -155,13 +154,6 @@ def old_interval_candidates(sig, reqs):
 
 # -- the tests ------------------------------------------------------------------
 
-def random_structure(rng):
-    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
-                     max_symbols=3, with_numeric=True)
-    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
-    return S, reqs
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_regions_are_the_first_old_region_of_each_verdict_vector(seed):
@@ -204,7 +196,7 @@ def test_counterexample_is_the_old_loops_request(seed):
         expanded = expand_guards(guard_formula, tpl)
         for _ in range(4):
             m = {v.name: rng.randrange(v.size) for v in tpl.control_vars()}
-            assert counterexample(expanded, m, S.sig) == \
+            assert counterexample(Compiled(expanded), m, S.sig) == \
                 old_counterexample(expanded, m, S.sig), m
 
 
