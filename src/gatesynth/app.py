@@ -119,16 +119,18 @@ def deny_by_default_requirement(S: ResourceStructure, reqs: Sequence[Requirement
     return Requirement(target, constraint, NEGATIVE, source=DENY_DEFAULT_SOURCE)
 
 
-def _solve(grounded: ControlFormula, template: Template, solver: str,
+def _solve(instances: List[ControlFormula], template: Template, solver: str,
            solver_cmd: Optional[str], store: encoder._Cnf, counters: Dict[str, int]):
+    """The least model of the instances so far, or None. The built-in
+    store holds all but the newest, so it gets that one (Top at first)."""
     variables = template.control_vars()
     if solver == "builtin":
         store.time_left()               # raises once the deadline has passed
-        return sat_solve(grounded, variables, counters, store)
+        return sat_solve(instances[-1] if instances else Top(), variables, counters, store)
     if solver == "external":
         if not solver_cmd:
             raise ValueError("external solving needs a solver command")
-        script = emit_smtlib(grounded, variables)
+        script = emit_smtlib(cand(instances), variables)
         verdict, model = run_external(script, solver_cmd, store.time_left())
         if verdict == "unsat":
             return None
@@ -156,26 +158,25 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
              stats: Dict[str, object], build_seconds: float = 0.0):
-    """Expand, ground and solve the guard formula over one template. Its
-    sizes, seconds and counters go into stats["attempts"]; the top-level
-    keys sum the seconds over all attempts and keep the rest of the
-    latest one (synth puts back the class attempt's when its kept model
-    gives the answer).
+    """Expand, ground and solve the guard formula over one template, and
+    append its sizes, seconds and counters to stats["attempts"].
 
     Grounding is counterexample-guided: solve over the instances of the
     requests picked so far (at first none, so the first model is all
     zeros), ask counterexample() for a request at which the model fails
     the expanded formula, and add that request's instance. The expanded
-    formula is compiled once for those checks, and the regions stat is
-    read off the compiled form's atoms. The partial
-    conjunction has a superset of the full grounding's models, so its
-    least model, once it holds at every request, is the full grounding's
-    least model too; an unsat answer is already an unsat answer of the
-    full grounding. The built-in solver keeps one store for the attempt,
-    so each iteration translates and searches only what the new instance
-    adds. timeout is one deadline for the attempt, kept by that store: it
-    is checked before every solver call, inside the built-in search, and
-    it bounds every external solver run.
+    formula is compiled once for those checks; its size and the regions
+    stat are read off that compiled form. The instances' conjunction has
+    a superset of the full grounding's models, so its least model, once
+    it holds at every request, is the full grounding's too; an unsat
+    answer is already one of the full grounding. The built-in solver's
+    store is the one copy of that conjunction: handed each new instance
+    alone, it translates and searches only what the instance adds. The
+    instance list serves the grounding-gap check, external scripts and
+    grounded_size; nothing the attempt builds outlives it. timeout is one
+    deadline for the attempt, kept by the store: it is checked before
+    every solver call, inside the built-in search, and it bounds every
+    external solver run.
 
     The stage seconds are disjoint: expand_seconds the template's
     construction (build_seconds, timed by the caller) and expansion,
@@ -195,11 +196,10 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     compiled = encoder.Compiled(expanded)
     regions = encoder.build_regions(S.sig, compiled.atoms).count()
     check_seconds = time.perf_counter() - t2
-    grounded: ControlFormula = Top()
-    instances: Set[ControlFormula] = set()
+    instances: List[ControlFormula] = []
     while True:
         t = time.perf_counter()
-        model = _solve(grounded, template, solver, solver_cmd, store, counters)
+        model = _solve(instances, template, solver, solver_cmd, store, counters)
         t3 = time.perf_counter()
         solve_seconds += t3 - t
         failing = None if model is None else encoder.counterexample(
@@ -212,14 +212,13 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
             raise SynthesisError(
                 "the model fails request %r, whose instance it was solved "
                 "over; this indicates a grounding gap" % (failing,))
-        instances.add(instance)
-        grounded = cand([grounded, instance])
+        instances.append(instance)
     ground_seconds = time.perf_counter() - t2 - solve_seconds - check_seconds
     cnf_seconds = counters.pop("cnf_seconds", 0.0)
     attempt: Dict[str, object] = {
         "template": template.describe(),
-        "expanded_size": formula_size(expanded),
-        "grounded_size": formula_size(grounded),
+        "expanded_size": len(compiled.nodes),
+        "grounded_size": formula_size(cand(instances)),
         "control_vars": len(template.control_vars()),
         "control_bits": template.bit_count(),
         "regions": regions,
@@ -233,10 +232,6 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     }
     attempt.update(counters)
     stats.setdefault("attempts", []).append(attempt)
-    for key, value in attempt.items():
-        if key.endswith("_seconds"):
-            value += stats.get(key, 0.0)
-        stats[key] = value
     return model
 
 
@@ -268,7 +263,10 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     class attempt can time out before two clauses are tried. The
     requirements are encoded once; every template tried expands that
     one guard formula. solver_cmd is the external solver's command
-    line; giving one with the built-in solver is a ValueError.
+    line; giving one with the built-in solver is a ValueError. The
+    top-level stats are set once, when synth answers: the answering
+    attempt's (the one whose model gives the configuration, or else the
+    last one), with each *_seconds key summed over every attempt.
     """
     if max_k < 0:
         raise ValueError("max_k must be at least 0, got %d" % max_k)
@@ -289,7 +287,12 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     stats["guard_formula_size"] = formula_size(guard_formula)
     stats["guard_formula_edges"] = formula_edges(guard_formula)
 
-    def finish_sat(tpl: Template, model) -> SynthesisResult:
+    def settle(answering: Dict[str, object]) -> None:
+        stats.update((k, sum(a[k] for a in stats["attempts"]) if k.endswith("_seconds")
+                      else v) for k, v in answering.items())
+
+    def finish_sat(tpl: Template, model, answering: Dict[str, object]) -> SynthesisResult:
+        settle(answering)
         t0 = time.perf_counter()
         config = tpl.derive(model)
         t1 = time.perf_counter()
@@ -308,6 +311,8 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
                                stats=stats)
 
     def finish_unsat(exhaustive: bool, message: str) -> SynthesisResult:
+        if "attempts" in stats:
+            settle(stats["attempts"][-1])
         stats["total_seconds"] = time.perf_counter() - t_start
         return SynthesisResult("unsat", requirements=eff, exhaustive=exhaustive,
                                message=message, stats=stats)
@@ -319,7 +324,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     if isinstance(template, Template):
         model = attempt(template)
         if model is not None:
-            return finish_sat(template, model)
+            return finish_sat(template, model, stats["attempts"][-1])
         return finish_unsat(False, "no candidate in the given template works")
 
     # the class template is complete: its unsat answer is every wider
@@ -333,7 +338,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
             stats["clauses_reached"] = k
             model = attempt(tpl, time.perf_counter() - t_build)
             if model is not None:
-                return finish_sat(tpl, model)
+                return finish_sat(tpl, model, stats["attempts"][-1])
         return None
 
     found = clause_attempts(widths[:1])
@@ -360,14 +365,10 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     found = clause_attempts(widths[1:])
     if found is not None:
         return found
-    if widths[1:]:
-        # clause attempts ran after the class attempt, whose model answers:
-        # put back its sizes and counters at the top level, and its script
-        stats.update((key, value) for key, value in complete_attempt.items()
-                     if not key.endswith("_seconds"))
-        if emit_smt:
-            _write_script(emit_smt, S, expand_guards(guard_formula, complete), complete)
-    return finish_sat(complete, complete_model)
+    if widths[1:] and emit_smt:
+        # clause attempts wrote their scripts after the class attempt's
+        _write_script(emit_smt, S, expand_guards(guard_formula, complete), complete)
+    return finish_sat(complete, complete_model, complete_attempt)
 
 
 def verify(S: ResourceStructure, reqs: Sequence[Requirement],

@@ -4,7 +4,9 @@ Exit codes: 0 when synthesis finds a configuration or verification
 passes, 1 when the answer is a definite no (unsatisfiable, requirement
 violated, formula false), 2 for usage or input errors, 3 when an
 internal soundness check fails (SynthesisError: for instance the
-independent checker rejected a synthesized configuration).
+independent checker rejected a synthesized configuration), and 4 when
+anything else goes wrong: a crash prints one line, "internal error:"
+with the exception's type and message, and no traceback.
 """
 
 from __future__ import annotations
@@ -276,6 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

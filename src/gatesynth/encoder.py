@@ -311,7 +311,10 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         memo_u[key] = out
         return out
 
-    return tau(phi, start)
+    try:
+        return tau(phi, start)
+    finally:
+        tau = tau_until = settled = frontier = None    # the walks refer to themselves
 
 
 def substitute(f: ControlFormula,
@@ -341,7 +344,10 @@ def substitute(f: ControlFormula,
         memo[g] = out
         return out
 
-    return walk(f)
+    try:
+        return walk(f)
+    finally:
+        walk = None     # walk refers to itself; this frees the memo on return
 
 
 def expand_guards(f: ControlFormula, template) -> ControlFormula:
@@ -477,20 +483,6 @@ def _kleene(c: Compiled, m: Dict[str, int]) -> List[Optional[bool]]:
     return val
 
 
-def _cell_masks(cells: int, stride: int, start: int, width: int) -> List[int]:
-    """Bit b of mask d is set when region start + b takes cell d of an
-    attribute with this many cells. Regions run in itertools.product
-    order, so the attribute moves to its next cell every stride regions."""
-    masks = [0] * cells
-    b = 0
-    while b < width:
-        p = start + b
-        end = min(width, b + stride - p % stride)
-        masks[p // stride % cells] |= ((1 << (end - b)) - 1) << b
-        b = end
-    return masks
-
-
 def counterexample(c: Compiled, m: Dict[str, int],
                    sig: AttributeSignature) -> Optional[AccessRequest]:
     """A request at which the control assignment m does not make the
@@ -501,7 +493,7 @@ def counterexample(c: Compiled, m: Dict[str, int],
     which the formula is false. A three-valued pass under m marks the
     residue without building it. Its regions are then evaluated CHUNK at
     a time: each residue node gets one bit per region, atoms from the
-    cells their regions take, connectives by bitwise operations."""
+    masks of RegionSet.cell_masks, connectives by bitwise operations."""
     val = _kleene(c, m)
     root = len(val) - 1
     if val[root]:
@@ -516,12 +508,6 @@ def counterexample(c: Compiled, m: Dict[str, int],
                 stack.append(k)
     residue = sorted(live)
     regions = build_regions(sig, [c.nodes[i] for i in residue if c.ops[i] == _ATOM])
-    names = [d.name for d in sig.request_attrs()]
-    strides = {}
-    stride = 1
-    for n in reversed(names):
-        strides[n] = stride
-        stride *= len(regions.reps[n])
     # the cells of its attribute where each residue atom holds
     holds_in = {}
     for i in residue:
@@ -532,8 +518,7 @@ def counterexample(c: Compiled, m: Dict[str, int],
     for start in range(0, count, CHUNK):
         width = min(CHUNK, count - start)
         full = (1 << width) - 1
-        cell_masks = {n: _cell_masks(len(regions.reps[n]), strides[n], start, width)
-                      for n in names}
+        cell_masks = regions.cell_masks(start, width)
         bits: Dict[int, int] = {}
         for i in residue:
             op = c.ops[i]
@@ -598,9 +583,9 @@ class SolverError(RuntimeError):
 
 class _Cnf:
     """The built-in solver's store over one list of control variables,
-    kept across calls so that a growing conjunction is translated and
-    searched incrementally (MiniSat-style incremental solving, after Eén
-    & Sörensson, SAT 2003).
+    kept across calls so that formulas asserted one after another are
+    translated and searched incrementally (MiniSat-style incremental
+    solving, after Eén & Sörensson, SAT 2003).
 
     It holds the problem clauses, the Tseitin memo from formula nodes to
     literals, the control bits in decision order, and the search state:
@@ -714,7 +699,10 @@ class _Cnf:
             memo[g] = out
             return out
 
-        return lit_of(f)
+        try:
+            return lit_of(f)
+        finally:
+            lit_of = None   # lit_of refers to itself and, through add, to the store
 
 
 def _infer_variables(f: ControlFormula) -> List[ControlVar]:
@@ -748,9 +736,9 @@ def sat_solve(f: ControlFormula,
     asserted on top of what those calls asserted: only its nodes not yet
     translated are, and the search goes on from the store's clauses,
     learned clauses and watches. The answer is then the least model of
-    the conjunction of every formula asserted so far, which is f's own
-    when f contains them, as the grounding loop's growing conjunction
-    does. Without a store, a fresh one solves f from scratch.
+    the conjunction of every formula asserted so far (the grounding loop
+    asserts one instance per call). Without a store, a fresh one solves
+    f from scratch.
 
     With a counters dict, the store's problem-clause size goes into its
     cnf_vars and cnf_clauses entries, the seconds of translation are

@@ -697,8 +697,8 @@ def eval_target(q: AccessRequest, f: Formula) -> bool:
 
 
 class RegionSet:
-    """The representatives of each request attribute's cells. A region
-    takes one of them per attribute."""
+    """The representatives of each request attribute's cells. A region takes
+    one per attribute, in itertools.product order, which only its methods read."""
 
     def __init__(self, sig: AttributeSignature, reps: Dict[str, List[Value]]):
         self.sig = sig
@@ -723,6 +723,23 @@ class RegionSet:
             i, cell = divmod(i, len(self.reps[n]))
             values.append(self.reps[n][cell])
         return dict(zip(names, reversed(values)))
+
+    def cell_masks(self, start: int, width: int) -> Dict[str, List[int]]:
+        """Per attribute, one mask per cell: bit b of mask d is set when
+        region start + b takes cell d. An attribute moves to its next cell
+        every stride regions, the product of the later attributes' cells."""
+        out: Dict[str, List[int]] = {}
+        stride = 1
+        for d in reversed(self.sig.request_attrs()):
+            cells = len(self.reps[d.name])
+            masks = out[d.name] = [0] * cells
+            b = 0
+            while b < width:
+                end = min(width, b + stride - (start + b) % stride)
+                masks[(start + b) // stride % cells] |= ((1 << (end - b)) - 1) << b
+                b = end
+            stride *= cells
+        return out
 
 
 def interval_ends(sets: Iterable[ValueSet]) -> List[int]:

@@ -305,6 +305,29 @@ def test_the_class_model_answers_when_every_clause_template_fails(tmp_path):
     res = synth(S, reqs, max_k=3)
     assert res.ok and ladder(res)[-1] == ("DnfTemplate", 3)
 
+def assert_top_level_is(res, answering):
+    """The top-level keys are the answering attempt's, with each
+    attempt's seconds summed."""
+    attempts = res.stats["attempts"]
+    for key, value in answering.items():
+        if key.endswith("_seconds"):
+            assert res.stats[key] == pytest.approx(sum(a[key] for a in attempts)), key
+        else:
+            assert res.stats[key] == value, key
+
+
+def test_past_the_cap_the_top_level_keys_are_the_last_clause_attempts(office):
+    S, reqs = three_clause_door()
+    res = synth(S, reqs, max_k=2, complete_cap=1)
+    assert res.outcome == "unsat" and not res.exhaustive
+    assert ladder(res) == [("DnfTemplate", 1), ("DnfTemplate", 2)]
+    assert_top_level_is(res, res.stats["attempts"][-1])
+    reqs = parse_requirements(office_rules(OFFICE_NEEDS_TWO_CLAUSES), office.sig)
+    res = synth(office, reqs, complete_cap=1)
+    assert res.ok and ladder(res) == [("DnfTemplate", 1), ("DnfTemplate", 2)]
+    assert_top_level_is(res, res.stats["attempts"][-1])
+
+
 STAGES = ("expand_seconds", "ground_seconds", "check_seconds", "cnf_seconds",
           "solve_seconds")
 

@@ -277,6 +277,16 @@ def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
     assert "internal error: solver model failed" in capsys.readouterr().err
 
 
+def test_a_crash_exits_with_code_4_and_one_line(monkeypatch, capsys):
+    def crashing_synth(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "synth", crashing_synth)
+    assert main(["synth", OFFICE, OFFICE_RULES]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def visitor_chain(depth):
     """`role = visitor` and-ed with itself: a target nested depth deep."""
     return " and ".join(["role = visitor"] * depth)

@@ -7,12 +7,14 @@ ground_forall(f, sig) followed by one sat_solve; both must give the
 same model or both none.
 """
 
+import gc
 import os
 import random
 import re
 import stat
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,8 @@ from gatesynth import app, cli, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
     CAnd, CFalse, CTrue, Compiled, ControlVar, SolverError, cand, counterexample,
-    encode, eval_formula, expand_guards, ground_forall, request_regions, sat_solve,
+    emit_smtlib, encode, eval_formula, expand_guards, ground_forall, request_regions,
+    sat_solve,
 )
 from gatesynth.model import ResourceStructure, config_to_json, scale_replicate
 from gatesynth.rules import parse_requirements
@@ -182,6 +185,131 @@ def test_solver_counters_sum_over_iterations(monkeypatch, office, office_reqs):
         assert attempt[key] == counters[key], key
     assert (counters["cnf_vars"], counters["cnf_clauses"]) == (
         store.n_vars, len(store.clauses))
+
+
+def record_grounded(monkeypatch):
+    """Make app's ground_forall keep every instance it returns."""
+    grounded = []
+
+    def recording(f, sig, requests=None):
+        grounded.append(ground_forall(f, sig, requests))
+        return grounded[-1]
+
+    monkeypatch.setattr(app, "ground_forall", recording)
+    return grounded
+
+
+def bundled_attempts(S, reqs):
+    """The one-clause and the class template's attempt inputs."""
+    eff = effective_requirements(S, reqs)
+    guard_formula = cand([encode(S, r) for r in eff])
+    return [(guard_formula, tpl) for tpl in (dnf_template(S, eff, 1),
+                                            complete_template(S, eff, 4096))]
+
+
+@pytest.mark.parametrize("name", ["office", "firm"])
+def test_the_store_is_handed_each_new_instance_alone(monkeypatch, request, name):
+    S, reqs = request.getfixturevalue(name), request.getfixturevalue(name + "_reqs")
+    solved = record_solved(monkeypatch)
+    grounded = record_grounded(monkeypatch)
+    for guard_formula, tpl in bundled_attempts(S, reqs):
+        del solved[:], grounded[:]
+        stats = {}
+        app._attempt(S, guard_formula, tpl, "builtin", None, None, None, stats)
+        assert stats["attempts"][0]["instances"] == len(grounded) >= 1
+        assert isinstance(solved[0], CTrue)
+        assert len(solved) == len(grounded) + 1
+        assert all(f is g for f, g in zip(solved[1:], grounded))
+
+
+@pytest.mark.parametrize("name", ["office", "firm"])
+def test_external_scripts_assert_every_instance_so_far(monkeypatch, request, name):
+    S, reqs = request.getfixturevalue(name), request.getfixturevalue(name + "_reqs")
+    grounded = record_grounded(monkeypatch)
+    scripts = []
+
+    def fake_external(script, command, timeout=None):
+        # answers what the script should assert, through a fresh store
+        scripts.append(script)
+        model = sat_solve(cand(grounded), tpl.control_vars())
+        return ("unsat", None) if model is None else ("sat", model)
+
+    monkeypatch.setattr(app, "run_external", fake_external)
+    for guard_formula, tpl in bundled_attempts(S, reqs):
+        want = app._attempt(S, guard_formula, tpl, "builtin", None, None, None, {})
+        del scripts[:], grounded[:]
+        got = app._attempt(S, guard_formula, tpl, "external", "fake", None, None, {})
+        assert got == want
+        assert len(scripts) == len(grounded) + 1
+        for i, script in enumerate(scripts):
+            assert script == emit_smtlib(cand(grounded[:i]), tpl.control_vars())
+
+
+def whole_conjunction_solve(instances, template, solver, solver_cmd, store, counters):
+    """The handoff before the store was the one copy: the built-in store
+    was handed the conjunction of every instance so far."""
+    store.time_left()
+    return sat_solve(cand(instances), template.control_vars(), counters, store)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_handing_over_one_instance_solves_as_the_whole_conjunction(seed):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
+    eff = effective_requirements(S, reqs)
+    guard_formula = cand([encode(S, r) for r in eff])
+    tpls = [dnf_template(S, eff, k) for k in (1, 2, 3)]
+    try:
+        tpls.append(complete_template(S, eff, 256))
+    except CapExceeded:
+        pass
+    for tpl in tpls:
+        new, old = {}, {}
+        with pytest.MonkeyPatch.context() as mp:
+            grounded = record_grounded(mp)
+            got = app._attempt(S, guard_formula, tpl, "builtin", None, None, None, new)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(app, "_solve", whole_conjunction_solve)
+            want = app._attempt(S, guard_formula, tpl, "builtin", None, None, None, old)
+        assert got == want, tpl.describe()
+        new, old = new["attempts"][0], old["attempts"][0]
+        for key in ("instances", "iterations", "decisions", "conflicts", "learned",
+                    "grounded_size", "expanded_size", "regions"):
+            assert new[key] == old[key], (key, tpl.describe())
+        # the AND gate the old handoff put over every conjunct was one more
+        # variable, set by one more level-0 propagation, wherever a later
+        # instance was neither a conjunction (whose own gate it replaced)
+        # nor false
+        gates = sum(not isinstance(g, (CAnd, CFalse)) for g in grounded[1:])
+        assert old["cnf_vars"] - new["cnf_vars"] == gates, tpl.describe()
+        assert old["propagations"] - new["propagations"] == gates, tpl.describe()
+        assert new["cnf_clauses"] <= old["cnf_clauses"], tpl.describe()
+
+
+@pytest.mark.parametrize("name", ["office", "firm"])
+@pytest.mark.parametrize("template", ["dnf", "complete"])
+def test_synth_frees_what_it_builds_without_the_cycle_collector(monkeypatch, request,
+                                                               name, template):
+    S, reqs = request.getfixturevalue(name), request.getfixturevalue(name + "_reqs")
+    stores = []
+
+    def recording(f, variables=None, counters=None, cnf=None):
+        stores.append(weakref.ref(cnf))
+        return sat_solve(f, variables, counters, cnf)
+
+    monkeypatch.setattr(app, "sat_solve", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        assert synth(S, reqs, template=template).ok
+        # reference counting alone freed every attempt's store
+        assert stores and all(ref() is None for ref in stores)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def fake_solver(tmp_path, body):

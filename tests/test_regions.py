@@ -21,8 +21,8 @@ from gatesynth.encoder import (
     Compiled, assign_controls, cand, counterexample, encode, expand_guards, fold_atoms,
 )
 from gatesynth.formulas import (
-    BOOLEAN, BOTTOM, NUMERIC, RESOURCE, AttributeSignature, Top, build_regions,
-    collect_atoms, eval_target, intervals_of,
+    BOOLEAN, BOTTOM, CONTEXTUAL, NUMERIC, RESOURCE, AttributeDecl, AttributeSignature,
+    RegionSet, Top, build_regions, collect_atoms, eval_target, intervals_of,
 )
 from gatesynth.model import restrict
 from gatesynth.templates import (
@@ -206,3 +206,22 @@ def test_interval_candidates_are_the_old_walk_over_cells(seed):
     rng = random.Random(seed)
     S, reqs = random_structure(rng)
     assert interval_candidates(S.sig, reqs) == old_interval_candidates(S.sig, reqs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.data())
+def test_cell_masks_set_each_regions_bit_in_the_cell_it_takes(cells, data):
+    sig = AttributeSignature(AttributeDecl("a%d" % i, CONTEXTUAL, NUMERIC)
+                             for i in range(len(cells)))
+    regions = RegionSet(sig, {"a%d" % i: [10 * i + d for d in range(n)]
+                              for i, n in enumerate(cells)})
+    start = data.draw(st.integers(0, regions.count() - 1))
+    width = data.draw(st.integers(1, regions.count() - start))
+    masks = regions.cell_masks(start, width)
+    assert sorted(masks) == sorted(regions.reps)
+    for name, reps in regions.reps.items():
+        assert len(masks[name]) == len(reps)
+        assert all(0 <= mask < 1 << width for mask in masks[name])
+        for b in range(width):
+            taken = reps.index(regions.representative(start + b)[name])
+            assert [d for d, mask in enumerate(masks[name]) if mask >> b & 1] == [taken]
