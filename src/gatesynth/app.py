@@ -5,15 +5,10 @@ requirement when universal untils call for it, optionally add a
 deny-by-default floor, encode the requirements once, expand them over
 a template, ground and solve request by request until the model holds
 at every request, extract a configuration, and verify it with the
-independent checker before handing it back. The templates are tried
-in the order: one clause, then the complete class template (one bit
-per door and request class), then 2 up to max_k clauses. The class
-template can express every configuration up to request class, so its
-failure refutes every configuration, not just the searched family,
-and no later template needs to run; when it succeeds its model is kept
-and answers if the wider clause templates fail too. Every template
-tried is recorded in stats["attempts"]; deriving and verifying the
-configuration found are timed as derive_seconds and verify_seconds.
+independent checker before handing it back. The templates it tries,
+and in which order, are synth's plan (see its docstring). Every
+template tried is recorded in stats["attempts"]; deriving and verifying
+the configuration found are timed as derive_seconds and verify_seconds.
 """
 
 from __future__ import annotations
@@ -249,24 +244,26 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     """Find a configuration making every requirement hold, or report
     that none exists in the searched space.
 
-    template may be "dnf", "complete" (the class template directly), or
-    a Template instance. "dnf" tries the one-clause template, then the
-    complete class template, then clause templates of 2 up to max_k
-    clauses. The class template's unsat answer is exhaustive and is
-    returned at once (stats["clauses_reached"] is then 1); its model,
-    when it has one, gives the configuration if every clause template
-    fails. With max_k of 0 or 1 the class template comes last, as the
-    only attempt or after the one-clause one. complete_cap bounds the
-    number of request classes the class template may have; past it the
-    clause templates still run, and the answer when they all fail is a
-    non-exhaustive unsat. timeout is one deadline per attempt, so the
-    class attempt can time out before two clauses are tried. The
-    requirements are encoded once; every template tried expands that
-    one guard formula. solver_cmd is the external solver's command
-    line; giving one with the built-in solver is a ValueError. The
-    top-level stats are set once, when synth answers: the answering
-    attempt's (the one whose model gives the configuration, or else the
-    last one), with each *_seconds key summed over every attempt.
+    The templates tried are a plan, run in order. A Template instance is
+    tried alone, and so is "complete", the class template (one bit per
+    door and request class). "dnf" tries the one-clause template, then
+    the class template, then clause templates of 2 up to max_k clauses;
+    with max_k 0, the class template alone. A clause template, or the
+    given one, that has a model answers. The class template can express
+    every configuration up to request class, so its unsat answer is
+    exhaustive and is returned at once (stats["clauses_reached"] is then
+    1); its model is kept and answers if every later clause template
+    fails. complete_cap bounds the number of request classes the class
+    template may have; past it "complete" answers cap-exceeded, while
+    "dnf" skips the class template and answers a non-exhaustive unsat if
+    every clause template fails. timeout is one deadline per attempt, so
+    the class attempt can time out before two clauses are tried. The
+    requirements are encoded once; every template tried expands that one
+    guard formula. solver_cmd is the external solver's command line;
+    giving one with the built-in solver is a ValueError. The top-level
+    stats are set once, when synth answers: the answering attempt's (the
+    one whose model gives the configuration, or else the last one), with
+    each *_seconds key summed over every attempt.
     """
     if max_k < 0:
         raise ValueError("max_k must be at least 0, got %d" % max_k)
@@ -317,58 +314,51 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         return SynthesisResult("unsat", requirements=eff, exhaustive=exhaustive,
                                message=message, stats=stats)
 
-    def attempt(tpl: Template, build_seconds: float = 0.0):
-        return _attempt(S, guard_formula, tpl, solver, solver_cmd, timeout,
-                        emit_smt, stats, build_seconds)
-
+    # a clause count, "class" for the class template, or the given template
     if isinstance(template, Template):
-        model = attempt(template)
-        if model is not None:
-            return finish_sat(template, model, stats["attempts"][-1])
-        return finish_unsat(False, "no candidate in the given template works")
-
-    # the class template is complete: its unsat answer is every wider
-    # clause template's too
-    widths = range(1, max_k + 1) if template == "dnf" else range(0)
-
-    def clause_attempts(ks: range) -> Optional[SynthesisResult]:
-        for k in ks:
-            t_build = time.perf_counter()
-            tpl = dnf_template(S, eff, k)
-            stats["clauses_reached"] = k
-            model = attempt(tpl, time.perf_counter() - t_build)
-            if model is not None:
-                return finish_sat(tpl, model, stats["attempts"][-1])
-        return None
-
-    found = clause_attempts(widths[:1])
-    if found is not None:
-        return found
-    t_build = time.perf_counter()
-    try:
-        complete = complete_template(S, eff, complete_cap)
-    except CapExceeded as exc:
-        if template == "complete":
-            stats["total_seconds"] = time.perf_counter() - t_start
-            return SynthesisResult("cap-exceeded", requirements=eff,
-                                   message=str(exc), stats=stats)
-        found = clause_attempts(widths[1:])
-        if found is not None:
-            return found
-        return finish_unsat(False,
+        plan: List[object] = [template]
+    elif template == "complete" or max_k == 0:
+        plan = ["class"]
+    else:
+        plan = [1, "class", *range(2, max_k + 1)]
+    kept = None                         # the class template, its model and record
+    out_of_reach: Optional[CapExceeded] = None
+    for step in plan:
+        t_build = time.perf_counter()
+        try:
+            tpl = (step if isinstance(step, Template)
+                   else complete_template(S, eff, complete_cap) if step == "class"
+                   else dnf_template(S, eff, step))
+        except CapExceeded as exc:
+            if template == "complete":
+                stats["total_seconds"] = time.perf_counter() - t_start
+                return SynthesisResult("cap-exceeded", requirements=eff,
+                                       message=str(exc), stats=stats)
+            out_of_reach = exc
+            continue
+        if isinstance(step, int):
+            stats["clauses_reached"] = step
+        model = _attempt(S, guard_formula, tpl, solver, solver_cmd, timeout,
+                         emit_smt, stats, time.perf_counter() - t_build)
+        if step == "class":
+            # the class template is complete: its unsat answer is every
+            # wider clause template's too
+            if model is None:
+                return finish_unsat(True, "no configuration at all can satisfy "
+                                    "these requirements")
+            kept = (tpl, model, stats["attempts"][-1])
+        elif model is not None:
+            return finish_sat(tpl, model, stats["attempts"][-1])
+    if kept is None:
+        return finish_unsat(False, "no candidate in the given template works"
+                            if out_of_reach is None else
                             "no clause policy with up to %d clauses works, and the "
-                            "complete template is out of reach (%s)" % (max_k, exc))
-    complete_model = attempt(complete, time.perf_counter() - t_build)
-    if complete_model is None:
-        return finish_unsat(True, "no configuration at all can satisfy these requirements")
-    complete_attempt = stats["attempts"][-1]
-    found = clause_attempts(widths[1:])
-    if found is not None:
-        return found
-    if widths[1:] and emit_smt:
+                            "complete template is out of reach (%s)" % (max_k, out_of_reach))
+    tpl, model, answering = kept
+    if emit_smt and answering is not stats["attempts"][-1]:
         # clause attempts wrote their scripts after the class attempt's
-        _write_script(emit_smt, S, expand_guards(guard_formula, complete), complete)
-    return finish_sat(complete, complete_model, complete_attempt)
+        _write_script(emit_smt, S, expand_guards(guard_formula, tpl), tpl)
+    return finish_sat(tpl, model, answering)
 
 
 def verify(S: ResourceStructure, reqs: Sequence[Requirement],

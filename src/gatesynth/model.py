@@ -71,14 +71,16 @@ class ResourceStructure:
     def fixed_edges(self) -> List[Edge]:
         return sorted(e for e, pol in self.edges.items() if pol is not None)
 
-    def reachable(self) -> Set[str]:
+    def reachable(self, edges: Optional[Set[Edge]] = None) -> Set[str]:
+        """The spaces the entry reaches, over `edges` alone if given."""
         seen = {self.entry}
         stack = [self.entry]
         while stack:
-            for s in self._succ[stack.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
+            a = stack.pop()
+            for b in self._succ[a]:
+                if b not in seen and (edges is None or (a, b) in edges):
+                    seen.add(b)
+                    stack.append(b)
         return seen
 
     # -- validation ------------------------------------------------------
@@ -148,10 +150,11 @@ def validate_configuration(S: ResourceStructure, c: Configuration) -> None:
 def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest) -> ResourceStructure:
     """The structure the subject of request `q` experiences: only edges
     whose policy grants `q`, pruned to what the entry still reaches."""
-    granted = S.with_edges(granted_edges(S, c, q))
-    seen = granted.reachable()
+    granted = granted_edges(S, c, q)
+    seen = S.reachable(granted)
     labels = {r: S.labels[r] for r in seen}
-    edges = {e: p for e, p in granted.edges.items() if e[0] in seen and e[1] in seen}
+    # a granted edge out of a reached space reaches its end too
+    edges = {e: p for e, p in S.edges.items() if e in granted and e[0] in seen}
     return ResourceStructure(S.sig, S.entry, labels, edges)
 
 
@@ -391,7 +394,7 @@ def to_dot(S: ResourceStructure, c: Optional[Configuration] = None,
     given, edges outside it are drawn red (denied) and spaces the entry
     no longer reaches are greyed out."""
     lines = ["digraph \"%s\" {" % title, "  rankdir=LR;"]
-    live = S.with_edges(granted).reachable() if granted is not None else None
+    live = S.reachable(granted) if granted is not None else None
     for r in S.nodes:
         opts = ["shape=doublecircle"] if r == S.entry else ["shape=circle"]
         if live is not None and r not in live:

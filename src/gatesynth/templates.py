@@ -165,7 +165,8 @@ class DnfTemplate(Template):
     from the candidate minima, the upper bound from the candidate
     maxima or unbounded. Unbounded intervals admit the unset value,
     bounded ones do not, matching how the comparison shorthands treat
-    missing attributes.
+    missing attributes. With no request attribute to test, a clause is
+    its on bit alone.
 
     Each edge's policy is built once, and each control variable is
     declared where the policy first mentions it: clause by clause, test
@@ -180,8 +181,6 @@ class DnfTemplate(Template):
         self.k = k
         self.numeric_bounds = numeric_bounds
         self.attrs = [d.name for d in S.sig.request_attrs()]
-        if not self.attrs:
-            raise ValueError("clause templates need at least one request attribute")
         self._vars: List[ControlVar] = []
         self._names: Dict[Tuple, str] = {}
         for ei, e in enumerate(S.controlled_edges()):
@@ -213,7 +212,8 @@ class DnfTemplate(Template):
 
     def _clause(self, ei: int, j: int) -> ControlFormula:
         on = self._var("cl_%d_%d" % (ei, j), 2, "clause", ei, j)
-        return cand([CVarEq(on, 1)] + [self._test(ei, j, t) for t in range(self.k)])
+        tests = range(self.k) if self.attrs else ()
+        return cand([CVarEq(on, 1)] + [self._test(ei, j, t) for t in tests])
 
     def _test(self, ei: int, j: int, t: int) -> ControlFormula:
         base = "t_%d_%d_%d" % (ei, j, t)

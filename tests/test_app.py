@@ -3,6 +3,7 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -189,7 +190,7 @@ def answer(S, res):
 
 def ladder(res):
     return [(a["template"]["kind"], a["template"].get("clauses"))
-            for a in res.stats["attempts"]]
+            for a in res.stats.get("attempts", [])]
 
 
 def office_rules(extra=""):
@@ -238,6 +239,40 @@ role = c and 6 <= time <= 1000 => deny(id = room)
     return S, reqs
 
 
+def check_the_plan(S, reqs, max_k, cap):
+    """synth answers as the ladder with the class template last, its
+    attempts are a prefix of the plan that ends at the answering step,
+    and the emit_smt script left behind is the answering template's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        script = os.path.join(tmp, "ladder.smt2")
+        res = synth(S, reqs, max_k=max_k, complete_cap=cap, emit_smt=script)
+        assert answer(S, res) == class_last_ladder(S, reqs, max_k, cap)
+        eff = effective_requirements(S, reqs)
+        try:
+            complete_template(S, eff, cap)
+            class_step = [("ClassTemplate", None)]
+        except CapExceeded:
+            class_step = []
+        plan = (([("DnfTemplate", 1)] if max_k else []) + class_step
+                + [("DnfTemplate", k) for k in range(2, max_k + 1)])
+        tried = ladder(res)
+        assert tried == plan[:len(tried)]
+        if not tried:
+            assert not plan and not os.path.exists(script)
+            return
+        kind, k = res.stats["template"]["kind"], res.stats["template"].get("clauses")
+        if res.ok and kind == "DnfTemplate" or res.exhaustive:
+            assert tried[-1] == (kind, k)
+        else:
+            # the kept class model, or no model, answers once the plan has run
+            assert tried == plan
+        tpl = dnf_template(S, eff, k) if k else complete_template(S, eff, cap)
+        alone = os.path.join(tmp, "alone.smt2")
+        synth(S, reqs, template=tpl, emit_smt=alone)
+        with open(script) as got, open(alone) as want:
+            assert got.read() == want.read()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(0, 3), st.sampled_from([1, 4, 4096]))
 def test_the_ladder_answers_as_with_the_class_template_last_on_random_rules(
@@ -246,8 +281,7 @@ def test_the_ladder_answers_as_with_the_class_template_last_on_random_rules(
     S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
                      with_numeric=True, max_symbols=3)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 5))]
-    res = synth(S, reqs, max_k=max_k, complete_cap=cap)
-    assert answer(S, res) == class_last_ladder(S, reqs, max_k, cap)
+    check_the_plan(S, reqs, max_k, cap)
 
 
 @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
@@ -261,8 +295,7 @@ def test_the_ladder_answers_as_with_the_class_template_last_on_fixed_rules(
     for S, reqs in cases:
         # a cap of 1 puts the class template out of reach
         for cap in (1, 4096):
-            assert answer(S, synth(S, reqs, max_k=max_k, complete_cap=cap)) == \
-                class_last_ladder(S, reqs, max_k, cap)
+            check_the_plan(S, reqs, max_k, cap)
 
 
 def test_the_class_template_comes_right_after_one_clause(office):
@@ -279,6 +312,33 @@ def test_the_class_template_comes_right_after_one_clause(office):
         assert res.outcome == "unsat" and res.exhaustive
         assert ladder(res) == [("DnfTemplate", 1), ("ClassTemplate", None)]
         assert res.stats["clauses_reached"] == 1
+
+
+def doors_only(rules):
+    """Three spaces, every ordered pair a controlled door, and no request
+    attribute: a policy can only grant everyone or no one."""
+    ids = ("a", "b", "c")
+    sig = AttributeSignature([AttributeDecl("id", RESOURCE, ENUM, ids)])
+    S = ResourceStructure(sig, "a", {r: {"id": r} for r in ids},
+                          {(x, y): None for x in ids for y in ids if x != y})
+    S.validate()
+    return S, parse_requirements(rules, sig)
+
+
+@pytest.mark.parametrize("template", ["dnf", "complete"])
+def test_clause_and_class_templates_work_without_request_attributes(template):
+    S, reqs = doors_only("=> grant(id = c)\n=> deny(id = b)\n")
+    res = synth(S, reqs, template=template)
+    assert res.ok
+    assert config_to_json(S, res.configuration)["a->c"] == "true"
+    assert config_to_json(S, res.configuration)["a->b"] == "false"
+    if template == "dnf":
+        assert ladder(res) == [("DnfTemplate", 1)]
+    S, reqs = doors_only("=> grant(id = c)\n=> deny(id = b)\n=> grant(id = b)\n")
+    res = synth(S, reqs, template=template)
+    assert res.outcome == "unsat" and res.exhaustive
+    assert ladder(res) == ([("DnfTemplate", 1)] if template == "dnf" else []) + [
+        ("ClassTemplate", None)]
 
 
 def test_the_class_model_answers_when_every_clause_template_fails(tmp_path):

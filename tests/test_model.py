@@ -132,6 +132,31 @@ def test_restrict_and_to_dot_agree_with_a_naive_search():
         assert greyed == set(S.nodes) - live
 
 
+def two_building_restrict(S, c, q):
+    """The reference: restrict through an intermediate structure that
+    holds the granted edges only, then a second one pruned to what the
+    entry reaches."""
+    granted = S.with_edges(granted_edges(S, c, q))
+    seen = granted.reachable()
+    labels = {r: S.labels[r] for r in seen}
+    edges = {e: p for e, p in granted.edges.items() if e[0] in seen and e[1] in seen}
+    return ResourceStructure(S.sig, S.entry, labels, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_restrict_builds_what_the_two_building_version_built(seed):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 7), backbone_fixed_true=rng.random() < 0.3,
+                     two_way=rng.choice([0.0, 0.5]))
+    c = random_config(rng, S)
+    q = random_request(rng, S.sig)
+    got, want = restrict(S, c, q), two_building_restrict(S, c, q)
+    assert got.entry == want.entry
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert list(got.edges.items()) == list(want.edges.items())
+
+
 def test_granted_edges_ignores_reachability(office, office_published):
     # At night the visitor opens no door from the entry, yet the meeting
     # room door would still grant: granted_edges does not prune.
