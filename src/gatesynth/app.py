@@ -30,8 +30,7 @@ from .encoder import (
     formula_size, ground_forall, run_external, sat_solve,
 )
 from .model import (
-    Configuration, Edge, ResourceStructure, SynthesisError, granted_edges,
-    restrict, to_dot,
+    Configuration, Edge, ResourceStructure, SynthesisError, granted_edges, to_dot,
 )
 from .rules import format_request
 from .templates import CapExceeded, Template, complete_template, dnf_template
@@ -185,6 +184,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     if emit_smt:
         _write_script(emit_smt, S, expanded, template)
     store = encoder._Cnf(template.control_vars(), timeout)
+    folds: dict = {}                    # fold_atoms' table, as long-lived as the store
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
     t2 = time.perf_counter()
@@ -202,7 +202,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
         check_seconds += time.perf_counter() - t3
         if failing is None:
             break
-        instance = ground_forall(expanded, S.sig, [failing])
+        instance = ground_forall(expanded, S.sig, [failing], folds)
         if instance in instances:
             raise SynthesisError(
                 "the model fails request %r, whose instance it was solved "
@@ -451,8 +451,7 @@ def simulate(S: ResourceStructure, config: Configuration,
     """Where can this request actually go under this configuration?"""
     granted = granted_edges(S, config, q)
     denied = set(S.edges) - granted
-    sub = restrict(S, config, q)
-    reachable = sorted(sub.reachable())
+    reachable = sorted(S.reachable(granted))
     stranded = [r for r in S.nodes if r not in reachable]
     dot = to_dot(S, config, granted=granted,
                  title="request " + format_request(q, S.sig))

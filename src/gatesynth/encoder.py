@@ -9,15 +9,19 @@ control-variable formula that a solver can search for a model of.
 Synthesis grounds counterexample-guided: it instantiates only the
 requests that counterexample() returns, each one where the current
 model fails, while ground_forall() over every region stays the
-reference and the source of grounded scripts. Expansion, grounding and
-evaluation are one walk, substitute(), which rebuilds a formula with
-its leaves replaced. The check rebuilds nothing: synthesis compiles
-each expanded formula once into a flat postorder array (Compiled), and
-every check runs a three-valued pass under the model over it, then
-evaluates what is still unknown on a chunk of regions at once, one bit
-per region. One printer, _sexp(), renders control formulas as SMT-LIB
-terms for both script forms. Both
-forms print each shared connective once: grounded scripts bind it with
+reference and the source of grounded scripts. Expansion and evaluation
+are one walk, substitute(), which rebuilds a formula with its leaves
+replaced. Grounding, fold_atoms(), is that walk with every attribute
+test decided, through a fold table that synthesis keeps for a whole
+attempt: a subformula is rebuilt once if it tests no attribute, and
+once per value of the attribute if it tests one, however many
+requests the attempt grounds. The check rebuilds nothing: synthesis
+compiles each expanded formula once into a flat postorder array
+(Compiled), and every check runs a three-valued pass under the model
+over it, then evaluates what is still unknown on a chunk of regions at
+once, one bit per region. One printer, _sexp(), renders control
+formulas as SMT-LIB terms for both script forms. Both forms print each
+shared connective once: grounded scripts bind it with
 define-fun, quantified ones with let inside the quantifier, because
 there it mentions the request variables. Numeric attribute tests print
 as bounds read off the intervals of their IntervalSet.
@@ -27,17 +31,18 @@ clauses (Tseitin) and searches them with conflict learning. Its store,
 _Cnf, lasts as long as its caller keeps it: synthesis keeps one per
 template attempt, so each grounding iteration translates only the nodes
 its new instance adds and searches again from the clauses, learned
-clauses and watches already there. Decisions follow the control bits in
-declaration order, 0 first, so every answer is the least model of what
-the store holds, the one a fresh store would find.
+clauses and watches already there; its assignment and watch lists are
+indexed by literal. Decisions follow the control bits in declaration
+order, 0 first, so every answer is the least model of what the store
+holds, the one a fresh store would find.
 
 Control formulas use the node classes of formulas, Top, Atom and Not
 included, so a policy's tests enter them as they are. Nodes are
 hash-consed: an equal node is the same object, memo tables key on nodes
 directly, and each edge has one live guard without a cache of its own.
 Walks over them are formulas.subformulas(); this module keeps only the
-smart constructors, the rewrite, substitute(), the compiled check, the
-solver and the SMT-LIB printer.
+smart constructors, the rewrite, substitute() and fold_atoms(), the
+compiled check, the solver and the SMT-LIB printer.
 
 Both untils share one unrolling over simple paths. A space where the
 right side holds outright settles the until as true, and one where the
@@ -359,14 +364,81 @@ def expand_guards(f: ControlFormula, template) -> ControlFormula:
     return substitute(f, leaf)
 
 
-def fold_atoms(f: ControlFormula, q: AccessRequest) -> ControlFormula:
-    """Decide every attribute test under the request q."""
-    def leaf(g: ControlFormula) -> ControlFormula:
-        if isinstance(g, Atom):
-            return Top() if q.get(g.attr, BOTTOM) in g.values else CFalse()
-        return g
+# What the fold table says of a subformula that tests two or more attributes.
+_SEVERAL = "several attributes"
 
-    return substitute(f, leaf)
+
+def fold_atoms(f: ControlFormula, q: AccessRequest,
+               folds: Optional[dict] = None) -> ControlFormula:
+    """Decide every attribute test under the request q: substitute() with
+    each Atom replaced by its verdict, through a fold table.
+
+    The table maps each subformula folded so far to its one fold when it
+    tests no attribute, to the attribute when it tests one, and to
+    _SEVERAL otherwise, as learned from its children the first time it
+    is folded. The folds of one-attribute subformulas are kept per
+    attribute and value, in a dict under the key (attribute, value).
+    Calls over subformulas of one formula may share a table (synthesis
+    keeps one per attempt), so each subformula is folded once in all,
+    once per value of its attribute, or once per call. Values are keys,
+    so a shared table wants each attribute's values to be of its kind,
+    as in validated requests."""
+    if folds is None:
+        folds = {}
+    get = folds.get
+    value_of = q.get
+    tables: Dict[str, Dict[ControlFormula, ControlFormula]] = {}   # by attribute, for q
+    memo: Dict[ControlFormula, ControlFormula] = {}     # this call's _SEVERAL folds
+
+    def table_of(attr: str) -> Dict[ControlFormula, ControlFormula]:
+        table = tables[attr] = folds.setdefault((attr, value_of(attr, BOTTOM)), {})
+        return table
+
+    def walk(g: ControlFormula) -> ControlFormula:
+        said = get(g)
+        if said is not None:
+            if type(said) is not str:
+                return said
+            table = memo if said is _SEVERAL else tables.get(said) or table_of(said)
+            out = table.get(g)
+            if out is not None:
+                return out
+        kind = type(g)      # node classes are final; this is the hot loop of grounding
+        if kind is CAnd:
+            out = cand([walk(a) for a in g.args])
+        elif kind is COr:
+            out = cor([walk(a) for a in g.args])
+        elif kind is Not:
+            out = cnot(walk(g.sub))
+        elif kind is CImplies:
+            out = cimplies(walk(g.left), walk(g.right))
+        elif kind is Atom:
+            out = Top() if value_of(g.attr, BOTTOM) in g.values else CFalse()
+            if said is None:
+                said = folds[g] = g.attr
+                table = tables.get(said) or table_of(said)
+            table[g] = out
+            return out
+        else:
+            folds[g] = g        # tests no attribute, and was not seen before
+            return g
+        if said is None:        # the first fold of g: which attributes does it test?
+            for ch in children(g):
+                a = folds[ch]
+                if type(a) is str and a != said:
+                    said = a if said is None else _SEVERAL
+            if said is None:
+                folds[g] = out
+                return out
+            folds[g] = said
+            table = memo if said is _SEVERAL else tables.get(said) or table_of(said)
+        table[g] = out
+        return out
+
+    try:
+        return walk(f)
+    finally:
+        walk = table_of = None     # walk refers to itself; this frees the memo on return
 
 
 def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRequest]:
@@ -376,19 +448,24 @@ def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRe
 
 
 def ground_forall(f: ControlFormula, sig: AttributeSignature,
-                  requests: Optional[Sequence[AccessRequest]] = None) -> ControlFormula:
+                  requests: Optional[Sequence[AccessRequest]] = None,
+                  folds: Optional[dict] = None) -> ControlFormula:
     """Universal closure over requests, by explicit instantiation: one
     instance per given request, folded instances deduplicated. With no
     requests, one instance per region representative: the full
     grounding, which is exactly the universal closure. Synthesis grounds
     only the requests its counterexample loop picks; the full grounding
-    stays the reference for it and the source of grounded scripts."""
+    stays the reference for it and the source of grounded scripts.
+    folds is fold_atoms' table, shared by every request of the call and
+    by the calls that pass the same one (synthesis keeps one per attempt)."""
     if requests is None:
         requests = request_regions(f, sig)
+    if folds is None:
+        folds = {}
     instances: List[ControlFormula] = []
     seen: Set[ControlFormula] = set()
     for q in requests:
-        inst = fold_atoms(f, q)
+        inst = fold_atoms(f, q, folds)
         if isinstance(inst, Top) or inst in seen:
             continue
         if isinstance(inst, CFalse):
@@ -589,9 +666,11 @@ class _Cnf:
 
     It holds the problem clauses, the Tseitin memo from formula nodes to
     literals, the control bits in decision order, and the search state:
-    watch lists, the assignment and trail, and the learned clauses. The
-    clause set only grows and every learned clause is implied by it, so
-    a search continued from this state finds what a fresh store would.
+    watch lists and the assignment, both indexed by literal, the trail,
+    and the learned clauses. assign[lit] is True, False or None (not yet
+    assigned), so assign[var] reads a variable's value. The clause set
+    only grows and every learned clause is implied by it, so a search
+    continued from this state finds what a fresh store would.
     The store also keeps the deadline of its timeout, counted from its
     creation.
     """
@@ -605,9 +684,10 @@ class _Cnf:
         self.attached = 0                        # clauses[:attached] are watched or settled
         self.learned: List[List[int]] = []
         self.ok = True                           # False once the clauses are unsat
-        self.watches: Dict[int, List[List[int]]] = {}
-        self.assign: List[Optional[bool]] = [None]         # by variable
-        self.reason: List[Optional[List[int]]] = [None]
+        # by literal, -n_vars..n_vars, through negative indices (see _dpll)
+        self.watches: List[List[List[int]]] = [[]]
+        self.assign: List[Optional[bool]] = [None]
+        self.reason: List[Optional[List[int]]] = [None]     # by variable
         self.level: List[int] = [0]
         self.trail: List[int] = []               # literals in assignment order
         self.trail_lim: List[int] = []           # trail length at each decision level
@@ -774,41 +854,38 @@ def _dpll(cnf: _Cnf, decision: List[int],
     literals that are not false, and searches again, keeping every
     learned clause. Decisions, conflicts, propagations and learned
     clauses are added to counters, as MiniSat counts them. The store's
-    deadline is checked at every conflict and every 256 decisions."""
+    deadline is checked at every conflict and every 256 decisions.
+
+    The assignment and the watch lists are indexed by literal, a
+    negative literal through Python's negative indices, so the
+    variables the store gained since the last call go in the middle."""
     count = counters if counters is not None else {}
     for key in ("decisions", "conflicts", "propagations", "learned"):
         count.setdefault(key, 0)
     if not cnf.ok:
         return False
     n = cnf.n_vars
-    assign, reason, level = cnf.assign, cnf.reason, cnf.level
-    grow = n + 1 - len(assign)
-    assign.extend([None] * grow)
-    reason.extend([None] * grow)
-    level.extend([0] * grow)
-    watches = cnf.watches
+    reason, level = cnf.reason, cnf.level
+    grow = n + 1 - len(reason)
+    if grow:
+        half = len(reason)
+        cnf.assign = cnf.assign[:half] + [None] * (2 * grow) + cnf.assign[half:]
+        cnf.watches = (cnf.watches[:half] + [[] for _ in range(2 * grow)]
+                       + cnf.watches[half:])
+        reason.extend([None] * grow)
+        level.extend([0] * grow)
+    assign, watches = cnf.assign, cnf.watches
     trail, trail_lim = cnf.trail, cnf.trail_lim
     qhead = 0                        # trail[:qhead] is propagated
 
-    def watch(lit: int, cl: List[int]):
-        watches.setdefault(lit, []).append(cl)
-
-    def value(lit: int) -> Optional[bool]:
-        v = assign[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def enqueue(lit: int, why: Optional[List[int]]) -> bool:
-        v = value(lit)
-        if v is not None:
-            return v
+    def enqueue(lit: int, why: Optional[List[int]]) -> None:
+        """Make the unassigned literal lit true."""
+        assign[lit] = True
+        assign[-lit] = False
         var = abs(lit)
-        assign[var] = lit > 0
         reason[var] = why
         level[var] = len(trail_lim)
         trail.append(lit)
-        return True
 
     def attach(cl: List[int]) -> bool:
         """Settle a new clause at level 0, moving two literals that are
@@ -816,7 +893,7 @@ def _dpll(cnf: _Cnf, decision: List[int],
         is false."""
         k = 0
         for j, lit in enumerate(cl):
-            v = value(lit)
+            v = assign[lit]
             if v is True:
                 return True
             if v is None:
@@ -827,48 +904,56 @@ def _dpll(cnf: _Cnf, decision: List[int],
         if k == 0:
             return False
         if k == 1:
-            return enqueue(cl[0], cl)
-        watch(cl[0], cl)
-        watch(cl[1], cl)
+            enqueue(cl[0], cl)
+            return True
+        watches[cl[0]].append(cl)
+        watches[cl[1]].append(cl)
         return True
 
     def propagate() -> Optional[List[int]]:
-        """Exhaust unit propagation; return a falsified clause, if any."""
+        """Exhaust unit propagation; return a falsified clause, if any.
+        Reading a literal's value, making one true and watching one are
+        written out here, the search's innermost loop."""
         nonlocal qhead
-        start = qhead
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            falsified = -lit
-            watching = watches.get(falsified)
-            if not watching:
-                continue
-            i = 0
-            while i < len(watching):
+        head = start = qhead
+        lvl = len(trail_lim)
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            watching = watches[falsified]
+            i, end = 0, len(watching)
+            while i < end:
                 cl = watching[i]
                 # make sure falsified is at position 1
                 if cl[0] == falsified:
                     cl[0], cl[1] = cl[1], cl[0]
-                if value(cl[0]) is True:
+                first = cl[0]
+                if assign[first] is True:
                     i += 1
                     continue
-                found = False
                 for j in range(2, len(cl)):
-                    if value(cl[j]) is not False:
-                        cl[1], cl[j] = cl[j], cl[1]
-                        watch(cl[1], cl)
-                        watching[i] = watching[-1]
+                    lit = cl[j]
+                    if assign[lit] is not False:
+                        cl[1], cl[j] = lit, cl[1]
+                        watches[lit].append(cl)
+                        end -= 1
+                        watching[i] = watching[end]
                         watching.pop()
-                        found = True
                         break
-                if found:
-                    continue
-                if value(cl[0]) is False:
-                    count["propagations"] += qhead - start
-                    return cl
-                enqueue(cl[0], cl)
-                i += 1
-        count["propagations"] += qhead - start
+                else:
+                    if assign[first] is False:
+                        qhead = head
+                        count["propagations"] += head - start
+                        return cl
+                    assign[first] = True
+                    assign[-first] = False
+                    var = first if first > 0 else -first
+                    reason[var] = cl
+                    level[var] = lvl
+                    trail.append(first)
+                    i += 1
+        qhead = head
+        count["propagations"] += head - start
         return None
 
     def analyze(confl: List[int]) -> Tuple[List[int], int]:
@@ -916,12 +1001,13 @@ def _dpll(cnf: _Cnf, decision: List[int],
 
     def cancel_until(lvl: int):
         nonlocal qhead
-        while len(trail_lim) > lvl:
-            mark = trail_lim.pop()
-            while len(trail) > mark:
-                var = abs(trail.pop())
-                assign[var] = None
-                reason[var] = None
+        if len(trail_lim) > lvl:
+            mark = trail_lim[lvl]
+            del trail_lim[lvl:]
+            for lit in trail[mark:]:
+                assign[lit] = assign[-lit] = None
+                reason[abs(lit)] = None
+            del trail[mark:]
         qhead = len(trail)
 
     # every call ends with level 0 propagated, so this sets qhead past it
@@ -947,12 +1033,12 @@ def _dpll(cnf: _Cnf, decision: List[int],
             cnf.learned.append(learned)
             count["learned"] += 1
             if len(learned) >= 2:
-                watch(learned[0], learned)
-                watch(learned[1], learned)
+                watches[learned[0]].append(learned)
+                watches[learned[1]].append(learned)
             enqueue(learned[0], learned)    # unassigned after the backjump
             di = 0
             continue
-        while di < len(decision) and assign[abs(decision[di])] is not None:
+        while di < len(decision) and assign[decision[di]] is not None:
             di += 1
         if di >= len(decision):
             return True

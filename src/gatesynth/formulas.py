@@ -30,7 +30,9 @@ import itertools
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 
 class _Bottom:
@@ -288,9 +290,21 @@ class AttributeSignature:
 # Formula nodes
 # ---------------------------------------------------------------------------
 
-# Weak values: a node stays in the table while something else holds it,
-# so building a new structure per operation does not grow the process.
-_NODES: "weakref.WeakValueDictionary[tuple, Node]" = weakref.WeakValueDictionary()
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's key in _NODES."""
+    __slots__ = ("key",)
+
+
+# The hash-consing table, (class, *fields) -> weak reference to the node.
+# It holds nodes weakly: a node's entry goes when the node dies, so
+# building a new structure per operation does not grow the process.
+_NODES: Dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, nodes=_NODES) -> None:
+    """Drop a dead node's entry, unless a new node took its key."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class Node:
@@ -300,18 +314,28 @@ class Node:
     fields when there is one."""
     __slots__ = ("__weakref__",)
     _fields: Tuple[str, ...] = ()
+    _setters: Tuple[Callable, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slots' own setters, which Node.__setattr__ does not reach
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __new__(cls, *args):
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         if len(args) != len(cls._fields):
             raise TypeError("%s takes %d fields, got %d"
                             % (cls.__name__, len(cls._fields), len(args)))
-        key = (cls,) + args
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, args):
-                object.__setattr__(node, name, value)
-            _NODES[key] = node
+        node = object.__new__(cls)
+        for set_field, value in zip(cls._setters, args):
+            set_field(node, value)
+        ref = _NODES[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
     def __setattr__(self, name, value):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth import app, data
 from gatesynth.app import (
-    DEADLOCK_SOURCE, DENY_DEFAULT_SOURCE, SynthesisError, classify,
+    DEADLOCK_SOURCE, DENY_DEFAULT_SOURCE, SimulationReport, SynthesisError, classify,
     deny_by_default_requirement, effective_requirements, minimal_conflict,
     simulate, synth, verify,
 )
@@ -21,13 +21,15 @@ from gatesynth.formulas import (
     SUBJECT, UNKNOWN, Atom, AttributeDecl, AttributeSignature, Not, Requirement,
     Top, conj, deadlock_free_constraint, deny, falsum, grant, target_equiv,
 )
-from gatesynth.model import ResourceStructure, config_to_json
-from gatesynth.rules import parse_request, parse_requirements, parse_target
+from gatesynth.model import (
+    ResourceStructure, config_to_json, granted_edges, restrict, to_dot,
+)
+from gatesynth.rules import format_request, parse_request, parse_requirements, parse_target
 from gatesynth.templates import (
     CapExceeded, SingletonTemplate, complete_template, dnf_template,
 )
 
-from genutil import random_model, random_pattern_requirement
+from genutil import random_config, random_model, random_pattern_requirement, random_request
 
 
 def vis_grants_vault(S):
@@ -615,6 +617,30 @@ def test_simulate(office, office_published):
     assert ("cor", "bur") in sim.denied
     assert sim.granted | sim.denied == set(office.edges)
     assert "digraph" in sim.dot and "time=9" in sim.dot
+
+
+def simulate_through_restrict(S, config, q):
+    """simulate as it was before it read reachability off the granted
+    edges: through the restricted structure, computing the granted edges
+    twice."""
+    granted = granted_edges(S, config, q)
+    denied = set(S.edges) - granted
+    reachable = sorted(restrict(S, config, q).reachable())
+    stranded = [r for r in S.nodes if r not in reachable]
+    dot = to_dot(S, config, granted=granted,
+                 title="request " + format_request(q, S.sig))
+    return SimulationReport(dict(q), granted, denied, reachable, stranded, dot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_simulate_reports_what_it_reported_through_restrict(seed):
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 6), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True, two_way=0.3)
+    config = random_config(rng, S)
+    q = random_request(rng, S.sig)
+    assert simulate(S, config, q) == simulate_through_restrict(S, config, q)
 
 
 def test_simulate_titles_the_request_as_parse_request_reads_it(office, office_published):

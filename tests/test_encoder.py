@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import re
 import stat
@@ -83,6 +85,46 @@ def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
     del f, guards
     gc.collect()
     assert len(formulas._NODES) <= before
+
+
+def test_the_node_table_keeps_entries_of_live_nodes_only(firm, firm_reqs):
+    gc.collect()
+    before = len(formulas._NODES)
+    f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
+    assert len(formulas._NODES) > before
+    del f
+    gc.collect()
+    assert all(ref() is not None and ref.key is key for key, ref in formulas._NODES.items())
+
+
+def test_a_node_built_again_after_its_first_died_is_interned_again():
+    def build():
+        return CAnd((CVarEq("rebuilt", 3), CNot(CVarEq("rebuilt", 4))))
+
+    first = build()
+    key = (CAnd, first.args)
+    del first
+    gc.collect()
+    assert key not in formulas._NODES
+    again = build()
+    assert again is build()
+    assert formulas._NODES[(CAnd, again.args)]() is again
+
+
+def test_copies_of_a_node_are_the_interned_node(office, office_reqs):
+    f = cand([encode(office, r) for r in office_reqs]
+             + [Atom("time", frozenset(range(3, 9))), Atom("role", frozenset(["visitor"]))])
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+
+
+@pytest.mark.parametrize("cls, args", [(CVarEq, ("x",)), (CVarEq, ("x", 1, 2)), (CNot, ()),
+                                       (CFalse, (1,)), (CAnd, ())])
+def test_a_wrong_field_count_is_a_type_error(cls, args):
+    with pytest.raises(TypeError, match="takes %d fields, got %d"
+                       % (len(cls._fields), len(args))):
+        cls(*args)
 
 
 # The fields of every node class, written out here so that the

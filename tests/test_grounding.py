@@ -23,14 +23,19 @@ from gatesynth import app, cli, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
     CAnd, CFalse, CTrue, Compiled, ControlVar, SolverError, cand, counterexample,
-    emit_smtlib, encode, eval_formula, expand_guards, ground_forall, request_regions,
-    sat_solve,
+    emit_smtlib, encode, eval_formula, expand_guards, fold_atoms, ground_forall,
+    request_regions, sat_solve, substitute,
 )
+from gatesynth.formulas import BOTTOM, Atom, subformulas
 from gatesynth.model import ResourceStructure, config_to_json, scale_replicate
 from gatesynth.rules import parse_requirements
-from gatesynth.templates import CapExceeded, complete_template, dnf_template
+from gatesynth.templates import (
+    CapExceeded, MenuTemplate, SingletonTemplate, complete_template, dnf_template,
+)
 
-from genutil import random_model, random_pattern_requirement, random_policy
+from genutil import (
+    random_config, random_model, random_pattern_requirement, random_policy, random_request,
+)
 
 
 def conjuncts(f):
@@ -191,8 +196,8 @@ def record_grounded(monkeypatch):
     """Make app's ground_forall keep every instance it returns."""
     grounded = []
 
-    def recording(f, sig, requests=None):
-        grounded.append(ground_forall(f, sig, requests))
+    def recording(f, sig, requests=None, folds=None):
+        grounded.append(ground_forall(f, sig, requests, folds))
         return grounded[-1]
 
     monkeypatch.setattr(app, "ground_forall", recording)
@@ -310,6 +315,69 @@ def test_synth_frees_what_it_builds_without_the_cycle_collector(monkeypatch, req
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The solver's work on the bundled firm, rules in file order, per
+# template: a change that alters the search on purpose updates these and
+# says why.
+FIRM_WORK = {
+    "dnf": dict(instances=7, iterations=8, decisions=6104, conflicts=1,
+                propagations=29606, learned=1, cnf_vars=5402, cnf_clauses=17152,
+                grounded_size=5164, expanded_size=4073, regions=180),
+    "complete": dict(instances=15, iterations=16, decisions=10315, conflicts=0,
+                     propagations=25182, learned=0, cnf_vars=2699, cnf_clauses=7432,
+                     grounded_size=2988, expanded_size=1680, regions=120),
+}
+
+
+@pytest.mark.parametrize("template", ["dnf", "complete"])
+def test_the_solver_work_on_the_firm_is_pinned(firm, firm_reqs, template):
+    attempts = synth(firm, firm_reqs, template=template).stats["attempts"]
+    assert len(attempts) == 1
+    want = FIRM_WORK[template]
+    assert {key: attempts[0][key] for key in want} == want
+
+
+def fold_by_substitute(f, q):
+    """fold_atoms before its fold table: one substitute() walk per call."""
+    def leaf(g):
+        if isinstance(g, Atom):
+            return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
+        return g
+
+    return substitute(f, leaf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_a_shared_fold_table_folds_as_substitute_does(seed):
+    """Over a sequence of requests, regions and random ones, each folding
+    the expanded formula or one of its subformulas through one table,
+    fold_atoms returns the very node a fresh substitute() walk builds."""
+    rng = random.Random(seed)
+    S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
+                     with_numeric=True, two_way=0.3)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
+    eff = effective_requirements(S, reqs)
+    guard_formula = cand([encode(S, r) for r in eff])
+    tpls = [dnf_template(S, eff, k) for k in (1, 2, 3)]
+    try:
+        tpls.append(complete_template(S, eff, 256))
+    except CapExceeded:
+        pass
+    menus = {e: [random_policy(rng, S.sig) for _ in range(rng.randint(1, 3))]
+             for e in S.controlled_edges()}
+    tpls += [MenuTemplate(S, menus), SingletonTemplate(S, random_config(rng, S))]
+    for tpl in tpls:
+        expanded = expand_guards(guard_formula, tpl)
+        parts = list(subformulas(expanded))
+        requests = request_regions(expanded, S.sig)[:24]
+        requests += [random_request(rng, S.sig) for _ in range(8)]
+        rng.shuffle(requests)
+        folds = {}
+        for q in requests:
+            f = expanded if rng.random() < 0.7 else rng.choice(parts)
+            assert fold_atoms(f, q, folds) is fold_by_substitute(f, q), tpl.describe()
 
 
 def fake_solver(tmp_path, body):
