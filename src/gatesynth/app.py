@@ -62,10 +62,13 @@ def effective_requirements(S: ResourceStructure, reqs: Sequence[Requirement],
                            deny_by_default: bool = False,
                            entry_label: Optional[Tuple[str, object]] = None
                            ) -> List[Requirement]:
-    """The requirement list synthesis actually works against."""
+    """The requirement list synthesis actually works against. An entry
+    label without deny_by_default is a ValueError: nothing would read it."""
     out = list(reqs)
     if deadlock_free not in ("auto", "on", "off"):
         raise ValueError("deadlock_free must be auto, on, or off")
+    if entry_label is not None and not deny_by_default:
+        raise ValueError("an entry label is for deny-by-default only")
     want_df = deadlock_free == "on" or (
         deadlock_free == "auto" and any(contains_au(r.constraint) for r in out))
     df = deadlock_free_constraint()
@@ -158,9 +161,10 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     Grounding is counterexample-guided: solve over the instances of the
     requests picked so far (at first none, so the first model is all
     zeros), ask counterexample() for a request at which the model fails
-    the expanded formula, and add that request's instance. The expanded
-    formula is compiled once for those checks; its size and the regions
-    stat are read off that compiled form. The instances' conjunction has
+    the expanded formula (which has no edge guards), and add that
+    request's instance. The expanded formula is compiled once for those
+    checks and for grounding; its size and the regions stat are read
+    off that compiled form. The instances' conjunction has
     a superset of the full grounding's models, so its least model, once
     it holds at every request, is the full grounding's too; an unsat
     answer is already one of the full grounding. The built-in solver's
@@ -184,7 +188,6 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     if emit_smt:
         _write_script(emit_smt, S, expanded, template)
     store = encoder._Cnf(template.control_vars(), timeout)
-    folds: dict = {}                    # fold_atoms' table, as long-lived as the store
     counters: Dict[str, int] = {}
     solve_seconds = 0.0
     t2 = time.perf_counter()
@@ -202,7 +205,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
         check_seconds += time.perf_counter() - t3
         if failing is None:
             break
-        instance = ground_forall(expanded, S.sig, [failing], folds)
+        instance = ground_forall(expanded, S.sig, [failing], compiled)
         if instance in instances:
             raise SynthesisError(
                 "the model fails request %r, whose instance it was solved "

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when synthesis finds a configuration or verification
 passes, 1 when the answer is a definite no (unsatisfiable, requirement
-violated, formula false), 2 for usage or input errors, 3 when an
-internal soundness check fails (SynthesisError: for instance the
+violated, formula false) or a search cut off by the cap (printed as
+cap-exceeded), 2 for usage or input errors, 3 when an internal
+soundness check fails (SynthesisError: for instance the
 independent checker rejected a synthesized configuration), and 4 when
 anything else goes wrong: a crash prints one line, "internal error:"
 with the exception's type and message, and no traceback.
@@ -128,7 +129,7 @@ def _cmd_synth(args) -> int:
             save_config(S, result.configuration, args.output)
             print("written to %s" % args.output, file=sys.stderr)
         return 0
-    print("unsat: %s" % result.message, file=sys.stderr)
+    print("%s: %s" % (result.outcome, result.message), file=sys.stderr)
     if result.outcome == "unsat" and not args.no_explain and len(reqs) > 1:
         found = minimal_conflict(S, reqs, **options)
         if found is not None:

@@ -10,21 +10,23 @@ Synthesis grounds counterexample-guided: it instantiates only the
 requests that counterexample() returns, each one where the current
 model fails, while ground_forall() over every region stays the
 reference and the source of grounded scripts. Expansion and evaluation
-are one walk, substitute(), which rebuilds a formula with its leaves
-replaced. Grounding, fold_atoms(), is that walk with every attribute
-test decided, through a fold table that synthesis keeps for a whole
-attempt: a subformula is rebuilt once if it tests no attribute, and
-once per value of the attribute if it tests one, however many
-requests the attempt grounds. The check rebuilds nothing: synthesis
-compiles each expanded formula once into a flat postorder array
-(Compiled), and every check runs a three-valued pass under the model
-over it, then evaluates what is still unknown on a chunk of regions at
-once, one bit per region. One printer, _sexp(), renders control
-formulas as SMT-LIB terms for both script forms. Both forms print each
-shared connective once: grounded scripts bind it with
-define-fun, quantified ones with let inside the quantifier, because
-there it mentions the request variables. Numeric attribute tests print
-as bounds read off the intervals of their IntervalSet.
+are one rebuild, substitute(), a memo fold over subformulas() that
+replaces a formula's leaves. Synthesis compiles each expanded formula
+once into a flat postorder array (Compiled), which also records which
+attribute each node tests. Every check runs a three-valued pass under
+the model over it, then evaluates what is still unknown on a chunk of
+regions at once, one bit per region, and builds nothing. Grounding,
+fold_atoms(), is one loop over the same array that decides every
+attribute test: a node that tests no attribute stays as it is, one
+that tests one is rebuilt once per value of it in the attempt, its
+group's fold cached in the compiled form, and one that tests several
+once per request. Neither walk recurses on formula depth. One
+printer, _sexp(), renders control formulas as SMT-LIB terms for both
+script forms. Both forms print each shared connective once: grounded
+scripts bind it with define-fun, quantified ones with let inside the
+quantifier, because there it mentions the request variables. Numeric
+attribute tests print as bounds read off the intervals of their
+IntervalSet.
 
 The built-in solver, sat_solve(), translates control formulas to
 clauses (Tseitin) and searches them with conflict learning. Its store,
@@ -41,8 +43,8 @@ included, so a policy's tests enter them as they are. Nodes are
 hash-consed: an equal node is the same object, memo tables key on nodes
 directly, and each edge has one live guard without a cache of its own.
 Walks over them are formulas.subformulas(); this module keeps only the
-smart constructors, the rewrite, substitute() and fold_atoms(), the
-compiled check, the solver and the SMT-LIB printer.
+smart constructors, the rewrite, substitute(), the compiled form with
+its check and fold_atoms(), the solver and the SMT-LIB printer.
 
 Both untils share one unrolling over simple paths. A space where the
 right side holds outright settles the until as true, and one where the
@@ -327,32 +329,24 @@ def substitute(f: ControlFormula,
     """Rebuild f with every leaf node replaced by leaf(node).
 
     Connectives are rebuilt through the smart constructors, so constant
-    leaves fold away on the way up. Each shared node is visited once.
+    leaves fold away on the way up. One memo fold over subformulas():
+    each shared node is rebuilt once, children before parents.
     """
     memo: Dict[ControlFormula, ControlFormula] = {}
-
-    def walk(g: ControlFormula) -> ControlFormula:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        kind = type(g)      # node classes are final; this is the hot loop of grounding
+    for g in subformulas(f):
+        kind = type(g)      # node classes are final
         if kind is CAnd:
-            out = cand([walk(a) for a in g.args])
+            out = cand([memo[a] for a in g.args])
         elif kind is COr:
-            out = cor([walk(a) for a in g.args])
+            out = cor([memo[a] for a in g.args])
         elif kind is Not:
-            out = cnot(walk(g.sub))
+            out = cnot(memo[g.sub])
         elif kind is CImplies:
-            out = cimplies(walk(g.left), walk(g.right))
+            out = cimplies(memo[g.left], memo[g.right])
         else:
             out = leaf(g)
         memo[g] = out
-        return out
-
-    try:
-        return walk(f)
-    finally:
-        walk = None     # walk refers to itself; this frees the memo on return
+    return memo[f]
 
 
 def expand_guards(f: ControlFormula, template) -> ControlFormula:
@@ -364,83 +358,6 @@ def expand_guards(f: ControlFormula, template) -> ControlFormula:
     return substitute(f, leaf)
 
 
-# What the fold table says of a subformula that tests two or more attributes.
-_SEVERAL = "several attributes"
-
-
-def fold_atoms(f: ControlFormula, q: AccessRequest,
-               folds: Optional[dict] = None) -> ControlFormula:
-    """Decide every attribute test under the request q: substitute() with
-    each Atom replaced by its verdict, through a fold table.
-
-    The table maps each subformula folded so far to its one fold when it
-    tests no attribute, to the attribute when it tests one, and to
-    _SEVERAL otherwise, as learned from its children the first time it
-    is folded. The folds of one-attribute subformulas are kept per
-    attribute and value, in a dict under the key (attribute, value).
-    Calls over subformulas of one formula may share a table (synthesis
-    keeps one per attempt), so each subformula is folded once in all,
-    once per value of its attribute, or once per call. Values are keys,
-    so a shared table wants each attribute's values to be of its kind,
-    as in validated requests."""
-    if folds is None:
-        folds = {}
-    get = folds.get
-    value_of = q.get
-    tables: Dict[str, Dict[ControlFormula, ControlFormula]] = {}   # by attribute, for q
-    memo: Dict[ControlFormula, ControlFormula] = {}     # this call's _SEVERAL folds
-
-    def table_of(attr: str) -> Dict[ControlFormula, ControlFormula]:
-        table = tables[attr] = folds.setdefault((attr, value_of(attr, BOTTOM)), {})
-        return table
-
-    def walk(g: ControlFormula) -> ControlFormula:
-        said = get(g)
-        if said is not None:
-            if type(said) is not str:
-                return said
-            table = memo if said is _SEVERAL else tables.get(said) or table_of(said)
-            out = table.get(g)
-            if out is not None:
-                return out
-        kind = type(g)      # node classes are final; this is the hot loop of grounding
-        if kind is CAnd:
-            out = cand([walk(a) for a in g.args])
-        elif kind is COr:
-            out = cor([walk(a) for a in g.args])
-        elif kind is Not:
-            out = cnot(walk(g.sub))
-        elif kind is CImplies:
-            out = cimplies(walk(g.left), walk(g.right))
-        elif kind is Atom:
-            out = Top() if value_of(g.attr, BOTTOM) in g.values else CFalse()
-            if said is None:
-                said = folds[g] = g.attr
-                table = tables.get(said) or table_of(said)
-            table[g] = out
-            return out
-        else:
-            folds[g] = g        # tests no attribute, and was not seen before
-            return g
-        if said is None:        # the first fold of g: which attributes does it test?
-            for ch in children(g):
-                a = folds[ch]
-                if type(a) is str and a != said:
-                    said = a if said is None else _SEVERAL
-            if said is None:
-                folds[g] = out
-                return out
-            folds[g] = said
-            table = memo if said is _SEVERAL else tables.get(said) or table_of(said)
-        table[g] = out
-        return out
-
-    try:
-        return walk(f)
-    finally:
-        walk = table_of = None     # walk refers to itself; this frees the memo on return
-
-
 def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRequest]:
     """One representative request per region of the attribute tests
     appearing in f, in build_regions order."""
@@ -449,23 +366,23 @@ def request_regions(f: ControlFormula, sig: AttributeSignature) -> List[AccessRe
 
 def ground_forall(f: ControlFormula, sig: AttributeSignature,
                   requests: Optional[Sequence[AccessRequest]] = None,
-                  folds: Optional[dict] = None) -> ControlFormula:
+                  compiled: Optional[Compiled] = None) -> ControlFormula:
     """Universal closure over requests, by explicit instantiation: one
     instance per given request, folded instances deduplicated. With no
     requests, one instance per region representative: the full
     grounding, which is exactly the universal closure. Synthesis grounds
     only the requests its counterexample loop picks; the full grounding
     stays the reference for it and the source of grounded scripts.
-    folds is fold_atoms' table, shared by every request of the call and
-    by the calls that pass the same one (synthesis keeps one per attempt)."""
+    f has no edge guards; every request folds through its compiled
+    form, the one given (synthesis shares its attempt's) or a new one."""
     if requests is None:
         requests = request_regions(f, sig)
-    if folds is None:
-        folds = {}
+    if compiled is None:
+        compiled = Compiled(f)
     instances: List[ControlFormula] = []
     seen: Set[ControlFormula] = set()
     for q in requests:
-        inst = fold_atoms(f, q, folds)
+        inst = fold_atoms(f, q, compiled)
         if isinstance(inst, Top) or inst in seen:
             continue
         if isinstance(inst, CFalse):
@@ -498,16 +415,25 @@ _OPS = {Top: _TRUE, CFalse: _FALSE, Atom: _ATOM, CVarEq: _TEST, Not: _NOT,
 CHUNK = 1024
 
 
-class Compiled:
-    """A control formula compiled once for many counterexample checks: a
-    flat postorder array, children before parents and the root last.
-    Node i is nodes[i], with op code ops[i] and child indices kids[i].
-    The three-valued pass reads leaves (the value of each constant leaf,
-    None elsewhere), tests (i, variable, value) and connectives (i, op,
-    pick), where pick takes the children's values from the value list.
-    atoms are the attribute tests."""
+# What Compiled records of a node that tests two or more attributes.
+_SEVERAL = object()
 
-    __slots__ = ("nodes", "ops", "kids", "leaves", "tests", "connectives", "atoms")
+
+class Compiled:
+    """A control formula compiled once for many counterexample checks and
+    groundings: a flat postorder array, children before parents and the
+    root last. Node i is nodes[i], with op code ops[i] and child indices
+    kids[i]. The three-valued pass reads leaves (the value of each
+    constant leaf, None elsewhere), tests (i, variable, value) and
+    connectives (i, op, pick), where pick takes the children's values
+    from the value list. atoms are the attribute tests. fold_atoms()
+    reads groups, the nodes that test one attribute by attribute, and
+    several, those that test two or more, both in postorder (a node in
+    neither tests none), and keeps its folds of each attribute's group,
+    by (attribute, value), in folds, which lasts as long as the form."""
+
+    __slots__ = ("nodes", "ops", "kids", "leaves", "tests", "connectives", "atoms",
+                 "groups", "several", "folds")
 
     def __init__(self, f: ControlFormula):
         self.nodes: List[ControlFormula] = []
@@ -516,8 +442,12 @@ class Compiled:
         self.leaves: List[Optional[bool]] = []
         self.tests: List[Tuple[int, str, int]] = []
         self.connectives: List[Tuple[int, int, Callable]] = []
+        self.groups: Dict[str, List[int]] = {}
+        self.several: List[int] = []
+        self.folds: Dict[Tuple[str, Value], Dict[int, ControlFormula]] = {}
         index: Dict[ControlFormula, int] = {}
         at = index.__getitem__
+        tested: List[object] = []      # by node: None, its one attribute, or _SEVERAL
         for i, g in enumerate(subformulas(f)):
             op = _OPS.get(type(g))
             if op is None:
@@ -532,7 +462,69 @@ class Compiled:
                 self.tests.append((i, g.var, g.value))
             elif ks:
                 self.connectives.append((i, op, itemgetter(*ks)))
+            t = g.attr if op == _ATOM else None
+            for k in ks:
+                a = tested[k]
+                if a is not None and a != t:
+                    t = a if t is None else _SEVERAL
+            tested.append(t)
+            if t is _SEVERAL:
+                self.several.append(i)
+            elif t is not None:
+                self.groups.setdefault(t, []).append(i)
         self.atoms = [g for g, op in zip(self.nodes, self.ops) if op == _ATOM]
+
+
+def fold_atoms(f: ControlFormula, q: AccessRequest,
+               compiled: Optional[Compiled] = None) -> ControlFormula:
+    """Decide every attribute test under the request q: substitute() with
+    each Atom replaced by its verdict, as one loop over f's compiled form
+    (compiled here when not given; f has no edge guards). A node that
+    tests no attribute folds to itself, as a node the smart constructors
+    built does under a rebuild. Each attribute's group is folded under
+    q's value of it, or taken from the form's cache of such folds, and
+    the nodes that test several attributes are folded last. Calls that
+    share one form (synthesis keeps one per attempt) fold each group
+    once per value. Values are cache keys, so a shared form wants
+    validated requests, whose values are of their attribute's kind."""
+    c = Compiled(f) if compiled is None else compiled
+    if c.nodes[-1] is not f:
+        raise ValueError("the compiled form is not that of the formula folded")
+    val: Dict[int, ControlFormula] = {}
+    for attr, group in c.groups.items():
+        value = q.get(attr, BOTTOM)
+        folded = c.folds.get((attr, value))
+        if folded is None:
+            folded = c.folds[attr, value] = _rebuild(c, group, {}, value)
+        val.update(folded)
+    _rebuild(c, c.several, val, None)
+    return val.get(len(c.nodes) - 1, f)
+
+
+def _rebuild(c: Compiled, order: List[int], val: Dict[int, ControlFormula],
+             value: Value) -> Dict[int, ControlFormula]:
+    """Fold the nodes `order` lists, in postorder, into val: an Atom to
+    its verdict on `value`, a connective through its smart constructor
+    over its children's folds (a child missing from val folds to
+    itself). Returns val. This is the hot loop of grounding."""
+    nodes, ops, kids = c.nodes, c.ops, c.kids
+    get = val.get
+    for i in order:
+        op = ops[i]
+        if op == _ATOM:
+            out = Top() if value in nodes[i].values else CFalse()
+        else:
+            args = [get(k) or nodes[k] for k in kids[i]]
+            if op == _AND:
+                out = cand(args)
+            elif op == _OR:
+                out = cor(args)
+            elif op == _NOT:
+                out = cnot(args[0])
+            else:
+                out = cimplies(*args)
+        val[i] = out
+    return val
 
 
 def _kleene(c: Compiled, m: Dict[str, int]) -> List[Optional[bool]]:

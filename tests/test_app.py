@@ -457,6 +457,14 @@ def test_a_solver_command_needs_the_external_solver(office, office_reqs):
         synth(office, office_reqs, solver_cmd="z3")
 
 
+def test_an_entry_label_needs_deny_by_default(office, office_reqs):
+    with pytest.raises(ValueError, match="deny-by-default only"):
+        effective_requirements(office, office_reqs, entry_label=("id", "out"))
+    with pytest.raises(ValueError, match="deny-by-default only"):
+        synth(office, office_reqs, entry_label=("id", "out"))
+    assert synth(office, office_reqs, deny_by_default=True, entry_label=("id", "out")).ok
+
+
 def cycle_structure():
     sig = AttributeSignature([
         AttributeDecl("who", SUBJECT, ENUM, ("u", "v")),

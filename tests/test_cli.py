@@ -222,6 +222,18 @@ def test_a_solver_command_without_the_external_solver_exits_with_code_2(capsys):
         in capsys.readouterr().err
 
 
+def test_an_entry_label_without_deny_by_default_exits_with_code_2(capsys):
+    assert main(["synth", OFFICE, OFFICE_RULES, "--entry-label", "id=out"]) == 2
+    assert "error: an entry label is for deny-by-default only" in capsys.readouterr().err
+
+
+def test_a_search_cut_off_by_the_cap_says_so_and_exits_with_code_1(capsys):
+    code = main(["synth", OFFICE, OFFICE_RULES, "--template", "complete", "--cap", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "cap-exceeded: complete template needs at least 2 request classes, cap is 1"]
+
+
 def test_malformed_json_exits_with_code_2(tmp_path, capsys):
     not_a_model = tmp_path / "list.json"
     not_a_model.write_text("[]")

@@ -147,8 +147,11 @@ def test_a_region_is_found_by_its_index():
 
 
 def test_a_guard_left_unexpanded_is_refused():
+    f = cand([cguard(("a", "b")), STAFF])
     with pytest.raises(TypeError, match="not an expanded control formula"):
-        Compiled(cand([cguard(("a", "b")), STAFF]))
+        Compiled(f)
+    with pytest.raises(TypeError, match="not an expanded control formula"):
+        fold_atoms(f, {"role": "staff"})
 
 
 # -- synthesis with the reference in place ------------------------------------

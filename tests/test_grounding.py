@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from gatesynth import app, cli, data, encoder
 from gatesynth.app import SynthesisError, effective_requirements, synth
 from gatesynth.encoder import (
-    CAnd, CFalse, CTrue, Compiled, ControlVar, SolverError, cand, counterexample,
+    CAnd, CFalse, CImplies, CNot, COr, CTrue, CVarEq, CGuard, Compiled, ControlVar,
+    SolverError, assign_controls, cand, cguard, cimplies, cnot, cor, counterexample,
     emit_smtlib, encode, eval_formula, expand_guards, fold_atoms, ground_forall,
     request_regions, sat_solve, substitute,
 )
@@ -196,8 +197,8 @@ def record_grounded(monkeypatch):
     """Make app's ground_forall keep every instance it returns."""
     grounded = []
 
-    def recording(f, sig, requests=None, folds=None):
-        grounded.append(ground_forall(f, sig, requests, folds))
+    def recording(f, sig, requests=None, compiled=None):
+        grounded.append(ground_forall(f, sig, requests, compiled))
         return grounded[-1]
 
     monkeypatch.setattr(app, "ground_forall", recording)
@@ -338,23 +339,59 @@ def test_the_solver_work_on_the_firm_is_pinned(firm, firm_reqs, template):
     assert {key: attempts[0][key] for key in want} == want
 
 
-def fold_by_substitute(f, q):
-    """fold_atoms before its fold table: one substitute() walk per call."""
+def recursive_substitute(f, leaf):
+    """substitute() before it folded over subformulas(): a recursive
+    walk with a memo, kept as the reference for the fold."""
+    memo = {}
+
+    def walk(g):
+        got = memo.get(g)
+        if got is not None:
+            return got
+        if isinstance(g, CAnd):
+            out = cand([walk(a) for a in g.args])
+        elif isinstance(g, COr):
+            out = cor([walk(a) for a in g.args])
+        elif isinstance(g, CNot):
+            out = cnot(walk(g.sub))
+        elif isinstance(g, CImplies):
+            out = cimplies(walk(g.left), walk(g.right))
+        else:
+            out = leaf(g)
+        memo[g] = out
+        return out
+
+    return walk(f)
+
+
+def atom_verdicts(q):
+    """The leaf function that decides each attribute test under q."""
     def leaf(g):
         if isinstance(g, Atom):
             return CTrue() if q.get(g.attr, BOTTOM) in g.values else CFalse()
         return g
 
-    return substitute(f, leaf)
+    return leaf
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 32))
-def test_a_shared_fold_table_folds_as_substitute_does(seed):
-    """Over a sequence of requests, regions and random ones, each folding
-    the expanded formula or one of its subformulas through one table,
-    fold_atoms returns the very node a fresh substitute() walk builds."""
-    rng = random.Random(seed)
+def control_verdicts(m):
+    """The leaf function that decides each control-variable test under m."""
+    def leaf(g):
+        if isinstance(g, CVarEq):
+            return CTrue() if m.get(g.var, 0) == g.value else CFalse()
+        return g
+
+    return leaf
+
+
+def fold_by_substitute(f, q):
+    """fold_atoms as one reference walk per call."""
+    return recursive_substitute(f, atom_verdicts(q))
+
+
+def random_attempts(rng):
+    """A random building, its requirements' guard formula, and templates
+    of every kind over it."""
     S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
                      with_numeric=True, two_way=0.3)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
@@ -368,16 +405,99 @@ def test_a_shared_fold_table_folds_as_substitute_does(seed):
     menus = {e: [random_policy(rng, S.sig) for _ in range(rng.randint(1, 3))]
              for e in S.controlled_edges()}
     tpls += [MenuTemplate(S, menus), SingletonTemplate(S, random_config(rng, S))]
+    return S, guard_formula, tpls
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_a_shared_compiled_form_folds_as_substitute_does(seed):
+    """Over a shuffled sequence of requests, regions and random ones, all
+    folding the expanded formula through one compiled form, fold_atoms
+    returns the very node the reference walk builds; so it does on a
+    subformula compiled on the spot, and it refuses a form compiled
+    from another formula."""
+    rng = random.Random(seed)
+    S, guard_formula, tpls = random_attempts(rng)
     for tpl in tpls:
         expanded = expand_guards(guard_formula, tpl)
-        parts = list(subformulas(expanded))
+        compiled = Compiled(expanded)
         requests = request_regions(expanded, S.sig)[:24]
         requests += [random_request(rng, S.sig) for _ in range(8)]
         rng.shuffle(requests)
-        folds = {}
         for q in requests:
-            f = expanded if rng.random() < 0.7 else rng.choice(parts)
-            assert fold_atoms(f, q, folds) is fold_by_substitute(f, q), tpl.describe()
+            assert fold_atoms(expanded, q, compiled) is fold_by_substitute(expanded, q), \
+                tpl.describe()
+        part = rng.choice(list(subformulas(expanded)))
+        q = rng.choice(requests)
+        assert fold_atoms(part, q) is fold_by_substitute(part, q), tpl.describe()
+        if part is not expanded:
+            with pytest.raises(ValueError, match="not that of the formula"):
+                fold_atoms(part, q, compiled)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_substitute_builds_the_node_the_recursive_walk_builds(seed):
+    """On guard formulas (guards expanded), expanded formulas of every
+    template kind (control tests decided) and their residues (attribute
+    tests decided), substitute returns the very node the recursive
+    reference builds, and so do expand_guards and assign_controls."""
+    rng = random.Random(seed)
+    S, guard_formula, tpls = random_attempts(rng)
+    for tpl in tpls:
+        expanded = expand_guards(guard_formula, tpl)
+        assert expanded is recursive_substitute(
+            guard_formula, lambda g: tpl.edge_policy_formula(g.edge)
+            if isinstance(g, CGuard) else g), tpl.describe()
+        m = {v.name: rng.randrange(v.size) for v in tpl.control_vars()}
+        residue = assign_controls(expanded, m)
+        assert residue is recursive_substitute(expanded, control_verdicts(m))
+        q = random_request(rng, S.sig)
+        assert substitute(residue, atom_verdicts(q)) is fold_by_substitute(residue, q)
+
+
+class OnePolicy:
+    """A template stand-in: every door's policy is `policy`."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def edge_policy_formula(self, edge):
+        return self.policy
+
+
+def test_the_folds_do_not_recurse_on_formula_depth(office):
+    """A formula 10,000 connectives deep, over control-variable tests and
+    attribute tests with one guard at the bottom, goes through
+    expand_guards, assign_controls, fold_atoms and ground_forall at the
+    default recursion limit, and each answers as the formula reads."""
+    levels = 5_000                      # two connectives per level
+    tests = [Atom("role", ["visitor"]), Atom("correct_pin", [True])]
+    f = cguard(("out", "cor"))
+    for i in range(levels):
+        f = cor([cand([f, CVarEq("x", i % 2)]), tests[i % 2]])
+    assert sys.getrecursionlimit() < 2 * levels
+    expanded = expand_guards(f, OnePolicy(cand([CVarEq("y", 1), tests[1]])))
+    assert not any(isinstance(g, CGuard) for g in subformulas(expanded))
+
+    def value(q, m):
+        v = m.get("y", 0) == 1 and q.get("correct_pin") is True
+        for i in range(levels):
+            v = (v and m.get("x", 0) == i % 2) or q.get(tests[i % 2].attr, BOTTOM) in \
+                tests[i % 2].values
+        return v
+
+    requests = request_regions(expanded, office.sig)
+    grounded = ground_forall(expanded, office.sig)
+    compiled = Compiled(expanded)
+    for m in ({}, {"x": 1, "y": 1}, {"y": 1}):
+        residue = assign_controls(expanded, m)
+        for q in requests:
+            want = CTrue() if value(q, m) else CFalse()
+            assert fold_atoms(residue, q) is want
+            assert assign_controls(fold_atoms(expanded, q, compiled), m) is want
+        want = all(value(q, m) for q in requests)
+        assert assign_controls(grounded, m) is (CTrue() if want else CFalse())
 
 
 def fake_solver(tmp_path, body):
