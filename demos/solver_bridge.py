@@ -35,11 +35,11 @@ grounded = ground_forall(expanded, office.sig)
 
 # Two renderings. The grounded script is pure Boolean structure over
 # integer-coded selectors; the quantified one keeps the request
-# symbolic, with one sort per attribute and an explicit constructor
-# for the unset value.
+# symbolic, one Int per attribute: a finite attribute's value is its
+# index in the domain, unset first, and a number is itself, or -1 when
+# unset.
 flat = emit_smtlib(grounded, template.control_vars())
-pretty = emit_smtlib(expanded, template.control_vars(), sig=office.sig,
-                     quantified=True)
+pretty = emit_smtlib(expanded, template.control_vars(), sig=office.sig)
 print("grounded script: %d lines" % len(flat.splitlines()))
 print("quantified script: %d lines" % len(pretty.splitlines()))
 print("\n".join(pretty.splitlines()[:12]))

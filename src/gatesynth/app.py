@@ -147,8 +147,7 @@ def _write_script(path: str, S: ResourceStructure, expanded: ControlFormula,
     """Write an expanded formula as an SMT-LIB script with the request
     kept universally quantified."""
     with open(path, "w") as fh:
-        fh.write(emit_smtlib(expanded, template.control_vars(),
-                             sig=S.sig, quantified=True))
+        fh.write(emit_smtlib(expanded, template.control_vars(), S.sig))
 
 
 def _attempt(S: ResourceStructure, guard_formula: ControlFormula,

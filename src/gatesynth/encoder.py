@@ -21,12 +21,13 @@ attribute test: a node that tests no attribute stays as it is, one
 that tests one is rebuilt once per value of it in the attempt, its
 group's fold cached in the compiled form, and one that tests several
 once per request. Neither walk recurses on formula depth. One
-printer, _sexp(), renders control formulas as SMT-LIB terms for both
-script forms. Both forms print each shared connective once: grounded
-scripts bind it with define-fun, quantified ones with let inside the
-quantifier, because there it mentions the request variables. Numeric
-attribute tests print as bounds read off the intervals of their
-IntervalSet.
+printer, emit_smtlib(), writes both script forms in one fold over
+subformulas(), and each connective with two or more parents prints once,
+as a define-fun that in a quantified script takes the request as
+parameters. There every request attribute is one Int: a finite one holds
+its value's index in the attribute's domain, a numeric one the number,
+or -1 when unset, so numeric tests print as bounds read off the
+intervals of their IntervalSet.
 
 The built-in solver, sat_solve(), translates control formulas to
 clauses (Tseitin) and searches them with conflict learning. Its store,
@@ -86,7 +87,7 @@ from typing import (
 )
 
 from .formulas import (
-    AU, AX, BOTTOM, BOOLEAN, EU, EX, NUMERIC, AccessRequest, And, Atom,
+    AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
     CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
     collect_atoms, conj, contains_au, disj, falsum, intervals_of, subformulas,
@@ -1045,175 +1046,90 @@ def _dpll(cnf: _Cnf, decision: List[int],
 # SMT-LIB emission and external solvers
 # ---------------------------------------------------------------------------
 
-def _sexp(f: ControlFormula, atom: Optional[Callable[[Atom], str]] = None,
-          names: Optional[Dict[ControlFormula, str]] = None) -> str:
-    """The SMT-LIB term for f. `atom` renders attribute tests; without
-    it (grounded scripts) they are an error. Subterms listed in `names`
-    print as the name they were bound to."""
-    names = names or {}
-
-    def term(g: ControlFormula) -> str:
-        name = names.get(g)
-        if name is not None:
-            return name
-        if isinstance(g, Top):
-            return "true"
-        if isinstance(g, CFalse):
-            return "false"
-        if isinstance(g, CVarEq):
-            return "(= %s %d)" % (g.var, g.value)
-        if isinstance(g, Atom) and atom is not None:
-            return atom(g)
-        if isinstance(g, Not):
-            return "(not %s)" % term(g.sub)
-        if isinstance(g, CAnd):
-            return "(and %s)" % " ".join(term(a) for a in g.args)
-        if isinstance(g, COr):
-            return "(or %s)" % " ".join(term(a) for a in g.args)
-        if isinstance(g, CImplies):
-            return "(=> %s %s)" % (term(g.left), term(g.right))
-        raise ValueError("cannot emit node %r in a grounded script" % (g,))
-
-    return term(f)
+def _smt_atom(decl: AttributeDecl, a: Atom) -> str:
+    """The attribute test a on the request variable q_<attribute>: a
+    finite attribute's variable holds the value's index in its domain, a
+    numeric one's the number itself, or -1 when unset."""
+    x = "q_" + a.attr
+    domain = decl.domain()
+    if domain is not None:
+        tests = ["(= %s %d)" % (x, i) for i, v in enumerate(domain) if v in a.values]
+    else:
+        tests = ["(= %s (- 1))" % x] if BOTTOM in a.values else []
+        tests += ["(= %s %d)" % (x, lo) if lo == hi else "(<= %d %s %d)" % (lo, x, hi)
+                  for lo, hi in intervals_of(a.values)]
+    if not tests:
+        return "false"
+    return tests[0] if len(tests) == 1 else "(or %s)" % " ".join(tests)
 
 
-def _shared_definitions(f: ControlFormula, atom: Optional[Callable[[Atom], str]] = None
-                        ) -> Tuple[List[Tuple[int, str, str]], Dict[ControlFormula, str]]:
-    """A name for every connective with two or more parents, so that
-    every shared subterm prints once: (level, name, term) triples,
-    children before parents, and the names. A term refers only to names
-    of lower levels, so the names of one level can be bound together."""
+def emit_smtlib(f: ControlFormula,
+                variables: Sequence[ControlVar],
+                sig: Optional[AttributeSignature] = None) -> str:
+    """Render a satisfiability script for the control formula: control
+    variables become bounded Int constants.
+
+    Without a signature the script is grounded, and f must be free of
+    attribute tests. With one it is quantified: each request attribute
+    is one Int, q_<attr>, bound by a universal quantifier over the whole
+    body and guarded to its domain's codes (see _smt_atom). One fold
+    over subformulas() builds each node's term from its children's, and
+    names every connective with two or more parents once, in a
+    define-fun; in a quantified script that takes the request as
+    parameters, and each reference applies it to them."""
+    attrs = sig.request_attrs() if sig is not None else []
+    binders = " ".join("(q_%s Int)" % d.name for d in attrs)
+    args = "".join(" q_" + d.name for d in attrs)
+    lines = ["(set-option :produce-models true)"]
+    for v in variables:
+        lines.append("(declare-const %s Int)" % v.name)
+        lines.append("(assert (and (<= 0 %s) (< %s %d)))" % (v.name, v.name, v.size))
     order = list(subformulas(f))
     parents: Dict[ControlFormula, int] = {}
     for g in order:
         for ch in children(g):
             parents[ch] = parents.get(ch, 0) + 1
-    definitions: List[Tuple[int, str, str]] = []
-    names: Dict[ControlFormula, str] = {}
-    level: Dict[ControlFormula, int] = {}     # highest level a reference needs bound
+    term: Dict[ControlFormula, str] = {}
+    shared = 0
     for g in order:
-        level[g] = max((level[ch] for ch in children(g)), default=0)
-        if parents.get(g, 0) >= 2 and children(g):
-            name = "_s%d" % len(names)
-            level[g] += 1
-            definitions.append((level[g], name, _sexp(g, atom, names)))
-            names[g] = name
-    return definitions, names
-
-
-class _QuantifiedEmitter:
-    def __init__(self, sig: AttributeSignature):
-        self.sig = sig
-
-    def sort_name(self, attr: str) -> str:
-        return "S_" + attr
-
-    def ctor(self, attr: str, v: Value) -> str:
-        if v is BOTTOM:
-            return "%s_unset" % attr
-        if v is True:
-            return "%s_true" % attr
-        if v is False:
-            return "%s_false" % attr
-        return "%s_%s" % (attr, v)
-
-    def declarations(self, attrs: List[str]) -> List[str]:
-        lines = []
-        for name in attrs:
-            decl = self.sig.get(name)
-            if decl.kind == NUMERIC:
-                continue
-            if decl.kind == BOOLEAN:
-                ctors = [self.ctor(name, BOTTOM), self.ctor(name, False), self.ctor(name, True)]
-            else:
-                ctors = [self.ctor(name, BOTTOM)] + [self.ctor(name, s) for s in decl.symbols]
-            lines.append("(declare-datatype %s (%s))"
-                         % (self.sort_name(name), " ".join("(%s)" % c for c in ctors)))
-        return lines
-
-    def binders(self, attrs: List[str]) -> List[str]:
-        out = []
-        for name in attrs:
-            decl = self.sig.get(name)
-            if decl.kind == NUMERIC:
-                out.append("(%s_known Bool)" % name)
-                out.append("(%s_value Int)" % name)
-            else:
-                out.append("(%s %s)" % (name, self.sort_name(name)))
-        return out
-
-    def atom(self, a: Atom) -> str:
-        decl = self.sig.get(a.attr)
-        if decl.kind == NUMERIC:
-            parts = []
-            if BOTTOM in a.values:
-                parts.append("(not %s_known)" % a.attr)
-            for lo, hi in intervals_of(a.values):
-                if lo == hi:
-                    bound = "(= %s_value %d)" % (a.attr, lo)
-                else:
-                    bound = "(and (<= %d %s_value) (<= %s_value %d))" % (lo, a.attr, a.attr, hi)
-                parts.append("(and %s_known %s)" % (a.attr, bound))
-            if not parts:
-                return "false"
-            if len(parts) == 1:
-                return parts[0]
-            return "(or %s)" % " ".join(parts)
-        if not a.values:
-            return "false"
-        tests = ["(= %s %s)" % (a.attr, self.ctor(a.attr, v)) for v in sorted(a.values, key=str)]
-        if len(tests) == 1:
-            return tests[0]
-        return "(or %s)" % " ".join(tests)
-
-
-def emit_smtlib(f: ControlFormula,
-                variables: Sequence[ControlVar],
-                sig: Optional[AttributeSignature] = None,
-                quantified: bool = False) -> str:
-    """Render a satisfiability script for the control formula.
-
-    Grounded form (default): f must be free of attribute tests; control
-    variables become bounded Int constants. Quantified form: attribute
-    tests stay symbolic, each finite attribute becomes a dedicated sort
-    with an explicit constructor for the unset value, numeric attributes
-    become a known-flag plus an Int, and the whole body is wrapped in a
-    universal quantifier over one request. In both forms every connective
-    with two or more parents is named once.
-    """
-    lines = ["(set-option :produce-models true)"]
-    for v in variables:
-        lines.append("(declare-const %s Int)" % v.name)
-        lines.append("(assert (and (<= 0 %s) (< %s %d)))" % (v.name, v.name, v.size))
-    if quantified:
-        if sig is None:
-            raise ValueError("quantified emission needs the attribute signature")
-        emitter = _QuantifiedEmitter(sig)
-        attrs = [d.name for d in sig.request_attrs()]
-        lines.extend(emitter.declarations(attrs))
-        binders = emitter.binders(attrs)
-        guards = ["(<= 0 %s_value)" % d.name
-                  for d in sig.request_attrs() if d.kind == NUMERIC]
-        # shared subterms mention the bound request variables, so they
-        # are bound inside the quantifier, one let per level
-        definitions, names = _shared_definitions(f, emitter.atom)
-        levels: Dict[int, List[str]] = {}
-        for lvl, name, term in definitions:
-            levels.setdefault(lvl, []).append("(%s %s)" % (name, term))
-        lets = ["(let (%s) " % " ".join(levels[lvl]) for lvl in sorted(levels)]
-        body = "".join(lets) + _sexp(f, emitter.atom, names) + ")" * len(lets)
-        if guards:
-            body = "(=> (and %s) %s)" % (" ".join(guards), body) if len(guards) > 1 \
-                else "(=> %s %s)" % (guards[0], body)
-        if binders:
-            lines.append("(assert (forall (%s) %s))" % (" ".join(binders), body))
+        kids = children(g)
+        parts = [term[ch] for ch in kids]
+        for ch in kids:
+            if parents[ch] == 1:    # its one parent has its term now
+                del term[ch]
+        kind = type(g)
+        if kind is Top:
+            out = "true"
+        elif kind is CFalse:
+            out = "false"
+        elif kind is CVarEq:
+            out = "(= %s %d)" % (g.var, g.value)
+        elif kind is Atom and sig is not None:
+            out = _smt_atom(sig.get(g.attr), g)
+        elif kind is Not:
+            out = "(not %s)" % parts[0]
+        elif kind is CAnd:
+            out = "(and %s)" % " ".join(parts)
+        elif kind is COr:
+            out = "(or %s)" % " ".join(parts)
+        elif kind is CImplies:
+            out = "(=> %s %s)" % tuple(parts)
         else:
-            lines.append("(assert %s)" % body)
-    else:
-        definitions, names = _shared_definitions(f)
-        lines.extend("(define-fun %s () Bool %s)" % (name, term)
-                     for _, name, term in definitions)
-        lines.append("(assert %s)" % _sexp(f, names=names))
+            raise ValueError("cannot emit node %r in a %s script"
+                             % (g, "grounded" if sig is None else "quantified"))
+        if kids and parents.get(g, 0) >= 2:
+            name = "_s%d" % shared
+            shared += 1
+            lines.append("(define-fun %s (%s) Bool %s)" % (name, binders, out))
+            out = "(%s%s)" % (name, args) if args else name
+        term[g] = out
+    body = term[f]
+    if attrs:
+        guards = ["(<= 0 q_%s %d)" % (d.name, len(d.domain()) - 1) if d.domain()
+                  else "(<= (- 1) q_%s)" % d.name for d in attrs]
+        guard = guards[0] if len(guards) == 1 else "(and %s)" % " ".join(guards)
+        body = "(forall (%s) (=> %s %s))" % (binders, guard, body)
+    lines.append("(assert %s)" % body)
     lines.append("(check-sat)")
     if variables:
         lines.append("(get-value (%s))" % " ".join(v.name for v in variables))

@@ -229,6 +229,15 @@ class AttributeDecl:
             return isinstance(v, int) and not isinstance(v, bool) and v >= 0
         return isinstance(v, str) and v in self.symbols
 
+    def domain(self) -> Optional[Tuple[Value, ...]]:
+        """Every value of a finite attribute, unset first; None for a
+        numeric one."""
+        if self.kind == BOOLEAN:
+            return (BOTTOM, False, True)
+        if self.kind == ENUM:
+            return (BOTTOM, *self.symbols)
+        return None
+
 
 class AttributeSignature:
     """Declared attributes, in declaration order.
@@ -778,14 +787,8 @@ def interval_ends(sets: Iterable[ValueSet]) -> List[int]:
 
 
 def _cell_representatives(d: AttributeDecl, sets: List[ValueSet]) -> List[Value]:
-    if d.kind == NUMERIC:
-        candidates: Sequence[Value] = interval_ends(sets)
-    elif d.kind == BOOLEAN:
-        candidates = (False, True)
-    else:
-        candidates = d.symbols
     cells: Dict[Tuple[bool, ...], Value] = {}
-    for v in (BOTTOM, *candidates):
+    for v in d.domain() or (BOTTOM, *interval_ends(sets)):
         cells.setdefault(tuple(v in s for s in sets), v)
     return list(cells.values())
 
@@ -839,12 +842,8 @@ def simplify_policy(t: Formula, sig: AttributeSignature) -> Formula:
 
 
 def _full_domain(sig: AttributeSignature, attr: str) -> Optional[frozenset]:
-    d = sig.get(attr)
-    if d.kind == BOOLEAN:
-        return frozenset([BOTTOM, False, True])
-    if d.kind == ENUM:
-        return frozenset([BOTTOM]) | frozenset(d.symbols)
-    return None
+    domain = sig.get(attr).domain()
+    return None if domain is None else frozenset(domain)
 
 
 def _simp(t: Formula, sig: AttributeSignature) -> Formula:

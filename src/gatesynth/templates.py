@@ -31,8 +31,8 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
-    BOOLEAN, BOTTOM, NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq,
-    Formula, IntervalSet, Not, Requirement, Top, Value, ValueSet, build_regions,
+    NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq, Formula,
+    IntervalSet, Not, Requirement, Top, ValueSet, build_regions,
     collect_atoms, conj, eval_target, interval_ends, simplify_policy,
     target_equiv, validate_target,
 )
@@ -192,12 +192,6 @@ class DnfTemplate(Template):
         self._names[key] = name
         return name
 
-    def _value_domain(self, attr: str) -> List[Value]:
-        d = self.sig.get(attr)
-        if d.kind == BOOLEAN:
-            return [BOTTOM, False, True]
-        return [BOTTOM] + list(d.symbols)
-
     def _bounds(self, attr: str) -> Tuple[List[int], List[Optional[int]]]:
         lowers, uppers = self.numeric_bounds.get(attr, ([0], [None]))
         return (lowers or [0]), (uppers or [None])
@@ -236,7 +230,7 @@ class DnfTemplate(Template):
                                  Atom(attr, IntervalSet([(0, hi)])) if hi is not None
                                  else Top()]) for i, hi in enumerate(uppers)])
             return cand([lo_part, hi_part])
-        dom = self._value_domain(attr)
+        dom = self.sig.get(attr).domain()
         op_var = self._var("%s_%s_op" % (base, attr), 2, "op", *key)
         val_var = self._var("%s_%s_val" % (base, attr), len(dom), "val", *key)
         cases = []

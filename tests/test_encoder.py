@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import stat
+import sys
 import time
 
 import pytest
@@ -15,18 +16,19 @@ from gatesynth.encoder import (
     CAnd, CAtom, CFalse, CGuard, CImplies, CNot, COr, CTrue, CVarEq,
     ControlVar, SolverError, cand, cguard, cimplies, cnot,
     cor, emit_smtlib, encode, eval_formula, expand_guards, formula_edges,
-    formula_size, fold_atoms, ground_forall, rewrite_constraint, run_external,
+    formula_size, fold_atoms, ground_forall, request_regions, rewrite_constraint,
+    run_external,
     _Cnf, sat_solve, target_to_control, var_bits,
 )
-from gatesynth.app import effective_requirements
+from gatesynth.app import effective_requirements, synth
 from gatesynth.formulas import (
     AU, AX, BOTTOM, EU, EX, And, Atom, Not, Requirement, Top, children,
     collect_atoms, subformulas,
 )
 from gatesynth import formulas
-from gatesynth.model import restrict, scale_replicate
+from gatesynth.model import model_from_json, restrict, scale_replicate
 from gatesynth.rules import parse_constraint, parse_requirements, parse_target
-from gatesynth.templates import SingletonTemplate
+from gatesynth.templates import SingletonTemplate, complete_template, dnf_template
 
 from genutil import (
     grid_building, random_config, random_constraint, random_model,
@@ -808,27 +810,22 @@ def test_emit_smtlib_quantified(office):
     f = cand([cor([x_eq(1), CAtom("role", frozenset(["visitor"]))]),
               CAtom("time", frozenset([BOTTOM, 3, 4, 5, 9])),
               cnot(CAtom("correct_pin", frozenset([True])))])
-    script = emit_smtlib(f, [ControlVar("x", 3)], sig=office.sig, quantified=True)
-    assert "(declare-datatype S_role ((role_unset) (role_visitor) (role_employee)))" \
-        in script
-    assert "(forall ((role S_role) (time_known Bool) (time_value Int) " \
-        "(correct_pin S_correct_pin))" in script
-    assert "(=> (<= 0 time_value)" in script
-    assert "(not time_known)" in script                   # unset numeric case
-    assert "(and (<= 3 time_value) (<= time_value 5))" in script
-    assert "(= time_value 9)" in script
-    with pytest.raises(ValueError, match="signature"):
-        emit_smtlib(f, [], quantified=True)
+    script = emit_smtlib(f, [ControlVar("x", 3)], sig=office.sig)
+    assert "(forall ((q_role Int) (q_time Int) (q_correct_pin Int)) " \
+        "(=> (and (<= 0 q_role 2) (<= (- 1) q_time) (<= 0 q_correct_pin 2))" in script
+    assert "(or (= x 1) (= q_role 1))" in script         # visitor: index 1, unset 0
+    assert "(= q_time (- 1))" in script                   # unset numeric case
+    assert "(<= 3 q_time 5)" in script
+    assert "(= q_time 9)" in script
+    assert "(not (= q_correct_pin 2))" in script
+    with pytest.raises(ValueError, match="grounded"):
+        emit_smtlib(f, [])
 
 
-def smt_holds(script, m, requests=()):
-    """Whether every assertion of a script holds when each declared
-    constant takes its value from m: a reader for the subset of SMT-LIB
-    that emit_smtlib writes. A forall holds when its body holds under
-    every binding of its variables in `requests`."""
-    tokens = re.findall(r"\(|\)|[^\s()]+", script)
+def read_sexps(script):
+    """The commands of a script as nested lists of tokens."""
     stack = [[]]
-    for tok in tokens:
+    for tok in re.findall(r"\(|\)|[^\s()]+", script):
         if tok == "(":
             stack.append([])
         elif tok == ")":
@@ -836,25 +833,33 @@ def smt_holds(script, m, requests=()):
             stack[-1].append(done)
         else:
             stack[-1].append(tok)
-    defined = {}
-    constructors = set()        # datatype constructors stand for themselves
-    assertions = []
+    assert len(stack) == 1, "unbalanced parentheses"
+    return stack[0]
+
+
+def smt_holds(script, m, requests=()):
+    """Whether every assertion of a script holds when each declared
+    constant takes its value from m: a reader for the subset of SMT-LIB
+    that emit_smtlib writes. A forall holds when its body holds under
+    every binding of its variables in `requests`."""
+    defined = {}        # name: (parameters, body)
+    applied = {}        # (name, arguments): value, so shared terms read once
 
     def value(t, env):
         if isinstance(t, str):
             if t in ("true", "false"):
                 return t == "true"
-            for scope in (env, defined, m):
-                if t in scope:
-                    return scope[t]
-            return t if t in constructors else int(t)
-        if t[0] == "let":
-            inner = dict(env)
-            inner.update((name, value(term, env)) for name, term in t[1])
-            return value(t[2], inner)
+            if t in env:
+                return env[t]
+            if t in defined:
+                return apply(t, ())
+            return m[t] if t in m else int(t)
         if t[0] == "forall":
+            assert all(set(q) == {name for name, _ in t[1]} for q in requests)
             return all(value(t[2], dict(env, **q)) for q in requests)
         op, args = t[0], [value(a, env) for a in t[1:]]
+        if op in defined:
+            return apply(op, tuple(args))
         if op == "and":
             return all(args)
         if op == "or":
@@ -865,29 +870,42 @@ def smt_holds(script, m, requests=()):
             return (not args[0]) or args[1]
         if op == "=":
             return args[0] == args[1]
+        if op == "-" and len(args) == 1:
+            return -args[0]
         if op == "<=":
-            return args[0] <= args[1]
+            return all(a <= b for a, b in zip(args, args[1:]))
         if op == "<":
             return args[0] < args[1]
         raise ValueError(op)
 
-    for command in stack[0]:
-        if command[0] == "declare-datatype":
-            constructors.update(c[0] for c in command[2])
-        elif command[0] == "define-fun":
-            assert command[2] == [] and command[3] == "Bool"
-            defined[command[1]] = value(command[4], {})
+    def apply(name, args):
+        if (name, args) not in applied:
+            params, body = defined[name]
+            assert len(params) == len(args)
+            applied[name, args] = value(body, dict(zip(params, args)))
+        return applied[name, args]
+
+    assertions = []
+    for command in read_sexps(script):
+        if command[0] == "define-fun":
+            assert command[3] == "Bool" and all(sort == "Int" for _, sort in command[2])
+            defined[command[1]] = ([name for name, _ in command[2]], command[4])
         elif command[0] == "assert":
             assertions.append(value(command[1], {}))
     return all(assertions)
 
 
-def smt_request(q):
-    """The quantified script's request variables bound as q sets them."""
-    ctor = lambda a: "%s_%s" % (a, "unset" if q.get(a, BOTTOM) is BOTTOM
-                                else str(q[a]).lower())
-    return {"role": ctor("role"), "correct_pin": ctor("correct_pin"),
-            "time_known": "time" in q, "time_value": q.get("time", 0)}
+def smt_request(sig, q):
+    """The quantified script's request variables bound as q sets them: a
+    finite attribute to its value's index in the domain, a numeric one
+    to its number, or -1 when unset."""
+    out = {}
+    for d in sig.request_attrs():
+        v = q.get(d.name, BOTTOM)
+        domain = d.domain()
+        out["q_" + d.name] = (domain.index(v) if domain is not None
+                              else -1 if v is BOTTOM else v)
+    return out
 
 
 @settings(max_examples=100, deadline=None)
@@ -915,10 +933,12 @@ def test_grounded_script_prints_shared_subterms_once():
 @given(shared_control_formulas())
 def test_quantified_script_means_the_formula(office, case):
     f, vars_ = case
-    script = emit_smtlib(f, vars_, sig=office.sig, quantified=True)
-    # a negative time is outside every request, so it cannot falsify
-    bindings = [smt_request(q) for q in REQUESTS] + [
-        dict(smt_request({}), time_known=True, time_value=-1)]
+    script = emit_smtlib(f, vars_, sig=office.sig)
+    # codes outside an attribute's domain stand for no request, so the
+    # guards keep them from falsifying the body
+    blank = smt_request(office.sig, {})
+    bindings = [smt_request(office.sig, q) for q in REQUESTS] + [
+        dict(blank, q_time=-2), dict(blank, q_role=3), dict(blank, q_correct_pin=-1)]
     for combo in itertools.product(*(range(v.size) for v in vars_)):
         m = {v.name: c for v, c in zip(vars_, combo)}
         want = all(eval_formula(f, q, m) for q in REQUESTS)
@@ -927,13 +947,156 @@ def test_quantified_script_means_the_formula(office, case):
 
 def test_quantified_script_prints_shared_subterms_once(office):
     x, y = ControlVar("x", 2), ControlVar("y", 2)
-    small, large = (emit_smtlib(shared_chain(n), [x, y], sig=office.sig,
-                                quantified=True) for n in (10, 20))
-    # one binding per level that has two parents: all but the root
-    assert large.count("(let ") == 19
+    small, large = (emit_smtlib(shared_chain(n), [x, y], sig=office.sig)
+                    for n in (10, 20))
+    # one definition per level that has two parents: all but the root
+    assert large.count("(define-fun ") == 19
     assert len(large) < 2.2 * len(small)     # printed as a tree: 2^10 times
     for m in ({"x": 0, "y": 0}, {"x": 1, "y": 0}, {"x": 0, "y": 1}):
-        assert smt_holds(large, m, [smt_request({})]) == chain_value(20, m)
+        assert smt_holds(large, m, [smt_request(office.sig, {})]) == chain_value(20, m)
+
+
+CLASH_MODEL = {
+    "attributes": {"subject": {"a_b": {"kind": "enum", "values": ["c"]},
+                               "a": {"kind": "enum", "values": ["b_c", "unset"]},
+                               "cl_0_0": {"kind": "boolean"},
+                               "let": {"kind": "boolean"}},
+                   "resource": {"id": {"kind": "enum", "values": ["o", "r", "s"]}}},
+    "entry": "o",
+    "resources": [{"id": x, "labels": {"id": x}} for x in "ors"],
+    "edges": [{"from": x, "to": y} for x in "ors" for y in "ors" if x != y],
+}
+CLASH_RULES = """a_b = c and let => grant(id = r)
+a = unset and cl_0_0 => deny(id = s)
+a = b_c => grant(id = s)
+"""
+
+
+def test_quantified_script_names_each_thing_once(tmp_path):
+    """Attribute names that met constructor names, a control variable and
+    a reserved word in earlier scripts: every name is declared or bound
+    once, no binder shadows a control variable, and the script means the
+    formula at every request region."""
+    S = model_from_json(CLASH_MODEL)
+    reqs = parse_requirements(CLASH_RULES, S.sig)
+    out = tmp_path / "clash.smt2"
+    res = synth(S, reqs, emit_smt=str(out))
+    assert res.ok and res.stats["attempts"][-1]["template"]["kind"] == "DnfTemplate"
+    eff = effective_requirements(S, reqs)
+    tpl = dnf_template(S, eff, 1)
+    variables = tpl.control_vars()
+    script = out.read_text()
+
+    commands = read_sexps(script)
+    declared = [c[1] for c in commands if c[0] in ("declare-const", "define-fun")]
+    assert len(declared) == len(set(declared))
+    assert {v.name for v in variables} <= set(declared)
+    binder_lists = [c[2] for c in commands if c[0] == "define-fun"] + \
+        [c[1][1] for c in commands if c[0] == "assert" and c[1][0] == "forall"]
+    for binders in binder_lists:
+        names = [name for name, _ in binders]
+        assert len(names) == len(set(names))
+        assert not set(names) & set(declared)
+        assert not set(names) & {"let", "forall", "exists", "_"}
+    assert len(binder_lists) > 1
+
+    expanded = expand_guards(cand([encode(S, r) for r in eff]), tpl)
+    assert script == emit_smtlib(expanded, variables, S.sig)
+    rng = random.Random(7)
+    assignments = [{v.name: 0 for v in variables}, {v.name: v.size - 1 for v in variables}] + [
+        {v.name: rng.randrange(v.size) for v in variables} for _ in range(6)]
+    for q in request_regions(expanded, S.sig):
+        for m in assignments:
+            assert smt_holds(script, m, [smt_request(S.sig, q)]) == \
+                eval_formula(expanded, q, m), (q, m)
+
+
+def test_emit_smtlib_does_not_recurse_on_formula_depth(office):
+    """A formula 10,000 connectives deep prints at the default recursion
+    limit, grounded and quantified."""
+    levels = 5_000                      # two connectives per level
+    grounded, quantified = x_eq(0), CAtom("role", frozenset(["visitor"]))
+    for i in range(levels):
+        grounded = cor([cand([grounded, x_eq(i % 2)]), y_eq(i % 3)])
+        quantified = cor([cand([quantified, x_eq(i % 2)]),
+                          CAtom("time", frozenset([i]))])
+    assert sys.getrecursionlimit() < 2 * levels
+    x, y = ControlVar("x", 2), ControlVar("y", 3)
+    for script in (emit_smtlib(grounded, [x, y]),
+                   emit_smtlib(quantified, [x, y], sig=office.sig)):
+        assert read_sexps(script)[-2:] == [["check-sat"], ["get-value", ["x", "y"]]]
+        assert script.count("(or ") == levels
+
+
+def reference_sexp(f, names):
+    """The SMT-LIB term for a grounded control formula, subterms listed in
+    `names` printed as their names: the recursive printer the one fold
+    replaced, kept to pin grounded scripts byte for byte."""
+    def term(g):
+        if g in names:
+            return names[g]
+        if isinstance(g, CTrue):
+            return "true"
+        if isinstance(g, CFalse):
+            return "false"
+        if isinstance(g, CVarEq):
+            return "(= %s %d)" % (g.var, g.value)
+        if isinstance(g, CNot):
+            return "(not %s)" % term(g.sub)
+        if isinstance(g, CAnd):
+            return "(and %s)" % " ".join(term(a) for a in g.args)
+        if isinstance(g, COr):
+            return "(or %s)" % " ".join(term(a) for a in g.args)
+        if isinstance(g, CImplies):
+            return "(=> %s %s)" % (term(g.left), term(g.right))
+        raise ValueError(g)
+
+    return term(f)
+
+
+def reference_grounded_script(f, variables):
+    """A grounded script as the recursive printer and its define-fun per
+    connective with two or more parents wrote it."""
+    order = list(subformulas(f))
+    parents = {}
+    for g in order:
+        for ch in children(g):
+            parents[ch] = parents.get(ch, 0) + 1
+    lines = ["(set-option :produce-models true)"]
+    for v in variables:
+        lines.append("(declare-const %s Int)" % v.name)
+        lines.append("(assert (and (<= 0 %s) (< %s %d)))" % (v.name, v.name, v.size))
+    names = {}
+    for g in order:
+        if parents.get(g, 0) >= 2 and children(g):
+            name = "_s%d" % len(names)
+            lines.append("(define-fun %s () Bool %s)" % (name, reference_sexp(g, names)))
+            names[g] = name
+    lines.append("(assert %s)" % reference_sexp(f, names))
+    lines.append("(check-sat)")
+    if variables:
+        lines.append("(get-value (%s))" % " ".join(v.name for v in variables))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_control_formulas(), st.sampled_from(REQUESTS))
+def test_grounded_scripts_are_the_recursive_printers(case, q):
+    f, vars_ = case
+    f = fold_atoms(f, q)
+    assert emit_smtlib(f, vars_) == reference_grounded_script(f, vars_)
+
+
+@pytest.mark.parametrize("building", ["office", "firm"])
+def test_full_groundings_print_as_the_recursive_printer_did(request, building):
+    S = request.getfixturevalue(building)
+    eff = effective_requirements(S, request.getfixturevalue(building + "_reqs"))
+    body = cand([encode(S, r) for r in eff])
+    for tpl in (dnf_template(S, eff, 1), complete_template(S, eff)):
+        grounded = ground_forall(expand_guards(body, tpl), S.sig)
+        variables = tpl.control_vars()
+        assert emit_smtlib(grounded, variables) == \
+            reference_grounded_script(grounded, variables)
 
 
 def fake_solver(tmp_path, body):

@@ -230,7 +230,7 @@ def old_dnf_derive(tpl, m):
             if hi is not None:
                 parts.append(Atom(attr, IntervalSet([(0, hi)])))
             return conj(parts)
-        v = tpl._value_domain(attr)[m.get(tpl._name("val", ei, j, t, attr), 0)]
+        v = tpl.sig.get(attr).domain()[m.get(tpl._name("val", ei, j, t, attr), 0)]
         atom = Atom(attr, frozenset([v]))
         return atom if m.get(tpl._name("op", ei, j, t, attr), 0) == 0 else Not(atom)
 
@@ -268,7 +268,7 @@ def old_dnf_layout(tpl):
                         add(("lo", ei, j, t, a), "%s_%s_lo" % (base, a), len(lowers))
                         add(("hi", ei, j, t, a), "%s_%s_hi" % (base, a), len(uppers))
                     else:
-                        dom = tpl._value_domain(a)
+                        dom = tpl.sig.get(a).domain()
                         add(("op", ei, j, t, a), "%s_%s_op" % (base, a), 2)
                         add(("val", ei, j, t, a), "%s_%s_val" % (base, a), len(dom))
 
@@ -285,7 +285,7 @@ def old_dnf_layout(tpl):
             return cand([lo_part, hi_part])
         op_var, val_var = names["op", ei, j, t, attr], names["val", ei, j, t, attr]
         cases = []
-        for i, v in enumerate(tpl._value_domain(attr)):
+        for i, v in enumerate(tpl.sig.get(attr).domain()):
             atom = Atom(attr, frozenset([v]))
             cases.append(cand([CVarEq(val_var, i),
                                cor([cand([CVarEq(op_var, 0), atom]),
@@ -432,8 +432,7 @@ def test_a_singleton_is_the_old_singleton(seed):
     scripts = []
     for tpl in (new, old):
         expanded = expand_guards(guard_formula, tpl)
-        scripts.append((emit_smtlib(expanded, tpl.control_vars(), sig=S.sig,
-                                    quantified=True),
+        scripts.append((emit_smtlib(expanded, tpl.control_vars(), sig=S.sig),
                         emit_smtlib(ground_forall(expanded, S.sig), tpl.control_vars())))
     assert scripts[0] == scripts[1]
 
