@@ -300,6 +300,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         stats.update(derive_seconds=t1 - t0, verify_seconds=t2 - t1,
                      total_seconds=t2 - t_start)
         stats["verified_representatives"] = report.representatives
+        stats["verified_structures"] = report.structures
         if not report.ok:
             bad = ", ".join(str(v.requirement.source or v.index)
                             for v in report.failures())

@@ -12,6 +12,11 @@ may deny a request), so the dead-end cases matter:
 
 Satisfaction sets are computed bottom-up per subformula, least fixed
 points by iteration.
+
+holds() checks a configuration for every request. Requests fall into
+finitely many regions; the regions are grouped by the doors they open,
+and each group's restricted structure is built and checked once, for
+the requirements whose targets meet the group.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .formulas import (
     AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, Formula, Not,
-    Requirement, Top, build_regions, collect_atoms, eval_target,
-    subformulas,
+    Requirement, Top, build_regions, collect_atoms, lowest_bit, refine,
+    subformulas, target_masks,
 )
 from .model import Configuration, ResourceStructure, policy_of, restrict
 
@@ -109,7 +114,8 @@ class RequirementVerdict:
 class HoldsReport:
     ok: bool
     verdicts: List[RequirementVerdict]
-    representatives: int
+    representatives: int    # request regions
+    structures: int         # restricted structures checked
 
     def failures(self) -> List[RequirementVerdict]:
         return [v for v in self.verdicts if not v.ok]
@@ -118,13 +124,10 @@ class HoldsReport:
 def verification_atoms(S: ResourceStructure, c: Configuration,
                        reqs: Sequence[Requirement]) -> List[Atom]:
     """Atoms whose verdicts can influence verification: everything the
-    requirement targets mention plus everything any edge policy tests."""
-    atoms: List[Atom] = []
-    for r in reqs:
-        atoms.extend(collect_atoms(r.target))
-    for e in sorted(S.edges):
-        atoms.extend(collect_atoms(policy_of(S, c, e)))
-    return atoms
+    requirement targets mention plus everything any edge policy tests.
+    A policy that several doors share is walked once."""
+    roots = [r.target for r in reqs] + [policy_of(S, c, e) for e in sorted(S.edges)]
+    return [a for f in dict.fromkeys(roots) for a in collect_atoms(f)]
 
 
 def holds(S: ResourceStructure, c: Configuration,
@@ -136,20 +139,44 @@ def holds(S: ResourceStructure, c: Configuration,
     Two requests in the same region open exactly the same edges and
     match exactly the same targets, so the sample is exhaustive, and no
     two samples are alike on all of them.
+
+    A chunk of regions at a time, every distinct policy and live target
+    gets a mask of the regions it holds in, and the policy masks split
+    the regions into groups that open the same doors. Each group's
+    restricted structure, built from its lowest region, is checked once
+    per requirement whose target meets the group. A failing requirement's
+    witness is the lowest region of its target in a group where it fails:
+    the first failing representative.
     """
     regions = build_regions(S.sig, verification_atoms(S, c, reqs))
+    policies = list(dict.fromkeys(policy_of(S, c, e) for e in S.edges))
     verdicts = [RequirementVerdict(i, r, True) for i, r in enumerate(reqs)]
-    count = 0
-    for q in regions.representatives():
-        count += 1
-        applicable = [v for v in verdicts
-                      if v.ok and eval_target(q, v.requirement.target)]
-        if not applicable:
-            continue
-        sub = restrict(S, c, q)
-        for v in applicable:
-            if not model_check(sub, v.requirement.constraint):
+    structures = 0
+    for start, width in regions.chunks():
+        live = [v for v in verdicts if v.ok]
+        if not live:
+            break
+        masks = target_masks(policies + [v.requirement.target for v in live],
+                             regions, start, width)
+        failed: Dict[int, int] = {}     # verdict index -> its first failing bit
+        for group in refine((1 << width) - 1, [masks[p] for p in policies]):
+            applicable = []
+            for v in live:
+                meet = masks[v.requirement.target] & group
+                first = lowest_bit(meet) if meet else width
+                if first < failed.get(v.index, width):
+                    applicable.append((v, first))
+            if not applicable:
+                continue
+            sub = restrict(S, c, regions.representative(start + lowest_bit(group)))
+            structures += 1
+            for v, first in applicable:
+                if not model_check(sub, v.requirement.constraint):
+                    failed[v.index] = first
+                    v.witness_structure = sub
+        for v in live:
+            if v.index in failed:
                 v.ok = False
-                v.witness = dict(q)
-                v.witness_structure = sub
-    return HoldsReport(all(v.ok for v in verdicts), verdicts, count)
+                v.witness = regions.representative(start + failed[v.index])
+    return HoldsReport(all(v.ok for v in verdicts), verdicts, regions.count(),
+                       structures)

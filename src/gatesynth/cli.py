@@ -146,7 +146,8 @@ def _cmd_verify(args) -> int:
     config = load_config(args.config, S)
     report = verify(S, reqs, config, deadlock_free=args.deadlock_free)
     _print_report(S, report)
-    print("checked %d request classes" % report.representatives, file=sys.stderr)
+    print("checked %d request classes on %d restricted structures"
+          % (report.representatives, report.structures), file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -87,10 +87,11 @@ from typing import (
 )
 
 from .formulas import (
-    AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, AttributeDecl,
+    AU, AX, BOTTOM, CHUNK, EU, EX, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
     CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
-    collect_atoms, conj, contains_au, disj, falsum, intervals_of, subformulas,
+    collect_atoms, conj, contains_au, disj, falsum, intervals_of, lowest_bit,
+    subformulas,
 )
 from .checker import model_check
 from .model import Edge, ResourceStructure
@@ -411,11 +412,6 @@ _TRUE, _FALSE, _ATOM, _TEST, _NOT, _AND, _OR, _IMPLIES = range(8)
 _OPS = {Top: _TRUE, CFalse: _FALSE, Atom: _ATOM, CVarEq: _TEST, Not: _NOT,
         CAnd: _AND, COr: _OR, CImplies: _IMPLIES}
 
-# Regions that counterexample() evaluates at once, one bit of a Python
-# int each, so a check's memory does not grow with the region count.
-CHUNK = 1024
-
-
 # What Compiled records of a node that tests two or more attributes.
 _SEVERAL = object()
 
@@ -615,7 +611,7 @@ def counterexample(c: Compiled, m: Dict[str, int],
             bits[i] = x
         failing = full ^ bits.get(root, 0)
         if failing:
-            return regions.representative(start + (failing & -failing).bit_length() - 1)
+            return regions.representative(start + lowest_bit(failing))
     return None
 
 

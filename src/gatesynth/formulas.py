@@ -14,7 +14,8 @@ Three kinds of formula share one node set:
 
 Edge policies are targets as well, so everything the synthesizer
 manipulates bottoms out in the same Atom node. Targets are decided over
-finitely many request regions (target_sat, target_equiv) and shrunk
+finitely many request regions, a chunk of regions at once as one
+bitmask per node (target_masks; target_sat, target_equiv), and shrunk
 without changing their meaning by simplify_policy.
 
 Every node class is built on Node, which hash-conses: building a node
@@ -729,6 +730,11 @@ def eval_target(q: AccessRequest, f: Formula) -> bool:
 # one cell, represented by the unset value.
 
 
+# Regions evaluated at once, one bit of a Python int each, so a check's
+# memory does not grow with the region count.
+CHUNK = 1024
+
+
 class RegionSet:
     """The representatives of each request attribute's cells. A region takes
     one per attribute, in itertools.product order, which only its methods read."""
@@ -774,6 +780,62 @@ class RegionSet:
             stride *= cells
         return out
 
+    def chunks(self) -> Iterator[Tuple[int, int]]:
+        """(start, width) of each run of CHUNK regions, in order."""
+        count = self.count()
+        for start in range(0, count, CHUNK):
+            yield start, min(CHUNK, count - start)
+
+
+def lowest_bit(mask: int) -> int:
+    """The index of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def target_masks(roots: Iterable[Formula], regions: RegionSet, start: int,
+                 width: int) -> Dict[Formula, int]:
+    """A mask per node of the given targets: bit b is set when the node
+    holds at region start + b. Top is the full mask, an atom the union of
+    the masks of its attribute's cells it holds in, Not and And bitwise
+    operations. A fold over subformulas() of each distinct root."""
+    full = (1 << width) - 1
+    cells = regions.cell_masks(start, width)
+    masks: Dict[Formula, int] = {}
+    for root in dict.fromkeys(roots):
+        if root in masks:
+            continue
+        for g in subformulas(root):
+            if g in masks:
+                continue
+            kind = type(g)
+            if kind is Atom:
+                x = 0
+                if g.attr in cells:
+                    for mask, v in zip(cells[g.attr], regions.reps[g.attr]):
+                        if v in g.values:
+                            x |= mask
+                elif BOTTOM in g.values:    # no request attribute: unset
+                    x = full
+            elif kind is Not:
+                x = full ^ masks[g.sub]
+            elif kind is And:
+                x = masks[g.left] & masks[g.right]
+            elif kind is Top:
+                x = full
+            else:
+                raise TypeError("not a target node: %r" % (g,))
+            masks[g] = x
+    return masks
+
+
+def refine(mask: int, splitters: Iterable[int]) -> List[int]:
+    """The regions of `mask` in classes that no splitter mask tells
+    apart, one mask each, ordered by their lowest region."""
+    parts = [mask] if mask else []
+    for s in dict.fromkeys(splitters):
+        parts = [p for part in parts for p in (part & s, part & ~s) if p]
+    return sorted(parts, key=lowest_bit)
+
 
 def interval_ends(sets: Iterable[ValueSet]) -> List[int]:
     """The numbers at which a membership test on these sets can change
@@ -807,17 +869,19 @@ def build_regions(sig: AttributeSignature, atoms: Iterable[Atom]) -> RegionSet:
 def target_sat(t: Formula, sig: AttributeSignature) -> Optional[AccessRequest]:
     """A witness request satisfying the target, or None if there is none."""
     regions = build_regions(sig, collect_atoms(t))
-    for q in regions.representatives():
-        if eval_target(q, t):
-            return q
+    for start, width in regions.chunks():
+        mask = target_masks([t], regions, start, width)[t]
+        if mask:
+            return regions.representative(start + lowest_bit(mask))
     return None
 
 
 def target_equiv(t1: Formula, t2: Formula, sig: AttributeSignature) -> bool:
     """Do two targets grant exactly the same requests?"""
     regions = build_regions(sig, collect_atoms(t1) + collect_atoms(t2))
-    for q in regions.representatives():
-        if eval_target(q, t1) != eval_target(q, t2):
+    for start, width in regions.chunks():
+        masks = target_masks([t1, t2], regions, start, width)
+        if masks[t1] != masks[t2]:
             return False
     return True
 

@@ -22,7 +22,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .formulas import (
     BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, NUMERIC, RESOURCE, SUBJECT,
     AccessRequest, AttributeDecl, AttributeSignature, Formula, SynthesisError,
-    Top, Value, eval_target, validate_target,
+    Top, Value, build_regions, collect_atoms, eval_target, target_masks,
+    validate_target,
 )
 from .rules import RESERVED, format_target, parse_target
 
@@ -159,7 +160,18 @@ def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest) -> Resour
 
 
 def granted_edges(S: ResourceStructure, c: Configuration, q: AccessRequest) -> Set[Edge]:
-    return {e for e in S.edges if eval_target(q, policy_of(S, c, e))}
+    """The edges whose policy grants q; a policy several edges share is
+    evaluated once."""
+    verdicts: Dict[Formula, bool] = {}
+    granted = set()
+    for e, fixed in S.edges.items():
+        policy = c[e] if fixed is None else fixed      # policy_of, inlined
+        ok = verdicts.get(policy)
+        if ok is None:
+            ok = verdicts[policy] = eval_target(q, policy)
+        if ok:
+            granted.add(e)
+    return granted
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +187,17 @@ INCOMPARABLE = "incomparable"
 def compare(c1: Configuration, c2: Configuration, sig: AttributeSignature) -> str:
     """Pointwise permissiveness order: c1 is less-or-equal c2 when every
     request granted by c1 on an edge is granted by c2 on that edge."""
-    from .formulas import build_regions, collect_atoms
     if set(c1) != set(c2):
         raise ModelError("configurations cover different edge sets")
     le = ge = True
     for e in sorted(c1):
-        atoms = collect_atoms(c1[e]) + collect_atoms(c2[e])
-        for q in build_regions(sig, atoms).representatives():
-            v1, v2 = eval_target(q, c1[e]), eval_target(q, c2[e])
-            if v1 and not v2:
+        p1, p2 = c1[e], c2[e]
+        regions = build_regions(sig, collect_atoms(p1) + collect_atoms(p2))
+        for start, width in regions.chunks():
+            masks = target_masks([p1, p2], regions, start, width)
+            if masks[p1] & ~masks[p2]:
                 le = False
-            if v2 and not v1:
+            if masks[p2] & ~masks[p1]:
                 ge = False
         if not le and not ge:
             return INCOMPARABLE

@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .formulas import (
     NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq, Formula,
     IntervalSet, Not, Requirement, Top, ValueSet, build_regions,
-    collect_atoms, conj, eval_target, interval_ends, simplify_policy,
-    target_equiv, validate_target,
+    collect_atoms, conj, interval_ends, refine, simplify_policy,
+    target_equiv, target_masks, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import (
@@ -323,20 +323,25 @@ def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
     policy that does not grant everyone, since the structure a request
     sees depends on those too. Each distinct vector of verdicts over
     these splitters among the region representatives is one class, whose
-    target conjoins each splitter or its negation. More than cap classes
-    raise CapExceeded.
+    target conjoins each splitter or its negation, in the order of the
+    first region in it. More than cap classes raise CapExceeded.
     """
     splitters = [r.target for r in reqs] + [
         S.edges[e] for e in S.fixed_edges()
         if not target_equiv(S.edges[e], Top(), S.sig)]
     atoms = [a for t in splitters for a in collect_atoms(t)]
+    regions = build_regions(S.sig, atoms)
     classes: Dict[Tuple[bool, ...], Formula] = {}
-    for q in build_regions(S.sig, atoms).representatives():
-        verdicts = tuple(eval_target(q, t) for t in splitters)
-        if verdicts in classes:
-            continue
-        if len(classes) == cap:
-            raise CapExceeded(cap + 1, cap)
-        classes[verdicts] = conj([t if v else Not(t)
-                                  for t, v in zip(splitters, verdicts)])
+    for start, width in regions.chunks():
+        masks = target_masks(splitters, regions, start, width)
+        split = [masks[t] for t in splitters]
+        for group in refine((1 << width) - 1, split):
+            first = group & -group
+            verdicts = tuple(bool(m & first) for m in split)
+            if verdicts in classes:
+                continue
+            if len(classes) == cap:
+                raise CapExceeded(cap + 1, cap)
+            classes[verdicts] = conj([t if v else Not(t)
+                                      for t, v in zip(splitters, verdicts)])
     return ClassTemplate(S, list(classes.values()))

@@ -99,7 +99,10 @@ def test_verify_pass(capsys, office, office_reqs, office_published):
               for a in collect_atoms(office_published.get(e, fixed))]
     classes = per_value_region_count(office.sig, atoms)
     assert classes == 18
-    assert "checked %d request classes" % classes in captured.err
+    structures = verify(office, office_reqs, office_published).structures
+    assert 1 <= structures < classes
+    assert ("checked %d request classes on %d restricted structures"
+            % (classes, structures)) in captured.err
 
 
 def test_verify_fail_names_a_witness(tmp_path, capsys):
@@ -279,6 +282,7 @@ def test_stats_as_json(capsys):
         assert attempt[key] > 0 and stats[key] == attempt[key]
     assert stats["total_seconds"] > 0
     assert stats["derive_seconds"] >= 0 and stats["verify_seconds"] >= 0
+    assert 1 <= stats["verified_structures"] <= stats["verified_representatives"]
 
 
 def test_soundness_failure_exits_with_code_3(monkeypatch, capsys):
