@@ -454,11 +454,11 @@ def simulate(S: ResourceStructure, config: Configuration,
     """Where can this request actually go under this configuration?"""
     granted = granted_edges(S, config, q)
     denied = set(S.edges) - granted
-    reachable = sorted(S.reachable(granted))
-    stranded = [r for r in S.nodes if r not in reachable]
+    reach = S.reachable(granted)
+    stranded = [r for r in S.nodes if r not in reach]
     dot = to_dot(S, config, granted=granted,
                  title="request " + format_request(q, S.sig))
-    return SimulationReport(dict(q), granted, denied, reachable, stranded, dot)
+    return SimulationReport(dict(q), granted, denied, sorted(reach), stranded, dot)
 
 
 def minimal_conflict(S: ResourceStructure, reqs: Sequence[Requirement],

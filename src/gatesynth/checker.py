@@ -10,86 +10,109 @@ may deny a request), so the dead-end cases matter:
   and psi-eventually on all of them. At a dead end the until fails
   unless psi already holds there.
 
-Satisfaction sets are computed bottom-up per subformula, least fixed
-points by iteration.
+Satisfaction sets are int masks over the structure's space index
+(`ResourceStructure.index`, bit i for `S.nodes[i]`), computed bottom-up
+per subformula in the linear-time manner of Clarke, Emerson and Sistla:
+EX from predecessor masks, EU by a backward work list, AU by counting
+the successors of each space not yet in the set.
 
 holds() checks a configuration for every request. Requests fall into
 finitely many regions; the regions are grouped by the doors they open,
-and each group's restricted structure is built and checked once, for
-the requirements whose targets meet the group.
+and each group's restricted structure is built from those doors and
+checked once per distinct constraint, for the requirements whose
+targets meet the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from .formulas import (
     AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, Formula, Not,
     Requirement, Top, build_regions, collect_atoms, lowest_bit, refine,
     subformulas, target_masks,
 )
-from .model import Configuration, ResourceStructure, policy_of, restrict
+from .model import (
+    Configuration, Edge, ResourceStructure, SpaceIndex, restrict,
+)
 
 
-def label_structure(S: ResourceStructure, f: Formula) -> Dict[Formula, Set[str]]:
-    """Satisfaction set for every subformula of f."""
-    nodes = S.nodes
-    sat: Dict[Formula, Set[str]] = {}
+def label_structure(S: ResourceStructure, f: Formula) -> Dict[Formula, int]:
+    """Satisfaction mask over S.nodes for every subformula of f."""
+    ix = S.index
+    full = ix.full
+    sat: Dict[Formula, int] = {}
     for g in subformulas(f):
-        if isinstance(g, Top):
-            sat[g] = set(nodes)
-        elif isinstance(g, Atom):
-            sat[g] = {r for r in nodes
-                      if S.labels[r].get(g.attr, BOTTOM) in g.values}
-        elif isinstance(g, Not):
-            sat[g] = set(nodes) - sat[g.sub]
-        elif isinstance(g, And):
-            sat[g] = sat[g.left] & sat[g.right]
-        elif isinstance(g, EX):
-            body = sat[g.sub]
-            sat[g] = {r for r in nodes if any(s in body for s in S.successors(r))}
-        elif isinstance(g, AX):
-            body = sat[g.sub]
-            sat[g] = {r for r in nodes if all(s in body for s in S.successors(r))}
-        elif isinstance(g, EU):
-            sat[g] = _eu_fixpoint(S, sat[g.left], sat[g.right])
-        elif isinstance(g, AU):
-            sat[g] = _au_fixpoint(S, sat[g.left], sat[g.right])
+        kind = type(g)      # node classes are final
+        if kind is Top:
+            x = full
+        elif kind is Atom:
+            x = 0
+            for r, b in ix.bit.items():
+                if S.labels[r].get(g.attr, BOTTOM) in g.values:
+                    x |= b
+        elif kind is Not:
+            x = full ^ sat[g.sub]
+        elif kind is And:
+            x = sat[g.left] & sat[g.right]
+        elif kind is EX:
+            x = _pre(ix, sat[g.sub])
+        elif kind is AX:
+            x = full ^ _pre(ix, full ^ sat[g.sub])   # vacuous at dead ends
+        elif kind is EU:
+            x = _eu(ix, sat[g.left], sat[g.right])
+        elif kind is AU:
+            x = _au(ix, sat[g.left], sat[g.right])
         else:
             raise TypeError("unknown formula node %r" % (g,))
+        sat[g] = x
     return sat
 
 
-def _eu_fixpoint(S: ResourceStructure, hold: Set[str], goal: Set[str]) -> Set[str]:
-    z = set(goal)
-    work = list(goal)
+def _pre(ix: SpaceIndex, body: int) -> int:
+    """The spaces with a successor in `body`."""
+    out = 0
+    while body:
+        low = body & -body
+        out |= ix.pred[low.bit_length() - 1]
+        body ^= low
+    return out
+
+
+def _eu(ix: SpaceIndex, hold: int, goal: int) -> int:
+    z = work = goal
     while work:
-        r = work.pop()
-        for p in S.predecessors(r):
-            if p not in z and p in hold:
-                z.add(p)
-                work.append(p)
+        low = work & -work
+        work ^= low
+        new = ix.pred[low.bit_length() - 1] & hold & ~z
+        z |= new
+        work |= new
     return z
 
 
-def _au_fixpoint(S: ResourceStructure, hold: Set[str], goal: Set[str]) -> Set[str]:
-    z = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for r in S.nodes:
-            if r in z or r not in hold:
-                continue
-            succ = S.successors(r)
-            if succ and all(s in z for s in succ):
-                z.add(r)
-                changed = True
+def _au(ix: SpaceIndex, hold: int, goal: int) -> int:
+    """A hold space joins when its last successor outside the set joins;
+    a dead end never does, so it is in the set only where goal holds."""
+    left = [m.bit_count() for m in ix.succ]
+    z = work = goal
+    while work:
+        low = work & -work
+        work ^= low
+        preds = ix.pred[low.bit_length() - 1] & hold & ~z
+        while preds:
+            p = preds & -preds
+            preds ^= p
+            i = p.bit_length() - 1
+            left[i] -= 1
+            if not left[i]:
+                z |= p
+                work |= p
     return z
 
 
 def check_at(S: ResourceStructure, node: str, f: Formula) -> bool:
-    return node in label_structure(S, f)[f]
+    return bool(label_structure(S, f)[f] & S.index.bit[node])
 
 
 def model_check(S: ResourceStructure, f: Formula) -> bool:
@@ -121,12 +144,24 @@ class HoldsReport:
         return [v for v in self.verdicts if not v.ok]
 
 
+def policy_doors(S: ResourceStructure, c: Configuration) -> Dict[Formula, List[Edge]]:
+    """Every distinct door policy with the doors that carry it, in the
+    order the sorted doors first meet the policies."""
+    doors: Dict[Formula, List[Edge]] = {}
+    for e, fixed in sorted(S.edges.items()):
+        doors.setdefault(c[e] if fixed is None else fixed, []).append(e)   # policy_of
+    return doors
+
+
 def verification_atoms(S: ResourceStructure, c: Configuration,
-                       reqs: Sequence[Requirement]) -> List[Atom]:
+                       reqs: Sequence[Requirement],
+                       doors: Optional[Dict[Formula, List[Edge]]] = None) -> List[Atom]:
     """Atoms whose verdicts can influence verification: everything the
     requirement targets mention plus everything any edge policy tests.
     A policy that several doors share is walked once."""
-    roots = [r.target for r in reqs] + [policy_of(S, c, e) for e in sorted(S.edges)]
+    if doors is None:
+        doors = policy_doors(S, c)
+    roots = [r.target for r in reqs] + list(doors)
     return [a for f in dict.fromkeys(roots) for a in collect_atoms(f)]
 
 
@@ -142,14 +177,17 @@ def holds(S: ResourceStructure, c: Configuration,
 
     A chunk of regions at a time, every distinct policy and live target
     gets a mask of the regions it holds in, and the policy masks split
-    the regions into groups that open the same doors. Each group's
-    restricted structure, built from its lowest region, is checked once
-    per requirement whose target meets the group. A failing requirement's
-    witness is the lowest region of its target in a group where it fails:
-    the first failing representative.
+    the regions into groups that open the same doors: a policy's doors
+    are open for a whole group when its mask meets the group. Each
+    group's restricted structure is built from those doors, and each
+    distinct constraint of the requirements whose target meets the group
+    is labelled on it once. A failing requirement's witness is the
+    lowest region of its target in a group where it fails: the first
+    failing representative.
     """
-    regions = build_regions(S.sig, verification_atoms(S, c, reqs))
-    policies = list(dict.fromkeys(policy_of(S, c, e) for e in S.edges))
+    doors = policy_doors(S, c)
+    regions = build_regions(S.sig, verification_atoms(S, c, reqs, doors))
+    policies = list(doors)
     verdicts = [RequirementVerdict(i, r, True) for i, r in enumerate(reqs)]
     structures = 0
     for start, width in regions.chunks():
@@ -168,10 +206,17 @@ def holds(S: ResourceStructure, c: Configuration,
                     applicable.append((v, first))
             if not applicable:
                 continue
-            sub = restrict(S, c, regions.representative(start + lowest_bit(group)))
+            granted = {e for p in policies if masks[p] & group for e in doors[p]}
+            sub = restrict(S, c, regions.representative(start + lowest_bit(group)),
+                           granted=granted)
             structures += 1
+            checked: Dict[Formula, bool] = {}      # constraint -> holds on sub
             for v, first in applicable:
-                if not model_check(sub, v.requirement.constraint):
+                phi = v.requirement.constraint
+                ok = checked.get(phi)
+                if ok is None:
+                    ok = checked[phi] = model_check(sub, phi)
+                if not ok:
                     failed[v.index] = first
                     v.witness_structure = sub
         for v in live:

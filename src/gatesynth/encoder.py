@@ -83,7 +83,7 @@ import os
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from .formulas import (
@@ -232,11 +232,15 @@ def encode(S: ResourceStructure, req: Requirement) -> ControlFormula:
 def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> ControlFormula:
     """Rewrite one constraint at one space into a formula over edge
     guards. Untils unroll over simple paths; repeated subproblems are
-    shared, so the result is a compact DAG."""
+    shared, so the result is a compact DAG. Sets of spaces are masks
+    over S.index."""
     memo: Dict[Tuple[Formula, str], ControlFormula] = {}
-    memo_u: Dict[Tuple[Formula, str, FrozenSet[str]], ControlFormula] = {}
+    memo_u: Dict[Tuple[Formula, str, int], ControlFormula] = {}
     decided: Dict[Formula, Dict[str, Optional[ControlFormula]]] = {}
+    unsettled: Dict[Formula, int] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
+    ix = S.index
+    bit = ix.bit
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
         v = S.labels[r].get(a.attr, BOTTOM)
@@ -262,7 +266,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
             out = cand([cimplies(guard[(r, s)], tau(f.sub, s))
                         for s in S.successors(r)])
         elif isinstance(f, (EU, AU)):
-            out = tau_until(f, r, frozenset())
+            out = tau_until(f, r, 0)
         else:
             raise TypeError("unknown formula node %r" % (f,))
         memo[key] = out
@@ -280,25 +284,28 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         known[r] = out
         return out
 
-    def frontier(f: Formula, r: str, visited: FrozenSet[str]) -> FrozenSet[str]:
+    def frontier(f: Formula, r: str, visited: int) -> int:
         """The visited spaces the rewrite at r still tests: those entered
         from the spaces it can reach without re-entering `visited` and
         without passing a space that settles the until."""
         if not visited:
             return visited
-        seen, stack, hit = {r}, [r], []
-        while stack:
-            for s in S.successors(stack.pop()):
-                if s in seen:
-                    continue
-                seen.add(s)
-                if s in visited:
-                    hit.append(s)
-                elif settled(f, s) is None:
-                    stack.append(s)
-        return frozenset(hit)
+        steps = unsettled.get(f)
+        if steps is None:
+            steps = unsettled[f] = sum(bit[s] for s in ix.order if settled(f, s) is None)
+        steps &= ~visited
+        seen = todo = bit[r]
+        hit = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nxt = ix.succ[low.bit_length() - 1] & ~seen
+            seen |= nxt
+            hit |= nxt & visited
+            todo |= nxt & steps
+        return hit
 
-    def tau_until(f: Formula, r: str, visited: FrozenSet[str]) -> ControlFormula:
+    def tau_until(f: Formula, r: str, visited: int) -> ControlFormula:
         """The until f at r over the simple paths that avoid `visited`;
         E and A differ only in how a step combines the successors."""
         out = settled(f, r)
@@ -309,13 +316,14 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         got = memo_u.get(key)
         if got is not None:
             return got
-        later = visited | {r}
-        fresh = [s for s in S.successors(r) if s not in visited]
+        later = visited | bit[r]
+        fresh = [s for s in S.successors(r) if not visited & bit[s]]
         if isinstance(f, EU):
             step = cor([cand([guard[(r, s)], tau_until(f, s, later)]) for s in fresh])
         else:
             step = cand([cimplies(guard[(r, s)], tau_until(f, s, later)) for s in fresh]
-                        + [cnot(guard[(r, s)]) for s in S.successors(r) if s in visited])
+                        + [cnot(guard[(r, s)]) for s in S.successors(r)
+                           if visited & bit[s]])
         out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
         memo_u[key] = out
         return out

@@ -9,7 +9,14 @@ the synthesizer) or *fixed* (its policy is part of the model, commonly
 A configuration assigns one policy (a target over subject and
 contextual attributes) to every controlled edge. Restricting a
 structure by a request keeps the edges whose policy grants the request
-and then drops everything the entry can no longer reach.
+and then drops everything the entry can no longer reach; a caller
+that already knows which edges grant the request hands them over.
+
+A structure's `index` numbers its spaces in sorted order, one bit each,
+so a set of spaces is an int mask, with a successor and a predecessor
+mask per space; the model checker labels with such masks and the until
+rewrite keeps its visited sets in them. The index is built on first use
+and then kept, as the successor lists are.
 """
 
 from __future__ import annotations
@@ -37,6 +44,31 @@ class ModelError(ValueError):
     pass
 
 
+class SpaceIndex:
+    """The spaces of a structure in sorted order, bit i for order[i].
+    succ[i] and pred[i] are the masks of the successors and the
+    predecessors of order[i]; full is the mask of every space."""
+    __slots__ = ("order", "bit", "succ", "pred", "full")
+
+    def __init__(self, order: List[str], succ: Dict[str, List[str]],
+                 pred: Dict[str, List[str]]):
+        self.order = order
+        bit = self.bit = {r: 1 << i for i, r in enumerate(order)}
+        self.full = (1 << len(order)) - 1
+        # distinct powers of two: their sum is their union
+        self.succ = [sum(map(bit.__getitem__, succ[r])) for r in order]
+        self.pred = [sum(map(bit.__getitem__, pred[r])) for r in order]
+
+    def spaces(self, mask: int) -> List[str]:
+        """The names in a mask, in order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.order[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+
 @dataclass
 class ResourceStructure:
     sig: AttributeSignature
@@ -53,12 +85,20 @@ class ResourceStructure:
             if a in self._succ and b in self._pred:
                 self._succ[a].append(b)
                 self._pred[b].append(a)
+        self._index: Optional[SpaceIndex] = None
 
     # -- basic views ---------------------------------------------------
 
     @property
+    def index(self) -> SpaceIndex:
+        if self._index is None:
+            self._index = SpaceIndex(sorted(self.labels), self._succ, self._pred)
+        return self._index
+
+    @property
     def nodes(self) -> List[str]:
-        return sorted(self.labels)
+        """The spaces in sorted order: the index's list, not a copy."""
+        return self.index.order
 
     def successors(self, r: str) -> List[str]:
         return self._succ[r]
@@ -148,10 +188,13 @@ def validate_configuration(S: ResourceStructure, c: Configuration) -> None:
         validate_target(pol, S.sig)
 
 
-def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest) -> ResourceStructure:
+def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest,
+             granted: Optional[Set[Edge]] = None) -> ResourceStructure:
     """The structure the subject of request `q` experiences: only edges
-    whose policy grants `q`, pruned to what the entry still reaches."""
-    granted = granted_edges(S, c, q)
+    whose policy grants `q`, pruned to what the entry still reaches.
+    A caller that already knows those edges passes them as `granted`."""
+    if granted is None:
+        granted = granted_edges(S, c, q)
     seen = S.reachable(granted)
     labels = {r: S.labels[r] for r in seen}
     # a granted edge out of a reached space reaches its end too

@@ -84,9 +84,9 @@ def test_label_structure_returns_all_subformula_sets():
     S = chain({"a": False, "b": True}, [("a", "b"), ("b", "a")])
     f = EU(Not(hot()), hot())
     sat = label_structure(S, f)
-    assert sat[hot()] == {"b"}
-    assert sat[Not(hot())] == {"a"}
-    assert sat[f] == {"a", "b"}
+    assert S.index.spaces(sat[hot()]) == ["b"]
+    assert S.index.spaces(sat[Not(hot())]) == ["a"]
+    assert S.index.spaces(sat[f]) == ["a", "b"]
 
 
 def test_fixpoint_checker_agrees_with_path_oracle():
