@@ -27,7 +27,7 @@ from . import encoder
 from .checker import HoldsReport, holds
 from .encoder import (
     SolverError, cand, emit_smtlib, encode, expand_guards, formula_edges,
-    formula_size, ground_forall, run_external, sat_solve,
+    formula_size, ground_forall, run_external, sat_solve, until_subproblems,
 )
 from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges, to_dot,
@@ -281,8 +281,10 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
                                  entry_label)
     stats: Dict[str, object] = {"solver": solver, "requirements": len(eff)}
     t_start = time.perf_counter()
+    made = until_subproblems()
     guard_formula = cand([encode(S, r) for r in eff])
     stats["encode_seconds"] = time.perf_counter() - t_start
+    stats["until_subproblems"] = until_subproblems() - made
     stats["guard_formula_size"] = formula_size(guard_formula)
     stats["guard_formula_edges"] = formula_edges(guard_formula)
 

@@ -10,10 +10,11 @@ Synthesis grounds counterexample-guided: it instantiates only the
 requests that counterexample() returns, each one where the current
 model fails, while ground_forall() over every region stays the
 reference and the source of grounded scripts. Expansion and evaluation
-are one rebuild, substitute(), a memo fold over subformulas() that
-replaces a formula's leaves. Synthesis compiles each expanded formula
-once into a flat postorder array (Compiled), which also records which
-attribute each node tests. Every check runs a three-valued pass under
+are one rebuild, substitute(), which replaces a formula's leaves
+top-down on an explicit stack and stops at a connective's deciding
+child. Synthesis compiles each expanded formula once into a flat
+postorder array (Compiled), which also records which attribute each
+node tests. Every check runs a three-valued pass under
 the model over it, then evaluates what is still unknown on a chunk of
 regions at once, one bit per region, and builds nothing. Grounding,
 fold_atoms(), is one loop over the same array that decides every
@@ -50,17 +51,15 @@ its check and fold_atoms(), the solver and the SMT-LIB printer.
 Both untils share one unrolling over simple paths. A space where the
 right side holds outright settles the until as true, and one where the
 left side fails outright settles it as the right side's rewrite; the
-unrolling stops there. Elsewhere it steps to every successor not yet
+unrolling stops there. Elsewhere it steps to successors not yet
 visited, through some open door (E) or every open door (A); a door
-back into a visited space is dropped by E and must be shut under A. So
-its result at a space reads the visited set only through membership
-tests on the successors of the unsettled spaces it can still reach
-without re-entering that set. Its memo therefore keys on those visited
-spaces, the frontier, rather than on the whole set: paths that reach a
-space with the same frontier share one node, which keyed on the whole
-set was built again under every set. The formula is the same either
-way, with far fewer subproblems solved, though the number of frontiers
-still grows exponentially with a grid's size.
+back into a visited space is dropped by E and must be shut under A.
+The memo keys on the spaces the step may enter. E reads only those
+from which a path through unsettled spaces leads to a goal, where the
+right side's rewrite is not CFalse; A's shut-door tests read its
+frontier, the visited spaces it can still run into. Either key builds
+the formula the whole visited set builds, with far fewer subproblems,
+though their number still grows exponentially with a grid's size.
 
 For the existential until the unrolling is exact on every structure.
 For the universal until it agrees with the checker on structures whose
@@ -91,7 +90,7 @@ from .formulas import (
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
     CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
     collect_atoms, conj, contains_au, disj, falsum, intervals_of, lowest_bit,
-    subformulas,
+    subformulas, target_masks,
 )
 from .checker import model_check
 from .model import Edge, ResourceStructure
@@ -229,18 +228,28 @@ def encode(S: ResourceStructure, req: Requirement) -> ControlFormula:
     return cimplies(target_to_control(req.target), body)
 
 
+# Until subproblems (memo entries) made by every rewrite so far.
+_made = [0]
+
+
+def until_subproblems() -> int:
+    """How many until subproblems every rewrite_constraint() call in this
+    process has made; synth reports the difference over its encoding."""
+    return _made[0]
+
+
 def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> ControlFormula:
     """Rewrite one constraint at one space into a formula over edge
     guards. Untils unroll over simple paths; repeated subproblems are
     shared, so the result is a compact DAG. Sets of spaces are masks
-    over S.index."""
+    over S.index. EU keys on the spaces it can still read, and only AU
+    on its frontier."""
     memo: Dict[Tuple[Formula, str], ControlFormula] = {}
     memo_u: Dict[Tuple[Formula, str, int], ControlFormula] = {}
-    decided: Dict[Formula, Dict[str, Optional[ControlFormula]]] = {}
-    unsettled: Dict[Formula, int] = {}
+    decided: Dict[Formula, Tuple[Dict[str, ControlFormula], int, int]] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
     ix = S.index
-    bit = ix.bit
+    bit, succ, pred, full = ix.bit, ix.succ, ix.pred, ix.full
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
         v = S.labels[r].get(a.attr, BOTTOM)
@@ -266,64 +275,81 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
             out = cand([cimplies(guard[(r, s)], tau(f.sub, s))
                         for s in S.successors(r)])
         elif isinstance(f, (EU, AU)):
-            out = tau_until(f, r, 0)
+            out = tau_until(f, r, full)
         else:
             raise TypeError("unknown formula node %r" % (f,))
         memo[key] = out
         return out
 
-    def settled(f: Formula, r: str) -> Optional[ControlFormula]:
-        """The until's rewrite at r when r decides it alone: true where
-        its right side holds outright, the right side's rewrite where its
-        left side fails outright. None where the rewrite steps on."""
-        known = decided.setdefault(f, {})
-        if r in known:
-            return known[r]
-        here = tau(f.right, r)
-        out = here if isinstance(here, Top) or isinstance(tau(f.left, r), CFalse) else None
-        known[r] = out
-        return out
+    def settle(f: Formula) -> Tuple[Dict[str, ControlFormula], int, int]:
+        """The until's rewrite at each space that decides it alone: true
+        where its right side holds outright, the right side's rewrite
+        where its left side fails outright. Then the masks of the other,
+        unsettled spaces and of the goals, where the right side is not
+        CFalse."""
+        got = decided.get(f)
+        if got is None:
+            known: Dict[str, ControlFormula] = {}
+            steps = goals = 0
+            for s in ix.order:
+                here = tau(f.right, s)
+                if isinstance(here, Top) or isinstance(tau(f.left, s), CFalse):
+                    known[s] = here
+                else:
+                    steps |= bit[s]
+                if not isinstance(here, CFalse):
+                    goals |= bit[s]
+            got = decided[f] = (known, steps, goals)
+        return got
 
-    def frontier(f: Formula, r: str, visited: int) -> int:
-        """The visited spaces the rewrite at r still tests: those entered
-        from the spaces it can reach without re-entering `visited` and
-        without passing a space that settles the until."""
-        if not visited:
-            return visited
-        steps = unsettled.get(f)
-        if steps is None:
-            steps = unsettled[f] = sum(bit[s] for s in ix.order if settled(f, s) is None)
-        steps &= ~visited
-        seen = todo = bit[r]
-        hit = 0
+    def walk(seen: int, todo: int, adj: List[int], within: int, through: int) -> int:
+        """seen and the spaces of `within` that adj (succ or pred) leads
+        to from the spaces of todo, walking on from those in `through`."""
         while todo:
             low = todo & -todo
             todo ^= low
-            nxt = ix.succ[low.bit_length() - 1] & ~seen
+            nxt = adj[low.bit_length() - 1] & within & ~seen
             seen |= nxt
-            hit |= nxt & visited
-            todo |= nxt & steps
-        return hit
+            todo |= nxt & through
+        return seen
 
-    def tau_until(f: Formula, r: str, visited: int) -> ControlFormula:
-        """The until f at r over the simple paths that avoid `visited`;
-        E and A differ only in how a step combines the successors."""
-        out = settled(f, r)
-        if out is not None:
-            return out
-        visited = frontier(f, r, visited)
-        key = (f, r, visited)
+    def tau_until(f: Formula, r: str, allowed: int) -> ControlFormula:
+        """The until f at r over the simple paths through `allowed`, the
+        spaces not yet visited. E and A differ only in the step and in
+        the key: the spaces the step may enter, which the children get as
+        theirs."""
+        known, steps, goals = settle(f)
+        if r in known:
+            return known[r]
+        steps &= allowed
+        eu = type(f) is EU
+        if eu:
+            # the spaces entered from r's successors through unsettled
+            # ones, from which a path through unsettled ones leads to a
+            # goal; from any other successor every path folds to CFalse
+            allowed ^= bit[r]
+            near = succ[bit[r].bit_length() - 1] & allowed
+            seen = walk(near, near & steps, succ, allowed, steps)
+            later = walk(seen & goals, seen & goals, pred, steps & seen, full)
+        elif allowed == full:
+            later = full ^ bit[r]
+        else:
+            # all but r and the frontier: the visited spaces entered from
+            # the unsettled spaces r reaches without re-entering them
+            frontier = walk(bit[r], bit[r], succ, full, steps) & ~allowed
+            later = full ^ frontier ^ bit[r]
+        key = (f, r, later)
         got = memo_u.get(key)
         if got is not None:
             return got
-        later = visited | bit[r]
-        fresh = [s for s in S.successors(r) if not visited & bit[s]]
-        if isinstance(f, EU):
-            step = cor([cand([guard[(r, s)], tau_until(f, s, later)]) for s in fresh])
+        after = S.successors(r)
+        if eu:
+            step = cor([cand([guard[(r, s)], tau_until(f, s, later)])
+                        for s in after if later & bit[s]])
         else:
-            step = cand([cimplies(guard[(r, s)], tau_until(f, s, later)) for s in fresh]
-                        + [cnot(guard[(r, s)]) for s in S.successors(r)
-                           if visited & bit[s]])
+            step = cand([cimplies(guard[(r, s)], tau_until(f, s, later))
+                         for s in after if later & bit[s]]
+                        + [cnot(guard[(r, s)]) for s in after if not later & bit[s]])
         out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
         memo_u[key] = out
         return out
@@ -331,7 +357,8 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     try:
         return tau(phi, start)
     finally:
-        tau = tau_until = settled = frontier = None    # the walks refer to themselves
+        _made[0] += len(memo_u)
+        tau = tau_until = settle = None    # the walks refer to themselves
 
 
 def substitute(f: ControlFormula,
@@ -339,23 +366,41 @@ def substitute(f: ControlFormula,
     """Rebuild f with every leaf node replaced by leaf(node).
 
     Connectives are rebuilt through the smart constructors, so constant
-    leaves fold away on the way up. One memo fold over subformulas():
-    each shared node is rebuilt once, children before parents.
+    leaves fold away on the way up. The walk runs top-down on an
+    explicit stack and rebuilds each shared node once; a conjunction
+    stops at its first CFalse child, a disjunction at its first Top and
+    an implication at a CFalse premise, which decide them whatever the
+    rest rebuilds to, so leaf() sees only the leaves that decide f.
     """
     memo: Dict[ControlFormula, ControlFormula] = {}
-    for g in subformulas(f):
+    stack: List[Tuple[ControlFormula, List[ControlFormula]]] = [(f, [])]
+    while stack:
+        g, done = stack[-1]
         kind = type(g)      # node classes are final
-        if kind is CAnd:
-            out = cand([memo[a] for a in g.args])
-        elif kind is COr:
-            out = cor([memo[a] for a in g.args])
-        elif kind is Not:
-            out = cnot(memo[g.sub])
-        elif kind is CImplies:
-            out = cimplies(memo[g.left], memo[g.right])
-        else:
+        if kind is not CAnd and kind is not COr and kind is not Not and kind is not CImplies:
             out = leaf(g)
+        else:
+            out = None
+            for k in children(g)[len(done):]:
+                v = memo.get(k)
+                if v is None:
+                    stack.append((k, []))
+                    break
+                if kind is CAnd and type(v) is CFalse:
+                    out = v
+                    break
+                if (kind is COr and type(v) is Top
+                        or kind is CImplies and not done and type(v) is CFalse):
+                    out = Top()
+                    break
+                done.append(v)
+            else:
+                out = (cand(done) if kind is CAnd else cor(done) if kind is COr
+                       else cnot(done[0]) if kind is Not else cimplies(*done))
+            if out is None:     # a child goes first
+                continue
         memo[g] = out
+        stack.pop()
     return memo[f]
 
 
@@ -566,8 +611,8 @@ def counterexample(c: Compiled, m: Dict[str, int],
     order over the atoms of the residue (the formula with m decided), at
     which the formula is false. A three-valued pass under m marks the
     residue without building it. Its regions are then evaluated CHUNK at
-    a time: each residue node gets one bit per region, atoms from the
-    masks of RegionSet.cell_masks, connectives by bitwise operations."""
+    a time: each residue node gets one bit per region, atoms from
+    formulas.target_masks, connectives by bitwise operations."""
     val = _kleene(c, m)
     root = len(val) - 1
     if val[root]:
@@ -581,26 +626,18 @@ def counterexample(c: Compiled, m: Dict[str, int],
                 live.add(k)
                 stack.append(k)
     residue = sorted(live)
-    regions = build_regions(sig, [c.nodes[i] for i in residue if c.ops[i] == _ATOM])
-    # the cells of its attribute where each residue atom holds
-    holds_in = {}
-    for i in residue:
-        if c.ops[i] == _ATOM:
-            a = c.nodes[i]
-            holds_in[i] = [d for d, v in enumerate(regions.reps[a.attr]) if v in a.values]
+    atoms = [c.nodes[i] for i in residue if c.ops[i] == _ATOM]
+    regions = build_regions(sig, atoms)
     count = regions.count()
     for start in range(0, count, CHUNK):
         width = min(CHUNK, count - start)
         full = (1 << width) - 1
-        cell_masks = regions.cell_masks(start, width)
+        masks = target_masks(atoms, regions, start, width)
         bits: Dict[int, int] = {}
         for i in residue:
             op = c.ops[i]
             if op == _ATOM:
-                masks = cell_masks[c.nodes[i].attr]
-                x = 0
-                for d in holds_in[i]:
-                    x |= masks[d]
+                x = masks[c.nodes[i]]
             else:
                 xs = [bits[k] if val[k] is None else full if val[k] else 0
                       for k in c.kids[i]]
