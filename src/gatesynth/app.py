@@ -127,7 +127,8 @@ def _solve(instances: List[ControlFormula], template: Template, solver: str,
     if solver == "external":
         if not solver_cmd:
             raise ValueError("external solving needs a solver command")
-        script = emit_smtlib(cand(instances), variables)
+        asserted = cand(instances)
+        script = emit_smtlib(asserted, variables)
         verdict, model = run_external(script, solver_cmd, store.time_left())
         if verdict == "unsat":
             return None
@@ -138,6 +139,9 @@ def _solve(instances: List[ControlFormula], template: Template, solver: str,
             if not 0 <= values[v.name] < v.size:
                 raise SolverError("solver gave %s the value %r, outside 0..%d"
                                   % (v.name, values[v.name], v.size - 1))
+        # a wrong model is the solver's fault, not a grounding gap
+        if not isinstance(encoder.assign_controls(asserted, values), Top):
+            raise SolverError("solver's model does not satisfy the script it was given")
         return values
     raise ValueError("unknown solver %r" % solver)
 

@@ -13,8 +13,9 @@ may deny a request), so the dead-end cases matter:
 Satisfaction sets are int masks over the structure's space index
 (`ResourceStructure.index`, bit i for `S.nodes[i]`), computed bottom-up
 per subformula in the linear-time manner of Clarke, Emerson and Sistla:
-EX from predecessor masks, EU by a backward work list, AU by counting
-the successors of each space not yet in the set.
+EX from predecessor masks, EU by SpaceIndex.walk backwards from the
+goal through the spaces where the left side holds, AU by counting the
+successors of each space not yet in the set.
 
 holds() checks a configuration for every request. Requests fall into
 finitely many regions; the regions are grouped by the doors they open,
@@ -61,7 +62,7 @@ def label_structure(S: ResourceStructure, f: Formula) -> Dict[Formula, int]:
         elif kind is AX:
             x = full ^ _pre(ix, full ^ sat[g.sub])   # vacuous at dead ends
         elif kind is EU:
-            x = _eu(ix, sat[g.left], sat[g.right])
+            x = ix.walk(sat[g.right], sat[g.right], ix.pred, sat[g.left], full)
         elif kind is AU:
             x = _au(ix, sat[g.left], sat[g.right])
         else:
@@ -78,17 +79,6 @@ def _pre(ix: SpaceIndex, body: int) -> int:
         out |= ix.pred[low.bit_length() - 1]
         body ^= low
     return out
-
-
-def _eu(ix: SpaceIndex, hold: int, goal: int) -> int:
-    z = work = goal
-    while work:
-        low = work & -work
-        work ^= low
-        new = ix.pred[low.bit_length() - 1] & hold & ~z
-        z |= new
-        work |= new
-    return z
 
 
 def _au(ix: SpaceIndex, hold: int, goal: int) -> int:

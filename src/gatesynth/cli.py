@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import __version__
 from .app import minimal_conflict, simulate, synth, verify
 from .encoder import SolverError
-from .formulas import BOTTOM, RESOURCE, Requirement
+from .formulas import RESOURCE, Requirement
 from .model import (
     ModelError, SynthesisError, _expect, _parse_edge_key, load_config,
     load_model, save_config, save_model, scale_replicate,
@@ -28,6 +28,7 @@ from .model import (
 from .rules import (
     ParseError, format_request, format_requirement, format_target,
     parse_constraint, parse_request, parse_requirements, parse_target,
+    parse_value,
 )
 from .templates import MenuTemplate, SingletonTemplate
 
@@ -42,22 +43,13 @@ def _parse_label_value(text: str, sig):
         raise ValueError("expected attr=value, got %r" % text)
     attr, raw = text.split("=", 1)
     attr = attr.strip()
-    raw = raw.strip()
     if attr not in sig:
         raise ValueError("unknown attribute %r" % attr)
     decl = sig.get(attr)
     if decl.cls != RESOURCE:
         raise ValueError("%s is not a resource attribute, so it labels no space"
                          % attr)
-    if raw == "bot":
-        return attr, BOTTOM
-    if raw in ("true", "false"):
-        return attr, raw == "true"
-    if raw.isdigit():
-        return attr, int(raw)
-    if decl.symbols and raw not in decl.symbols:
-        raise ValueError("%r is not a value of %s" % (raw, attr))
-    return attr, raw
+    return attr, parse_value(raw, decl)
 
 
 def _make_template(spec: str, S):

@@ -14,10 +14,10 @@ are one rebuild, substitute(), which replaces a formula's leaves
 top-down on an explicit stack and stops at a connective's deciding
 child. Synthesis compiles each expanded formula once into a flat
 postorder array (Compiled), which also records which attribute each
-node tests. Every check runs a three-valued pass under
-the model over it, then evaluates what is still unknown on a chunk of
-regions at once, one bit per region, and builds nothing. Grounding,
-fold_atoms(), is one loop over the same array that decides every
+node tests. Every check runs a three-valued pass under the model over
+it, then evaluates what is still unknown on each chunk of regions that
+RegionSet.chunks() gives, one bit per region, and builds nothing.
+Grounding, fold_atoms(), is one loop over the same array that decides every
 attribute test: a node that tests no attribute stays as it is, one
 that tests one is rebuilt once per value of it in the attempt, its
 group's fold cached in the compiled form, and one that tests several
@@ -57,7 +57,10 @@ back into a visited space is dropped by E and must be shut under A.
 The memo keys on the spaces the step may enter. E reads only those
 from which a path through unsettled spaces leads to a goal, where the
 right side's rewrite is not CFalse; A's shut-door tests read its
-frontier, the visited spaces it can still run into. Either key builds
+frontier, the visited spaces it can still run into. Both keys come from
+SpaceIndex.walk, the one reachability walk over a structure's masks,
+which the checker's EU and ResourceStructure.reachable use as well; this
+module has no walk of its own. Either key builds
 the formula the whole visited set builds, with far fewer subproblems,
 though their number still grows exponentially with a grid's size.
 
@@ -86,7 +89,7 @@ from typing import (
 )
 
 from .formulas import (
-    AU, AX, BOTTOM, CHUNK, EU, EX, AccessRequest, And, Atom, AttributeDecl,
+    AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
     CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
     collect_atoms, conj, contains_au, disj, falsum, intervals_of, lowest_bit,
@@ -249,7 +252,7 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     decided: Dict[Formula, Tuple[Dict[str, ControlFormula], int, int]] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
     ix = S.index
-    bit, succ, pred, full = ix.bit, ix.succ, ix.pred, ix.full
+    at, bit, succ, pred, full = ix.at, ix.bit, ix.succ, ix.pred, ix.full
 
     def resource_atom(a: Atom, r: str) -> ControlFormula:
         v = S.labels[r].get(a.attr, BOTTOM)
@@ -302,17 +305,6 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
             got = decided[f] = (known, steps, goals)
         return got
 
-    def walk(seen: int, todo: int, adj: List[int], within: int, through: int) -> int:
-        """seen and the spaces of `within` that adj (succ or pred) leads
-        to from the spaces of todo, walking on from those in `through`."""
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            nxt = adj[low.bit_length() - 1] & within & ~seen
-            seen |= nxt
-            todo |= nxt & through
-        return seen
-
     def tau_until(f: Formula, r: str, allowed: int) -> ControlFormula:
         """The until f at r over the simple paths through `allowed`, the
         spaces not yet visited. E and A differ only in the step and in
@@ -328,28 +320,28 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
             # ones, from which a path through unsettled ones leads to a
             # goal; from any other successor every path folds to CFalse
             allowed ^= bit[r]
-            near = succ[bit[r].bit_length() - 1] & allowed
-            seen = walk(near, near & steps, succ, allowed, steps)
-            later = walk(seen & goals, seen & goals, pred, steps & seen, full)
+            near = succ[at[r]] & allowed
+            seen = ix.walk(near, near & steps, succ, allowed, steps)
+            later = ix.walk(seen & goals, seen & goals, pred, steps & seen, full)
         elif allowed == full:
             later = full ^ bit[r]
         else:
             # all but r and the frontier: the visited spaces entered from
             # the unsettled spaces r reaches without re-entering them
-            frontier = walk(bit[r], bit[r], succ, full, steps) & ~allowed
+            frontier = ix.walk(bit[r], bit[r], succ, full, steps) & ~allowed
             later = full ^ frontier ^ bit[r]
         key = (f, r, later)
         got = memo_u.get(key)
         if got is not None:
             return got
-        after = S.successors(r)
+        after = succ[at[r]]
         if eu:
             step = cor([cand([guard[(r, s)], tau_until(f, s, later)])
-                        for s in after if later & bit[s]])
+                        for s in ix.spaces(after & later)])
         else:
             step = cand([cimplies(guard[(r, s)], tau_until(f, s, later))
-                         for s in after if later & bit[s]]
-                        + [cnot(guard[(r, s)]) for s in after if not later & bit[s]])
+                         for s in ix.spaces(after & later)]
+                        + [cnot(guard[(r, s)]) for s in ix.spaces(after & ~later)])
         out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
         memo_u[key] = out
         return out
@@ -610,9 +602,10 @@ def counterexample(c: Compiled, m: Dict[str, int],
     The answer is the first region representative, in build_regions
     order over the atoms of the residue (the formula with m decided), at
     which the formula is false. A three-valued pass under m marks the
-    residue without building it. Its regions are then evaluated CHUNK at
-    a time: each residue node gets one bit per region, atoms from
-    formulas.target_masks, connectives by bitwise operations."""
+    residue without building it. Its regions are then evaluated a chunk
+    at a time, RegionSet.chunks(): each residue node gets one bit per
+    region, atoms from formulas.target_masks, connectives by bitwise
+    operations."""
     val = _kleene(c, m)
     root = len(val) - 1
     if val[root]:
@@ -628,9 +621,7 @@ def counterexample(c: Compiled, m: Dict[str, int],
     residue = sorted(live)
     atoms = [c.nodes[i] for i in residue if c.ops[i] == _ATOM]
     regions = build_regions(sig, atoms)
-    count = regions.count()
-    for start in range(0, count, CHUNK):
-        width = min(CHUNK, count - start)
+    for start, width in regions.chunks():
         full = (1 << width) - 1
         masks = target_masks(atoms, regions, start, width)
         bits: Dict[int, int] = {}
@@ -1177,34 +1168,21 @@ def emit_smtlib(f: ControlFormula,
     return "\n".join(lines) + "\n"
 
 
-def _tokenize_sexp(text: str) -> List[str]:
-    return re.findall(r"\(|\)|[^\s()]+", text)
+# A get-value answer: a parenthesised list of (name value) pairs, where a
+# value is a numeral, (- numeral), true or false. Both patterns are flat,
+# so an answer is read in one pass whatever its nesting.
+_PAIR = r"\(\s*([^\s()]+)\s+(?:(-?\d+|true|false)|\(\s*-\s*(\d+)\s*\))\s*\)"
+_PAIR_RE = re.compile(_PAIR)
+_MODEL_RE = re.compile(r"\(\s*(?:%s\s*)*\)" % _PAIR)
 
 
-def _parse_sexp(tokens: List[str], pos: int):
-    if tokens[pos] == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse_sexp(tokens, pos)
-            items.append(item)
-        return items, pos + 1
-    return tokens[pos], pos + 1
-
-
-def _value_from_sexp(v) -> int:
-    if isinstance(v, list):
-        if len(v) == 2 and v[0] == "-":
-            return -_value_from_sexp(v[1])
-        raise SolverError("unexpected model value %r" % (v,))
-    if v == "true":
-        return 1
-    if v == "false":
-        return 0
-    try:
-        return int(v)
-    except ValueError:
-        raise SolverError("unexpected model value %r" % (v,))
+def _read_model(text: str) -> ControlAssignment:
+    """The values of a get-value answer; SolverError for anything else."""
+    if not _MODEL_RE.fullmatch(text.strip()):
+        raise SolverError("malformed model in solver output: %r" % text[:500])
+    return {name: -int(negated) if negated
+            else 1 if plain == "true" else 0 if plain == "false" else int(plain)
+            for name, plain, negated in _PAIR_RE.findall(text)}
 
 
 # The longest wait subprocess can hand to poll(), which takes whole
@@ -1261,12 +1239,6 @@ def run_external(script: str, command: str,
         rest = " ".join(rest_lines)
         if not rest.strip():
             return "sat", None
-        tokens = _tokenize_sexp(rest)
-        parsed, _ = _parse_sexp(tokens, 0)
-        model: ControlAssignment = {}
-        for pair in parsed:
-            if isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str):
-                model[pair[0]] = _value_from_sexp(pair[1])
-        return "sat", model
+        return "sat", _read_model(rest)
     finally:
         os.unlink(path)

@@ -14,9 +14,14 @@ that already knows which edges grant the request hands them over.
 
 A structure's `index` numbers its spaces in sorted order, one bit each,
 so a set of spaces is an int mask, with a successor and a predecessor
-mask per space; the model checker labels with such masks and the until
-rewrite keeps its visited sets in them. The index is built on first use
-and then kept, as the successor lists are.
+mask per space, read straight from the edges. It is the structure's one
+adjacency: successors() and predecessors() read their names off its
+masks, and SpaceIndex.walk is the one reachability walk, which
+reachable() runs forwards from the entry, the model checker runs
+backwards for EU and the until rewrite runs for its memo keys. The
+index is built on first use and then kept. Which doors grant a request
+is one target_masks fold over the distinct policies, on the request's
+own one-region RegionSet.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .formulas import (
     BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, NUMERIC, RESOURCE, SUBJECT,
-    AccessRequest, AttributeDecl, AttributeSignature, Formula, SynthesisError,
-    Top, Value, build_regions, collect_atoms, eval_target, target_masks,
+    AccessRequest, AttributeDecl, AttributeSignature, Formula, RegionSet,
+    SynthesisError, Top, Value, build_regions, collect_atoms, target_masks,
     validate_target,
 )
 from .rules import RESERVED, format_target, parse_target
@@ -45,19 +50,35 @@ class ModelError(ValueError):
 
 
 class SpaceIndex:
-    """The spaces of a structure in sorted order, bit i for order[i].
-    succ[i] and pred[i] are the masks of the successors and the
-    predecessors of order[i]; full is the mask of every space."""
-    __slots__ = ("order", "bit", "succ", "pred", "full")
+    """The spaces of a structure in sorted order, at[r] the position of
+    r and bit[r] its bit. succ[i] and pred[i] are the masks of the
+    successors and the predecessors of order[i] over the given edges;
+    full is the mask of every space. Edges with an endpoint outside
+    order are skipped, so validate() can report them as a model error
+    instead of a crash."""
+    __slots__ = ("order", "at", "bit", "succ", "pred", "full")
 
-    def __init__(self, order: List[str], succ: Dict[str, List[str]],
-                 pred: Dict[str, List[str]]):
+    def __init__(self, order: List[str], edges: Iterable[Edge]):
         self.order = order
-        bit = self.bit = {r: 1 << i for i, r in enumerate(order)}
+        at = self.at = {r: i for i, r in enumerate(order)}
+        self.bit = {r: 1 << i for r, i in at.items()}
         self.full = (1 << len(order)) - 1
-        # distinct powers of two: their sum is their union
-        self.succ = [sum(map(bit.__getitem__, succ[r])) for r in order]
-        self.pred = [sum(map(bit.__getitem__, pred[r])) for r in order]
+        succ = self.succ = [0] * len(order)
+        pred = self.pred = [0] * len(order)
+        for a, b in edges:
+            if a in at and b in at:
+                i, j = at[a], at[b]
+                succ[i] |= 1 << j
+                pred[j] |= 1 << i
+
+    def succ_over(self, edges: Iterable[Edge]) -> List[int]:
+        """The successor masks over `edges` alone."""
+        at = self.at
+        succ = [0] * len(self.order)
+        for a, b in edges:
+            if a in at and b in at:
+                succ[at[a]] |= 1 << at[b]
+        return succ
 
     def spaces(self, mask: int) -> List[str]:
         """The names in a mask, in order."""
@@ -68,6 +89,18 @@ class SpaceIndex:
             mask ^= low
         return out
 
+    def walk(self, seen: int, todo: int, adj: List[int], within: int,
+             through: int) -> int:
+        """seen and the spaces of `within` that adj (succ or pred) leads
+        to from the spaces of todo, walking on from those in `through`."""
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            nxt = adj[low.bit_length() - 1] & within & ~seen
+            seen |= nxt
+            todo |= nxt & through
+        return seen
+
 
 @dataclass
 class ResourceStructure:
@@ -77,14 +110,6 @@ class ResourceStructure:
     edges: Dict[Edge, Optional[Formula]]         # None = controlled, else fixed policy
 
     def __post_init__(self):
-        self._succ: Dict[str, List[str]] = {r: [] for r in self.labels}
-        self._pred: Dict[str, List[str]] = {r: [] for r in self.labels}
-        for (a, b) in sorted(self.edges):
-            # Dangling endpoints are tolerated here so validate() can
-            # report them as a model error instead of a crash.
-            if a in self._succ and b in self._pred:
-                self._succ[a].append(b)
-                self._pred[b].append(a)
         self._index: Optional[SpaceIndex] = None
 
     # -- basic views ---------------------------------------------------
@@ -92,7 +117,7 @@ class ResourceStructure:
     @property
     def index(self) -> SpaceIndex:
         if self._index is None:
-            self._index = SpaceIndex(sorted(self.labels), self._succ, self._pred)
+            self._index = SpaceIndex(sorted(self.labels), self.edges)
         return self._index
 
     @property
@@ -101,10 +126,12 @@ class ResourceStructure:
         return self.index.order
 
     def successors(self, r: str) -> List[str]:
-        return self._succ[r]
+        ix = self.index
+        return ix.spaces(ix.succ[ix.at[r]])
 
     def predecessors(self, r: str) -> List[str]:
-        return self._pred[r]
+        ix = self.index
+        return ix.spaces(ix.pred[ix.at[r]])
 
     def controlled_edges(self) -> List[Edge]:
         return sorted(e for e, pol in self.edges.items() if pol is None)
@@ -112,17 +139,13 @@ class ResourceStructure:
     def fixed_edges(self) -> List[Edge]:
         return sorted(e for e, pol in self.edges.items() if pol is not None)
 
-    def reachable(self, edges: Optional[Set[Edge]] = None) -> Set[str]:
-        """The spaces the entry reaches, over `edges` alone if given."""
-        seen = {self.entry}
-        stack = [self.entry]
-        while stack:
-            a = stack.pop()
-            for b in self._succ[a]:
-                if b not in seen and (edges is None or (a, b) in edges):
-                    seen.add(b)
-                    stack.append(b)
-        return seen
+    def reachable(self, edges: Optional[Iterable[Edge]] = None) -> Set[str]:
+        """The spaces the entry reaches, over `edges`, some of the
+        structure's edges, alone if given."""
+        ix = self.index
+        start = ix.bit[self.entry]
+        adj = ix.succ if edges is None else ix.succ_over(edges)
+        return set(ix.spaces(ix.walk(start, start, adj, ix.full, ix.full)))
 
     # -- validation ------------------------------------------------------
 
@@ -154,8 +177,8 @@ class ResourceStructure:
             unreachable = set(self.labels) - self.reachable()
             if unreachable:
                 raise ModelError("unreachable spaces: %s" % ", ".join(sorted(unreachable)))
-            for r in self.nodes:
-                if not self._succ[r]:
+            for r, out in zip(self.nodes, self.index.succ):
+                if not out:
                     raise ModelError("space %r has no outgoing edge" % r)
 
     # -- derived structures ----------------------------------------------
@@ -203,18 +226,14 @@ def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest,
 
 
 def granted_edges(S: ResourceStructure, c: Configuration, q: AccessRequest) -> Set[Edge]:
-    """The edges whose policy grants q; a policy several edges share is
-    evaluated once."""
-    verdicts: Dict[Formula, bool] = {}
-    granted = set()
-    for e, fixed in S.edges.items():
-        policy = c[e] if fixed is None else fixed      # policy_of, inlined
-        ok = verdicts.get(policy)
-        if ok is None:
-            ok = verdicts[policy] = eval_target(q, policy)
-        if ok:
-            granted.add(e)
-    return granted
+    """The edges whose policy grants q: each distinct policy's bit on
+    q's own one-region RegionSet, from one target_masks fold."""
+    policies = {e: c[e] if fixed is None else fixed        # policy_of, inlined
+                for e, fixed in S.edges.items()}
+    alone = RegionSet(S.sig, {d.name: [q.get(d.name, BOTTOM)]
+                              for d in S.sig.request_attrs()})
+    masks = target_masks(policies.values(), alone, 0, 1)
+    return {e for e, p in policies.items() if masks[p]}
 
 
 # ---------------------------------------------------------------------------

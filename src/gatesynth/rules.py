@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .formulas import (
     AF, AG, AU, AX, BOOLEAN, BOTTOM, EF, EG, ENUM, EU, EX, NEGATIVE, NUMERIC,
-    POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom,
+    POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, Formula, IntervalSet, Not, Requirement, Top, Value,
     ValueSet, blocking, children, deny, disj, falsum, format_value, grant,
     implies, intervals_of, is_deadlock_freeness, release, validate_constraint,
@@ -444,6 +444,23 @@ def parse_constraint(text: str, sig: AttributeSignature) -> Formula:
     return _parse(text, sig, 1, _Parser.constraint_only)
 
 
+def parse_value(text: str, decl: AttributeDecl) -> Value:
+    """The value of one attr=value item for `decl`: bot, true, false, a
+    number or a symbol, refused unless the attribute admits it."""
+    text = text.strip()
+    if text == "bot":
+        v: Value = BOTTOM
+    elif text in ("true", "false"):
+        v = text == "true"
+    elif re.fullmatch(r"\d+", text):
+        v = int(text)
+    else:
+        v = text
+    if not decl.admits(v):
+        raise ValueError("value %r not admissible for %r" % (text, decl.name))
+    return v
+
+
 def parse_request(text: str, sig: AttributeSignature) -> AccessRequest:
     """Parse "attr=value, attr=value" into a request; the rest is bottom."""
     q: AccessRequest = {}
@@ -454,22 +471,11 @@ def parse_request(text: str, sig: AttributeSignature) -> AccessRequest:
                 raise ValueError("request items look like attr=value, got %r" % part.strip())
             name, _, val = part.partition("=")
             name = name.strip()
-            val = val.strip()
             if name not in sig or sig.get(name).cls == RESOURCE:
                 raise ValueError("unknown request attribute %r" % name)
-            decl = sig.get(name)
-            if val == "bot":
-                q[name] = BOTTOM
-            elif val == "true":
-                q[name] = True
-            elif val == "false":
-                q[name] = False
-            elif re.fullmatch(r"\d+", val):
-                q[name] = int(val)
-            else:
-                q[name] = val
-            if not decl.admits(q[name]):
-                raise ValueError("value %r not admissible for %r" % (val, name))
+            if name in q:
+                raise ValueError("request attribute %r is given twice" % name)
+            q[name] = parse_value(val, sig.get(name))
     return sig.validate_request(q)
 
 

@@ -209,6 +209,31 @@ def test_bad_entry_label_exits_with_code_2(capsys):
     capsys.readouterr()
 
 
+def test_an_entry_label_value_is_read_as_a_request_value_is(capsys):
+    base = ["synth", OFFICE, OFFICE_RULES, "--deny-by-default", "--entry-label"]
+    assert main(base + ["id=\u00b2"]) == 2
+    assert "error: value '\u00b2' not admissible for 'id'" in capsys.readouterr().err
+
+
+def test_a_repeated_request_attribute_exits_with_code_2(capsys):
+    assert main(["simulate", OFFICE, OFFICE_CONFIG, "--request", "time=3, time=4"]) == 2
+    assert "error: request attribute 'time' is given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["((cl_0_0 1))", "((cl_0_0 1) (cl"],
+                         ids=["incomplete", "truncated"])
+def test_bad_external_solver_output_exits_with_code_2(tmp_path, capsys, model):
+    solver = tmp_path / "solver.sh"
+    solver.write_text("#!/bin/sh\necho sat\necho '%s'\n" % model)
+    solver.chmod(0o755)
+    code = main(["synth", OFFICE, OFFICE_RULES, "--solver", "external",
+                 "--solver-cmd", str(solver)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "grounding gap" not in err
+
+
 def test_bad_bounds_exit_with_code_2(capsys):
     assert main(["synth", OFFICE, OFFICE_RULES, "--max-k", "-1"]) == 2
     assert "error: max_k must be at least 0" in capsys.readouterr().err

@@ -17,15 +17,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gatesynth import data, encoder
+from gatesynth import data, encoder, formulas
 from gatesynth.app import effective_requirements, synth
 from gatesynth.encoder import (
-    CHUNK, Compiled, assign_controls, cand, cguard, cimplies, cnot, cor,
+    Compiled, assign_controls, cand, cguard, cimplies, cnot, cor,
     counterexample, encode, expand_guards, fold_atoms,
 )
 from gatesynth.formulas import (
     BOOLEAN, BOTTOM, CONTEXTUAL, ENUM, NUMERIC, SUBJECT, Atom, AttributeDecl,
-    AttributeSignature, CFalse, CVarEq, IntervalSet, Top, build_regions,
+    CHUNK, AttributeSignature, CFalse, CVarEq, IntervalSet, Top, build_regions,
     collect_atoms,
 )
 from gatesynth.model import config_to_json, load_model, model_from_json
@@ -75,7 +75,7 @@ def test_the_compiled_check_returns_the_residue_loops_request(seed, chunk):
     eff = effective_requirements(S, reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(encoder, "CHUNK", chunk)
+        mp.setattr(formulas, "CHUNK", chunk)
         for tpl in templates(S, eff):
             expanded = expand_guards(guard_formula, tpl)
             for _ in range(3):

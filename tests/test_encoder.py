@@ -1140,6 +1140,16 @@ def test_run_external_error_paths(tmp_path):
                      timeout=0.2)
 
 
+@pytest.mark.parametrize("answer", ["((x 1) (y", ")", "(" * 5000],
+                         ids=["truncated", "unbalanced", "deep"])
+def test_run_external_refuses_a_malformed_model(tmp_path, answer):
+    """A truncated, unbalanced or deeply nested answer is bad solver
+    output, never a partial model or a crash."""
+    cmd = fake_solver(tmp_path, "echo sat\necho '%s'\n" % answer)
+    with pytest.raises(SolverError, match="malformed model"):
+        run_external("x", cmd)
+
+
 def test_run_external_receives_the_script(tmp_path):
     cmd = fake_solver(tmp_path, 'cat "$1" > %s\necho unsat\n'
                       % (tmp_path / "seen.smt2"))

@@ -178,6 +178,11 @@ def test_parse_request(office):
         parse_request("role visitor", office.sig)
 
 
+def test_parse_request_refuses_a_repeated_attribute(office):
+    with pytest.raises(ValueError, match="'time' is given twice"):
+        parse_request("time=3, time=4", office.sig)
+
+
 def test_format_request_follows_declaration_order(office):
     q = {"time": 9, "role": "visitor", "correct_pin": BOTTOM}
     assert format_request(q, office.sig) == "role=visitor, time=9, correct_pin=bot"
