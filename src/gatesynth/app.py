@@ -133,7 +133,10 @@ def _solve(instances: List[ControlFormula], template: Template, solver: str,
         if verdict == "unsat":
             return None
         if model is None:
-            raise SolverError("solver said sat but returned no model")
+            # a script without control variables asks for no values
+            if variables:
+                raise SolverError("solver said sat but returned no model")
+            model = {}
         values = {v.name: model.get(v.name, 0) for v in variables}
         for v in variables:
             if not 0 <= values[v.name] < v.size:

@@ -108,17 +108,24 @@ CTrue, CAtom, CNot = Top, Atom, Not
 
 
 def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
+    """The conjunction of parts, without Top, repeats or a CAnd part's
+    own nesting; CFalse as soon as a part is CFalse."""
     out: List[ControlFormula] = []
-    seen: Set[ControlFormula] = set()
     for p in parts:
-        if isinstance(p, Top):
+        kind = type(p)
+        if kind is CAnd:
+            out.extend(p.args)
+        elif kind is Top:
             continue
-        if isinstance(p, CFalse):
-            return CFalse()
-        for item in (p.args if isinstance(p, CAnd) else (p,)):
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
+        elif kind is CFalse:
+            return p
+        else:
+            out.append(p)
+    if len(out) == 2:
+        a, b = out
+        return a if a is b else CAnd((a, b))
+    if len(out) > 2:
+        out = list(dict.fromkeys(out))
     if not out:
         return Top()
     if len(out) == 1:
@@ -127,17 +134,23 @@ def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
 
 
 def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
+    """The disjunction of parts, the dual of cand()."""
     out: List[ControlFormula] = []
-    seen: Set[ControlFormula] = set()
     for p in parts:
-        if isinstance(p, CFalse):
+        kind = type(p)
+        if kind is COr:
+            out.extend(p.args)
+        elif kind is CFalse:
             continue
-        if isinstance(p, Top):
-            return Top()
-        for item in (p.args if isinstance(p, COr) else (p,)):
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
+        elif kind is Top:
+            return p
+        else:
+            out.append(p)
+    if len(out) == 2:
+        a, b = out
+        return a if a is b else COr((a, b))
+    if len(out) > 2:
+        out = list(dict.fromkeys(out))
     if not out:
         return CFalse()
     if len(out) == 1:
@@ -146,21 +159,23 @@ def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
 
 
 def cnot(f: ControlFormula) -> ControlFormula:
-    if isinstance(f, Top):
+    kind = type(f)
+    if kind is Top:
         return CFalse()
-    if isinstance(f, CFalse):
+    if kind is CFalse:
         return Top()
-    if isinstance(f, Not):
+    if kind is Not:
         return f.sub
     return Not(f)
 
 
 def cimplies(a: ControlFormula, b: ControlFormula) -> ControlFormula:
-    if isinstance(a, Top):
+    kind_a, kind_b = type(a), type(b)
+    if kind_a is Top:
         return b
-    if isinstance(a, CFalse) or isinstance(b, Top):
+    if kind_a is CFalse or kind_b is Top:
         return Top()
-    if isinstance(b, CFalse):
+    if kind_b is CFalse:
         return cnot(a)
     return CImplies(a, b)
 
@@ -779,11 +794,10 @@ class _Cnf:
             got = memo.get(g)
             if got is not None:
                 return got
-            if isinstance(g, Top):
-                out = true_lit
-            elif isinstance(g, CFalse):
-                out = -true_lit
-            elif isinstance(g, CVarEq):
+            kind = type(g)      # most frequent class first
+            if kind is CAnd:
+                out = define_and([lit_of(a) for a in g.args])
+            elif kind is CVarEq:
                 if g.var not in sizes:
                     raise SolverError("formula mentions undeclared control variable %r" % g.var)
                 if g.value >= sizes[g.var]:
@@ -791,14 +805,16 @@ class _Cnf:
                 else:
                     out = define_and([lit if (g.value >> i) & 1 else -lit
                                       for i, lit in enumerate(bits[g.var])])
-            elif isinstance(g, Not):
-                out = -lit_of(g.sub)
-            elif isinstance(g, CAnd):
-                out = define_and([lit_of(a) for a in g.args])
-            elif isinstance(g, COr):
+            elif kind is COr:
                 out = define_or([lit_of(a) for a in g.args])
-            elif isinstance(g, CImplies):
+            elif kind is Not:
+                out = -lit_of(g.sub)
+            elif kind is CImplies:
                 out = define_or([-lit_of(g.left), lit_of(g.right)])
+            elif kind is Top:
+                out = true_lit
+            elif kind is CFalse:
+                out = -true_lit
             else:
                 raise SolverError("cannot solve over unexpanded node %r" % (g,))
             memo[g] = out

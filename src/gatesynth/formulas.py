@@ -21,8 +21,12 @@ without changing their meaning by simplify_policy.
 Every node class is built on Node, which hash-conses: building a node
 equal to a live one returns that one. Equality and hashing are
 therefore identity, and a lookup costs the same on a leaf as on a large
-shared formula. One walker, subformulas(), visits every kind of
-formula.
+shared formula. The table refers to its nodes weakly, through plain
+weak references without callbacks, and Node.__new__ purges the entries
+of dead nodes once the table has grown by half since its last purge,
+so building a new structure per operation does not grow the process.
+Node classes are final, so code that dispatches on a node tests its
+exact class. One walker, subformulas(), visits every kind of formula.
 """
 
 from __future__ import annotations
@@ -300,28 +304,40 @@ class AttributeSignature:
 # Formula nodes
 # ---------------------------------------------------------------------------
 
-class _Ref(weakref.ref):
-    """A weak reference to a node that knows the node's key in _NODES."""
-    __slots__ = ("key",)
-
-
 # The hash-consing table, (class, *fields) -> weak reference to the node.
-# It holds nodes weakly: a node's entry goes when the node dies, so
-# building a new structure per operation does not grow the process.
-_NODES: Dict[tuple, _Ref] = {}
+# A dead node's entry stays until a purge, and a lookup that finds it
+# builds the node again under the same key. Node.__new__ purges the
+# table once it has grown by half since the last purge, and never below
+# _PURGE_FLOOR entries, so a purge costs a constant per entry added. A
+# dead entry's key keeps the node's children alive, so the table can
+# hold half again the nodes live at the last purge; letting it double
+# kept about one more synth call's formulas in memory.
+_NODES: Dict[tuple, weakref.ref] = {}
+_PURGE_FLOOR = 1024
+_purge_at = _PURGE_FLOOR
 
 
-def _forget(ref: _Ref, nodes=_NODES) -> None:
-    """Drop a dead node's entry, unless a new node took its key."""
-    if nodes.get(ref.key) is ref:
-        del nodes[ref.key]
+def _purge(nodes=_NODES) -> None:
+    """Delete the entries of dead nodes, newest first. Each key is popped
+    off the list before the next is read, so deleting a dead parent's
+    entry frees the key that held its children, and a child that only
+    this key kept alive is dead by the time the pass reaches it."""
+    global _purge_at
+    keys = list(nodes)
+    while keys:
+        key = keys.pop()
+        if nodes[key]() is None:
+            del nodes[key]
+    _purge_at = max(_PURGE_FLOOR, len(nodes) * 3 // 2)
 
 
 class Node:
     """Base of every formula node: `_fields` names its fields, which are
     read-only. Equality and hashing are the object defaults, identity,
     because __new__ returns the live node with the same class and
-    fields when there is one."""
+    fields when there is one. The table holds nodes weakly and drops
+    the entries of dead ones when it purges (see _NODES). Node classes
+    are final: walks and smart constructors test the exact class."""
     __slots__ = ("__weakref__",)
     _fields: Tuple[str, ...] = ()
     _setters: Tuple[Callable, ...] = ()
@@ -344,8 +360,9 @@ class Node:
         node = object.__new__(cls)
         for set_field, value in zip(cls._setters, args):
             set_field(node, value)
-        ref = _NODES[key] = _Ref(node, _forget)
-        ref.key = key
+        _NODES[key] = weakref.ref(node)
+        if len(_NODES) > _purge_at:
+            _purge()
         return node
 
     def __setattr__(self, name, value):
@@ -608,20 +625,21 @@ def children(f: Node) -> Tuple[Node, ...]:
 def subformulas(f: Node) -> Iterator[Node]:
     """Postorder traversal, children before parents, each node once; of
     a node's children the last comes out first. Iterative, so a deep
-    formula does not run into the recursion limit."""
+    formula does not run into the recursion limit: a node's marker, the
+    1-tuple (node,), goes on the stack below its children and yields
+    the node when it comes off."""
     seen = set()
-    stack = [(f, False)]
+    stack: List[object] = [f]
     while stack:
-        g, expanded = stack.pop()
-        if g in seen:
-            continue
-        if expanded:
-            seen.add(g)
-            yield g
-        else:
-            stack.append((g, True))
-            for ch in children(g):
-                stack.append((ch, False))
+        g = stack.pop()
+        if type(g) is tuple:
+            g = g[0]
+            if g not in seen:
+                seen.add(g)
+                yield g
+        elif g not in seen:
+            stack.append((g,))
+            stack.extend(children(g))
 
 
 def _node_text(f: Node, names: Dict[Node, str]) -> str:

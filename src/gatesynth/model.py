@@ -139,13 +139,17 @@ class ResourceStructure:
     def fixed_edges(self) -> List[Edge]:
         return sorted(e for e, pol in self.edges.items() if pol is not None)
 
-    def reachable(self, edges: Optional[Iterable[Edge]] = None) -> Set[str]:
-        """The spaces the entry reaches, over `edges`, some of the
-        structure's edges, alone if given."""
+    def reach_mask(self, edges: Optional[Iterable[Edge]] = None) -> int:
+        """The mask of the spaces the entry reaches, over `edges`, some
+        of the structure's edges, alone if given."""
         ix = self.index
         start = ix.bit[self.entry]
         adj = ix.succ if edges is None else ix.succ_over(edges)
-        return set(ix.spaces(ix.walk(start, start, adj, ix.full, ix.full)))
+        return ix.walk(start, start, adj, ix.full, ix.full)
+
+    def reachable(self, edges: Optional[Iterable[Edge]] = None) -> Set[str]:
+        """The spaces the entry reaches, as reach_mask() does."""
+        return set(self.index.spaces(self.reach_mask(edges)))
 
     # -- validation ------------------------------------------------------
 
@@ -218,10 +222,10 @@ def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest,
     A caller that already knows those edges passes them as `granted`."""
     if granted is None:
         granted = granted_edges(S, c, q)
-    seen = S.reachable(granted)
-    labels = {r: S.labels[r] for r in seen}
+    # in the order of S.nodes, whatever the hash seed
+    labels = {r: S.labels[r] for r in S.index.spaces(S.reach_mask(granted))}
     # a granted edge out of a reached space reaches its end too
-    edges = {e: p for e, p in S.edges.items() if e in granted and e[0] in seen}
+    edges = {e: p for e, p in S.edges.items() if e in granted and e[0] in labels}
     return ResourceStructure(S.sig, S.entry, labels, edges)
 
 

@@ -16,6 +16,7 @@ from gatesynth.app import (
     simulate, synth, verify,
 )
 from gatesynth.classic import s_cs
+from gatesynth.encoder import SolverError
 from gatesynth.formulas import (
     AU, AX, BOOLEAN, CONTEXTUAL, ENUM, NEGATIVE, NUMERIC, POSITIVE, RESOURCE,
     SUBJECT, UNKNOWN, Atom, AttributeDecl, AttributeSignature, Not, Requirement,
@@ -672,7 +673,7 @@ def test_minimal_conflict(triangle):
 def test_synth_with_external_solver(tmp_path, office, office_reqs,
                                     office_published):
     # a stand-in solver script; the template carries no choice variables,
-    # so any sat answer with a model section is enough
+    # so any sat answer is enough, and a model section is read and ignored
     script = tmp_path / "solver.sh"
     script.write_text('#!/bin/sh\necho sat\necho "((dummy 0))"\n')
     script.chmod(script.stat().st_mode | stat.S_IEXEC)
@@ -696,6 +697,25 @@ def test_synth_with_external_solver(tmp_path, office, office_reqs,
     res = synth(office, office_reqs, solver="external", solver_cmd=str(unsat))
     assert res.outcome == "unsat" and res.exhaustive
     assert res.stats["attempts"][-1]["template"]["classes"] == 7
+
+
+def test_external_solver_answers_a_template_without_control_variables(
+        tmp_path, office, office_reqs, office_published):
+    # a template with no control variables gets a script without
+    # get-value, so a conforming solver prints a bare `sat`
+    script = tmp_path / "bare.sh"
+    script.write_text("#!/bin/sh\necho sat\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    tpl = SingletonTemplate(office, office_published)
+    assert tpl.control_vars() == []
+    res = synth(office, office_reqs, template=tpl, solver="external",
+                solver_cmd=str(script))
+    assert res.ok
+    assert res.configuration == office_published
+
+    # with control variables a bare `sat` is still no answer
+    with pytest.raises(SolverError, match="returned no model"):
+        synth(office, office_reqs, solver="external", solver_cmd=str(script))
 
 
 def test_synth_emits_a_quantified_script(tmp_path, office, office_reqs):

@@ -75,10 +75,16 @@ def test_node_equality_and_hashing():
     assert cguard(("a", "b")) == CGuard(("a", "b"))
 
 
+def live_entries():
+    return sum(1 for ref in formulas._NODES.values() if ref() is not None)
+
+
 def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
-    # the intern table holds its nodes weakly: dropping a formula drops
-    # every node only it kept alive, guards included
+    # the intern table holds its nodes weakly: once it is purged,
+    # dropping a formula has dropped every node only it kept alive,
+    # guards included
     gc.collect()
+    formulas._purge()
     before = len(formulas._NODES)
     f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
     guards = [g for g in subformulas(f) if isinstance(g, CGuard)]
@@ -86,31 +92,63 @@ def test_guard_cache_keeps_only_live_guards(firm, firm_reqs):
     assert len(formulas._NODES) > before
     del f, guards
     gc.collect()
+    formulas._purge()
     assert len(formulas._NODES) <= before
 
 
 def test_the_node_table_keeps_entries_of_live_nodes_only(firm, firm_reqs):
     gc.collect()
+    formulas._purge()
     before = len(formulas._NODES)
     f = cand([encode(scale_replicate(firm, 5), r) for r in firm_reqs])
     assert len(formulas._NODES) > before
     del f
     gc.collect()
-    assert all(ref() is not None and ref.key is key for key, ref in formulas._NODES.items())
+    formulas._purge()
+    # one pass frees whole dead formulas, children after their parents
+    assert live_entries() == len(formulas._NODES)
+    for key, ref in formulas._NODES.items():
+        node = ref()
+        assert key == (type(node), *(getattr(node, name) for name in node._fields))
 
 
 def test_a_node_built_again_after_its_first_died_is_interned_again():
     def build():
         return CAnd((CVarEq("rebuilt", 3), CNot(CVarEq("rebuilt", 4))))
 
+    # found dead in the table before a purge: built again under its key
     first = build()
     key = (CAnd, first.args)
     del first
+    assert formulas._NODES[key]() is None
+    again = build()
+    assert again is build()
+    assert formulas._NODES[key]() is again
+
+    # purged: interned again under a new entry
+    del again
     gc.collect()
+    formulas._purge()
     assert key not in formulas._NODES
     again = build()
     assert again is build()
     assert formulas._NODES[(CAnd, again.args)]() is again
+
+
+def test_building_and_dropping_formulas_keeps_the_table_within_its_bound():
+    # no explicit purge: Node.__new__ purges once the table has grown by
+    # half, so it holds at most 1.5 times the nodes live at the last
+    # purge, or the floor; every formula here has the same size, so
+    # those are never more than the nodes live while one is held
+    gc.collect()
+    sizes = []
+    for i in range(400):
+        bits = [CVarEq("drop%d" % i, v) for v in range(12)]
+        f = cand([cor([a, cnot(b)]) for a, b in zip(bits, bits[1:])] + bits)
+        sizes.append(len(formulas._NODES))
+        assert sizes[-1] <= max(formulas._PURGE_FLOOR, live_entries() * 3 // 2)
+        del bits, f
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))     # it was purged
 
 
 def test_copies_of_a_node_are_the_interned_node(office, office_reqs):

@@ -138,7 +138,7 @@ def two_building_restrict(S, c, q):
     entry reaches."""
     granted = S.with_edges(granted_edges(S, c, q))
     seen = granted.reachable()
-    labels = {r: S.labels[r] for r in seen}
+    labels = {r: S.labels[r] for r in S.nodes if r in seen}
     edges = {e: p for e, p in granted.edges.items() if e[0] in seen and e[1] in seen}
     return ResourceStructure(S.sig, S.entry, labels, edges)
 
@@ -155,6 +155,18 @@ def test_restrict_builds_what_the_two_building_version_built(seed):
     assert got.entry == want.entry
     assert list(got.labels.items()) == list(want.labels.items())
     assert list(got.edges.items()) == list(want.edges.items())
+
+
+def test_restricted_labels_follow_the_order_of_the_nodes(firm, office, office_published):
+    # the labels of a restricted structure come in S.nodes order, so
+    # they do not change with the hash seed
+    open_doors = {e: Top() for e in firm.controlled_edges()}
+    cases = [(firm, open_doors, {}),
+             (office, office_published, parse_request("role=employee, time=10", office.sig))]
+    for S, config, q in cases:
+        got = list(restrict(S, config, q).labels)
+        assert len(got) > 3
+        assert got == [r for r in S.nodes if r in got]
 
 
 def test_granted_edges_ignores_reachability(office, office_published):
