@@ -44,9 +44,11 @@ Control formulas use the node classes of formulas, Top, Atom and Not
 included, so a policy's tests enter them as they are. Nodes are
 hash-consed: an equal node is the same object, memo tables key on nodes
 directly, and each edge has one live guard without a cache of its own.
-Walks over them are formulas.subformulas(); this module keeps only the
-smart constructors, the rewrite, substitute(), the compiled form with
-its check and fold_atoms(), the solver and the SMT-LIB printer.
+Walks over them are formulas.subformulas(), and the smart constructors
+(cand, cor, cnot, cimplies) and target_to_control() live in formulas,
+beside the node classes; this module imports them for its callers and
+keeps the rewrite, substitute(), the compiled form with its check and
+fold_atoms(), the solver and the SMT-LIB printer.
 
 Both untils share one unrolling over simple paths. A space where the
 right side holds outright settles the until as true, and one where the
@@ -75,7 +77,6 @@ door out of the entry is shut.
 
 from __future__ import annotations
 
-import functools
 import re
 import shlex
 import subprocess
@@ -85,15 +86,15 @@ import os
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 from .formulas import (
     AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, CAnd, CFalse, CGuard, CImplies, COr, ControlFormula,
-    CVarEq, Formula, Not, Requirement, Top, Value, build_regions, children,
-    collect_atoms, conj, contains_au, disj, falsum, intervals_of, lowest_bit,
-    subformulas, target_masks,
+    CVarEq, Formula, Not, Requirement, Top, Value, build_regions, cand,
+    children, cimplies, cnot, collect_atoms, contains_au, cor, intervals_of,
+    lowest_bit, subformulas, target_masks, target_to_control,
 )
 from .checker import model_check
 from .model import Edge, ResourceStructure
@@ -107,79 +108,6 @@ from .model import Edge, ResourceStructure
 CTrue, CAtom, CNot = Top, Atom, Not
 
 
-def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
-    """The conjunction of parts, without Top, repeats or a CAnd part's
-    own nesting; CFalse as soon as a part is CFalse."""
-    out: List[ControlFormula] = []
-    for p in parts:
-        kind = type(p)
-        if kind is CAnd:
-            out.extend(p.args)
-        elif kind is Top:
-            continue
-        elif kind is CFalse:
-            return p
-        else:
-            out.append(p)
-    if len(out) == 2:
-        a, b = out
-        return a if a is b else CAnd((a, b))
-    if len(out) > 2:
-        out = list(dict.fromkeys(out))
-    if not out:
-        return Top()
-    if len(out) == 1:
-        return out[0]
-    return CAnd(tuple(out))
-
-
-def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
-    """The disjunction of parts, the dual of cand()."""
-    out: List[ControlFormula] = []
-    for p in parts:
-        kind = type(p)
-        if kind is COr:
-            out.extend(p.args)
-        elif kind is CFalse:
-            continue
-        elif kind is Top:
-            return p
-        else:
-            out.append(p)
-    if len(out) == 2:
-        a, b = out
-        return a if a is b else COr((a, b))
-    if len(out) > 2:
-        out = list(dict.fromkeys(out))
-    if not out:
-        return CFalse()
-    if len(out) == 1:
-        return out[0]
-    return COr(tuple(out))
-
-
-def cnot(f: ControlFormula) -> ControlFormula:
-    kind = type(f)
-    if kind is Top:
-        return CFalse()
-    if kind is CFalse:
-        return Top()
-    if kind is Not:
-        return f.sub
-    return Not(f)
-
-
-def cimplies(a: ControlFormula, b: ControlFormula) -> ControlFormula:
-    kind_a, kind_b = type(a), type(b)
-    if kind_a is Top:
-        return b
-    if kind_a is CFalse or kind_b is Top:
-        return Top()
-    if kind_b is CFalse:
-        return cnot(a)
-    return CImplies(a, b)
-
-
 def formula_size(f: ControlFormula) -> int:
     """Number of distinct subterms."""
     return sum(1 for _ in subformulas(f))
@@ -189,33 +117,6 @@ def formula_edges(f: ControlFormula) -> int:
     """Sum of the arities of the distinct subterms: the edges of the
     DAG, which Tseitin clauses follow."""
     return sum(len(children(g)) for g in subformulas(f))
-
-
-def target_to_control(t: Formula) -> ControlFormula:
-    if isinstance(t, (Top, Atom)):
-        return t
-    if isinstance(t, Not):
-        return cnot(target_to_control(t.sub))
-    if isinstance(t, And):
-        return cand([target_to_control(t.left), target_to_control(t.right)])
-    raise TypeError("not a target node: %r" % (t,))
-
-
-def control_to_target(f: ControlFormula) -> Formula:
-    """The target a control formula over request attributes only denotes,
-    such as a symbolic policy after assign_controls(): conjunctions
-    become left-associated And, disjunctions left-folded disj."""
-    if isinstance(f, (Top, Atom)):
-        return f
-    if isinstance(f, CFalse):
-        return falsum()
-    if isinstance(f, Not):
-        return Not(control_to_target(f.sub))
-    if isinstance(f, CAnd):
-        return conj([control_to_target(a) for a in f.args])
-    if isinstance(f, COr):
-        return functools.reduce(disj, [control_to_target(a) for a in f.args])
-    raise TypeError("not a formula over request attributes: %r" % (f,))
 
 
 def cguard(edge: Edge) -> CGuard:

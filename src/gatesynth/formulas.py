@@ -13,10 +13,16 @@ Three kinds of formula share one node set:
   CAnd, COr, CImplies).
 
 Edge policies are targets as well, so everything the synthesizer
-manipulates bottoms out in the same Atom node. Targets are decided over
-finitely many request regions, a chunk of regions at once as one
-bitmask per node (target_masks; target_sat, target_equiv), and shrunk
-without changing their meaning by simplify_policy.
+manipulates bottoms out in the same Atom node. The smart constructors
+of control formulas (cand, cor, cnot, cimplies) live beside the node
+classes, and target_to_control() brings a target to that n-ary form.
+Targets are decided over finitely many request regions, a chunk of
+regions at once as one bitmask per node (target_masks, which reads a
+control formula over request attributes as well; target_sat,
+target_equiv). simplify_policy shrinks a policy, given as a target or
+as such a control formula, without changing its meaning, in three
+folds: to the control form, one rebuild through the smart
+constructors, and back to a target.
 
 Every node class is built on Node, which hash-conses: building a node
 equal to a live one returns that one. Equality and hashing are
@@ -489,6 +495,83 @@ ControlFormula = Union[Top, CFalse, Atom, CVarEq, CGuard, Not, CAnd, COr, CImpli
 TEMPORAL_NODES = (EX, AX, EU, AU)
 
 
+# Smart constructors of control formulas. They live beside the node
+# classes so that simplify_policy() can build with them; the encoder
+# imports them from here.
+
+def cand(parts: Iterable[ControlFormula]) -> ControlFormula:
+    """The conjunction of parts, without Top, repeats or a CAnd part's
+    own nesting; CFalse as soon as a part is CFalse."""
+    out: List[ControlFormula] = []
+    for p in parts:
+        kind = type(p)
+        if kind is CAnd:
+            out.extend(p.args)
+        elif kind is Top:
+            continue
+        elif kind is CFalse:
+            return p
+        else:
+            out.append(p)
+    if len(out) == 2:
+        a, b = out
+        return a if a is b else CAnd((a, b))
+    if len(out) > 2:
+        out = list(dict.fromkeys(out))
+    if not out:
+        return Top()
+    if len(out) == 1:
+        return out[0]
+    return CAnd(tuple(out))
+
+
+def cor(parts: Iterable[ControlFormula]) -> ControlFormula:
+    """The disjunction of parts, the dual of cand()."""
+    out: List[ControlFormula] = []
+    for p in parts:
+        kind = type(p)
+        if kind is COr:
+            out.extend(p.args)
+        elif kind is CFalse:
+            continue
+        elif kind is Top:
+            return p
+        else:
+            out.append(p)
+    if len(out) == 2:
+        a, b = out
+        return a if a is b else COr((a, b))
+    if len(out) > 2:
+        out = list(dict.fromkeys(out))
+    if not out:
+        return CFalse()
+    if len(out) == 1:
+        return out[0]
+    return COr(tuple(out))
+
+
+def cnot(f: ControlFormula) -> ControlFormula:
+    kind = type(f)
+    if kind is Top:
+        return CFalse()
+    if kind is CFalse:
+        return Top()
+    if kind is Not:
+        return f.sub
+    return Not(f)
+
+
+def cimplies(a: ControlFormula, b: ControlFormula) -> ControlFormula:
+    kind_a, kind_b = type(a), type(b)
+    if kind_a is Top:
+        return b
+    if kind_a is CFalse or kind_b is Top:
+        return Top()
+    if kind_b is CFalse:
+        return cnot(a)
+    return CImplies(a, b)
+
+
 def conj(parts: Sequence[Formula]) -> Formula:
     """Left-associated conjunction; the empty conjunction is Top."""
     parts = list(parts)
@@ -717,16 +800,40 @@ def _validate_atom_values(a: Atom, d: AttributeDecl) -> None:
 
 
 def eval_target(q: AccessRequest, f: Formula) -> bool:
-    """Evaluate a target against a request. Unset attributes read as bottom."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Atom):
-        return q.get(f.attr, BOTTOM) in f.values
-    if isinstance(f, Not):
-        return not eval_target(q, f.sub)
-    if isinstance(f, And):
-        return eval_target(q, f.left) and eval_target(q, f.right)
-    raise TypeError("not a target node: %r" % (f,))
+    """Evaluate a target against a request. Unset attributes read as
+    bottom. A fold over subformulas()."""
+    value: Dict[Node, bool] = {}
+    for g in subformulas(f):
+        kind = type(g)
+        if kind is Atom:
+            value[g] = q.get(g.attr, BOTTOM) in g.values
+        elif kind is Not:
+            value[g] = not value[g.sub]
+        elif kind is And:
+            value[g] = value[g.left] and value[g.right]
+        elif kind is Top:
+            value[g] = True
+        else:
+            raise TypeError("not a target node: %r" % (g,))
+    return value[f]
+
+
+def target_to_control(f: Node) -> ControlFormula:
+    """f in the n-ary control form: And becomes CAnd through cand() and
+    Not goes through cnot(), so constants fold and conjunctions flatten.
+    Top, atoms and control nodes pass through. A fold over subformulas()."""
+    control: Dict[Node, ControlFormula] = {}
+    for g in subformulas(f):
+        kind = type(g)
+        if kind is And:
+            control[g] = cand((control[g.left], control[g.right]))
+        elif kind is Not:
+            control[g] = cnot(control[g.sub])
+        elif kind in TEMPORAL_NODES:
+            raise TypeError("not a target node: %r" % (g,))
+        else:
+            control[g] = g
+    return control[f]
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +920,11 @@ def lowest_bit(mask: int) -> int:
 def target_masks(roots: Iterable[Formula], regions: RegionSet, start: int,
                  width: int) -> Dict[Formula, int]:
     """A mask per node of the given targets: bit b is set when the node
-    holds at region start + b. Top is the full mask, an atom the union of
-    the masks of its attribute's cells it holds in, Not and And bitwise
-    operations. A fold over subformulas() of each distinct root."""
+    holds at region start + b. Top is the full mask and CFalse the empty
+    one, an atom the union of the masks of its attribute's cells it holds
+    in, Not, And, CAnd and COr bitwise operations, so a control formula
+    over request attributes reads as the target it denotes. A fold over
+    subformulas() of each distinct root."""
     full = (1 << width) - 1
     cells = regions.cell_masks(start, width)
     masks: Dict[Formula, int] = {}
@@ -840,6 +949,16 @@ def target_masks(roots: Iterable[Formula], regions: RegionSet, start: int,
                 x = masks[g.left] & masks[g.right]
             elif kind is Top:
                 x = full
+            elif kind is CAnd:
+                x = full
+                for a in g.args:
+                    x &= masks[a]
+            elif kind is COr:
+                x = 0
+                for a in g.args:
+                    x |= masks[a]
+            elif kind is CFalse:
+                x = 0
             else:
                 raise TypeError("not a target node: %r" % (g,))
             masks[g] = x
@@ -909,120 +1028,74 @@ class SynthesisError(RuntimeError):
     configuration that does not do what it was built to do."""
 
 
-def simplify_policy(t: Formula, sig: AttributeSignature) -> Formula:
-    """Equivalent but smaller form of a policy or target.
+def simplify_policy(f: Node, sig: AttributeSignature) -> Formula:
+    """Equivalent but smaller form of a policy, given as a target or as a
+    control formula over request attributes, such as a symbolic policy
+    after assign_controls().
 
-    Constant subterms are folded, duplicate conjuncts dropped, and
-    membership tests on the same attribute merged. The result is
-    checked to grant exactly the same requests as the input; a mismatch
-    raises SynthesisError.
+    Three folds over subformulas(). target_to_control() brings f to the
+    n-ary form. One rebuild through cand() and cnot() then decides the
+    tests of no value or of a finite attribute's every value, and merges
+    each conjunction's tests on one attribute. The last fold reads the
+    result back as a target: a conjunction as left-associated And in
+    first-occurrence order, CFalse as falsum(). The result is checked to
+    grant exactly the requests f grants; a mismatch raises SynthesisError.
     """
-    out = _simp(t, sig)
-    if not target_equiv(t, out, sig):
-        raise SynthesisError("simplification changed the policy %r into %r" % (t, out))
-    return out
-
-
-def _full_domain(sig: AttributeSignature, attr: str) -> Optional[frozenset]:
-    domain = sig.get(attr).domain()
-    return None if domain is None else frozenset(domain)
-
-
-def _simp(t: Formula, sig: AttributeSignature) -> Formula:
-    if isinstance(t, Top):
-        return t
-    if isinstance(t, Atom):
-        if not t.values:
-            return falsum()
-        full = _full_domain(sig, t.attr)
-        if full is not None and t.values >= full:
-            return Top()
-        return t
-    if isinstance(t, Not):
-        s = _simp(t.sub, sig)
-        if isinstance(s, Not):
-            return s.sub
-        return Not(s)
-    if isinstance(t, And):
-        return _simp_and(t, sig)
-    raise TypeError("not a policy node: %r" % (t,))
-
-
-def _flatten_and(t: Formula) -> List[Formula]:
-    if isinstance(t, And):
-        return _flatten_and(t.left) + _flatten_and(t.right)
-    return [t]
-
-
-def _simp_and(t: And, sig: AttributeSignature) -> Formula:
-    parts = []
-    for p in _flatten_and(t):
-        s = _simp(p, sig)
-        if isinstance(s, And):
-            parts.extend(_flatten_and(s))
-        else:
-            parts.append(s)
-
-    false = falsum()
-    pos: Dict[str, frozenset] = {}
-    negv: Dict[str, frozenset] = {}
-    order: List[Tuple[str, object]] = []   # ('pos', attr) / ('neg', attr) / ('other', i)
-    others: List[Formula] = []
-
-    for p in parts:
-        if isinstance(p, Top):
+    control = target_to_control(f)
+    simple: Dict[Node, ControlFormula] = {}
+    for g in subformulas(control):
+        kind = type(g)
+        if kind is Not:
+            simple[g] = cnot(simple[g.sub])
             continue
-        if p == false:
-            return false
-        if isinstance(p, Atom):
-            if p.attr in pos:
-                pos[p.attr] = pos[p.attr] & p.values
+        if kind is Top or kind is CFalse:
+            simple[g] = g
+            continue
+        if kind is not Atom and kind is not CAnd and kind is not COr:
+            raise TypeError("not a policy node: %r" % (g,))
+        # An atom is a conjunction of one part, and a disjunction the
+        # negated conjunction of its negated parts. The positive tests on
+        # one attribute meet, the negated ones join, and the positive test
+        # absorbs the negated one; each merged test takes the place of the
+        # first of its kind, and the other parts keep theirs.
+        negate = kind is COr
+        conjunction = g if kind is Atom else cand(
+            [cnot(simple[a]) if negate else simple[a] for a in g.args])
+        tests: Dict[object, Optional[ValueSet]] = {}
+        for p in conjunction.args if type(conjunction) is CAnd else (conjunction,):
+            if type(p) is Atom:
+                key = (p.attr, True)
+                tests[key] = tests[key] & p.values if key in tests else p.values
+            elif type(p) is Not and type(p.sub) is Atom:
+                key = (p.sub.attr, False)
+                tests[key] = tests[key] | p.sub.values if key in tests else p.sub.values
             else:
-                pos[p.attr] = p.values
-                order.append(("pos", p.attr))
-            continue
-        if isinstance(p, Not) and isinstance(p.sub, Atom):
-            a = p.sub
-            if a.attr in negv:
-                negv[a.attr] = negv[a.attr] | a.values
-            else:
-                negv[a.attr] = a.values
-                order.append(("neg", a.attr))
-            continue
-        if p not in others:
-            order.append(("other", len(others)))
-            others.append(p)
-
-    for attr in list(pos):
-        if attr in negv:
-            pos[attr] = pos[attr] - negv[attr]
-            del negv[attr]
-
-    out: List[Formula] = []
-    for kind, key in order:
-        if kind == "pos":
-            values = pos[key]
-            if not values:
-                return false
-            full = _full_domain(sig, key)
-            if full is not None and values >= full:
+                tests[p] = None
+        parts: List[ControlFormula] = []
+        for key, values in tests.items():
+            if values is None:
+                parts.append(key)
                 continue
-            out.append(Atom(key, values))
-        elif kind == "neg":
-            if key not in negv:
-                continue    # absorbed into the positive test
-            values = negv[key]
-            if not values:
-                continue    # nothing excluded
-            full = _full_domain(sig, key)
-            if full is not None and values >= full:
-                return false
-            out.append(Not(Atom(key, values)))
-        else:
-            out.append(others[key])
-
-    for p in out:
-        if isinstance(p, Not) and p.sub in out:
-            return false
-
-    return conj(out)
+            attr, positive = key
+            if positive and (attr, False) in tests:
+                values = values - tests[attr, False]
+            elif not positive and (attr, True) in tests:
+                continue
+            domain = sig.get(attr).domain()
+            test = (CFalse() if not values
+                    else Top() if domain is not None and values >= frozenset(domain)
+                    else Atom(attr, values))
+            parts.append(test if positive else cnot(test))
+        out = cand(parts)
+        simple[g] = cnot(out) if negate else out
+    out = simple[control]
+    target: Dict[Node, Formula] = {}
+    for g in subformulas(out):
+        kind = type(g)
+        target[g] = (conj([target[a] for a in g.args]) if kind is CAnd
+                     else Not(target[g.sub]) if kind is Not
+                     else falsum() if kind is CFalse else g)
+    out = target[out]
+    if not target_equiv(f, out, sig):
+        raise SynthesisError("simplification changed the policy %r into %r" % (f, out))
+    return out

@@ -583,13 +583,19 @@ def _fmt_prec(f: Formula, sig) -> Tuple[str, int]:
                                       _fmt(a.right.sub, sig, _PREC_IMPL)), _PREC_IMPL)
         return "not %s" % _fmt(f.sub, sig, _PREC_UNARY), _PREC_UNARY
     if isinstance(f, And):
-        lb = _lower_bound_of(f.left)
-        if lb is not None and isinstance(f.right, Atom) and f.right.attr == lb[0]:
+        rights = []     # a left-nested chain, in one loop down its spine
+        while isinstance(f, And):
+            lb = _lower_bound_of(f.left)
+            if lb is not None and isinstance(f.right, Atom) and f.right.attr == lb[0] \
+                    and _upper_bound(f.right.values) is not None:
+                break
+            rights.append(f.right)
+            f = f.left
+        if not rights:
             hi = _upper_bound(f.right.values)
-            if hi is not None:
-                return "%d <= %s <= %d" % (lb[1], lb[0], hi), _PREC_ATOMIC
-        return ("%s and %s" % (_fmt(f.left, sig, _PREC_AND),
-                               _fmt(f.right, sig, _PREC_AND + 1)), _PREC_AND)
+            return "%d <= %s <= %d" % (lb[1], lb[0], hi), _PREC_ATOMIC
+        parts = [_fmt(r, sig, _PREC_AND + 1) for r in reversed(rights)]
+        return " and ".join([_fmt(f, sig, _PREC_AND)] + parts), _PREC_AND
     if isinstance(f, EX):
         return "EX %s" % _fmt(f.sub, sig, _PREC_UNARY), _PREC_UNARY
     if isinstance(f, AX):

@@ -20,9 +20,9 @@ class, so a failed search over it refutes them all.
 Each template states its policy family once, as the symbolic policy of
 every controlled edge. The solver searches that formula, and derive()
 reads the configuration off it by substitution: the model decides
-every control-variable test, and what is left, a formula over request
-attributes, is turned back into a target and simplified. Menus return
-their picked entries as they are.
+every control-variable test, and simplify_policy() reads what is left,
+a control formula over request attributes, as a simplified target.
+Menus return their picked entries as they are.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
     NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq, Formula,
-    IntervalSet, Not, Requirement, Top, ValueSet, build_regions,
-    collect_atoms, conj, interval_ends, refine, simplify_policy,
-    target_equiv, target_masks, validate_target,
+    IntervalSet, Not, Requirement, Top, ValueSet, build_regions, cand, cnot,
+    collect_atoms, conj, cor, interval_ends, refine, simplify_policy,
+    target_equiv, target_masks, target_to_control, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
-from .encoder import (
-    ControlAssignment, ControlVar, assign_controls, cand, cnot,
-    control_to_target, cor, target_to_control, var_bits,
-)
+from .encoder import ControlAssignment, ControlVar, assign_controls, var_bits
 
 class Template:
     """Shared behaviour: fixed edges always expand to their fixed policy,
@@ -77,9 +74,9 @@ class Template:
 
     def derive(self, m: ControlAssignment) -> Configuration:
         """Each controlled edge's symbolic policy with m substituted for
-        the control variables, read back as a target and simplified."""
-        return {e: simplify_policy(control_to_target(
-                    assign_controls(self.edge_policy_formula(e), m)), self.sig)
+        the control variables: what is left tests request attributes
+        only, and simplify_policy() reads it as a simplified target."""
+        return {e: simplify_policy(assign_controls(self.edge_policy_formula(e), m), self.sig)
                 for e in self.edges()}
 
     def bit_count(self) -> int:
