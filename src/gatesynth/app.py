@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
-    AX, AccessRequest, Atom, BOTTOM, ControlFormula, Formula, NEGATIVE,
-    POSITIVE, Not, Requirement, Top, UNKNOWN, conj, contains_au,
-    deadlock_free_constraint, falsum,
+    AX, AccessRequest, ControlFormula, Formula, NEGATIVE, POSITIVE, Not,
+    Requirement, Top, UNKNOWN, conj, contains_au, deadlock_free_constraint,
+    falsum, is_deadlock_freeness,
 )
 from . import encoder
 from .checker import HoldsReport, holds
@@ -57,18 +57,12 @@ DEADLOCK_SOURCE = "deadlock-freeness (added)"
 DENY_DEFAULT_SOURCE = "deny-by-default (added)"
 
 
-def effective_requirements(S: ResourceStructure, reqs: Sequence[Requirement],
-                           deadlock_free: str = "auto",
-                           deny_by_default: bool = False,
-                           entry_label: Optional[Tuple[str, object]] = None
-                           ) -> List[Requirement]:
-    """The requirement list synthesis actually works against. An entry
-    label without deny_by_default is a ValueError: nothing would read it."""
+def effective_requirements(reqs: Sequence[Requirement], deadlock_free: str = "auto",
+                           deny_by_default: bool = False) -> List[Requirement]:
+    """The requirement list synthesis actually works against."""
     out = list(reqs)
     if deadlock_free not in ("auto", "on", "off"):
         raise ValueError("deadlock_free must be auto, on, or off")
-    if entry_label is not None and not deny_by_default:
-        raise ValueError("an entry label is for deny-by-default only")
     want_df = deadlock_free == "on" or (
         deadlock_free == "auto" and any(contains_au(r.constraint) for r in out))
     df = deadlock_free_constraint()
@@ -76,33 +70,14 @@ def effective_requirements(S: ResourceStructure, reqs: Sequence[Requirement],
     if want_df and not already:
         out.append(Requirement(Top(), df, NEGATIVE, source=DEADLOCK_SOURCE))
     if deny_by_default:
-        out.append(deny_by_default_requirement(S, reqs, entry_label))
+        out.append(deny_by_default_requirement(reqs))
     return out
 
 
-def deny_by_default_requirement(S: ResourceStructure, reqs: Sequence[Requirement],
-                                entry_label: Optional[Tuple[str, object]] = None
-                                ) -> Requirement:
-    """Requests matched by no granting requirement must stay put: every
-    edge the entry still grants them leads back to a space labeled like
-    the entry, which no other space is, so there is none.
-    """
-    if entry_label is None:
-        label = S.labels[S.entry]
-        candidates = sorted(a for a, v in label.items()
-                            if v is not BOTTOM and all(
-                                S.labels[r].get(a) != v for r in S.nodes if r != S.entry))
-        if not candidates:
-            raise ValueError("no label attribute singles out the entry; "
-                             "pass one explicitly")
-        attr = candidates[0]
-        value = label[attr]
-    else:
-        attr, value = entry_label
-        if S.labels[S.entry].get(attr) != value:
-            raise ValueError("entry is not labeled %s=%s" % (attr, value))
-        if any(S.labels[r].get(attr) == value for r in S.nodes if r != S.entry):
-            raise ValueError("%s=%s does not single out the entry" % (attr, value))
+def deny_by_default_requirement(reqs: Sequence[Requirement]) -> Requirement:
+    """Requests matched by no granting requirement must stay put: no door
+    out of the entry is open to them, AX false there. Models have no
+    self-loops, so no door leads back to the entry."""
     positive_targets = []
     for r in reqs:
         if r.polarity == POSITIVE:
@@ -112,8 +87,7 @@ def deny_by_default_requirement(S: ResourceStructure, reqs: Sequence[Requirement
                 "deny-by-default needs every requirement's polarity; %r is unclassified"
                 % (r.source or r,))
     target = conj([Not(t) for t in positive_targets])
-    constraint = AX(Atom(attr, frozenset([value])))
-    return Requirement(target, constraint, NEGATIVE, source=DENY_DEFAULT_SOURCE)
+    return Requirement(target, AX(falsum()), NEGATIVE, source=DENY_DEFAULT_SOURCE)
 
 
 def _solve(instances: List[ControlFormula], template: Template, solver: str,
@@ -247,7 +221,6 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
           timeout: Optional[float] = None,
           deadlock_free: str = "auto",
           deny_by_default: bool = False,
-          entry_label: Optional[Tuple[str, object]] = None,
           complete_cap: int = 4096,
           emit_smt: Optional[str] = None) -> SynthesisResult:
     """Find a configuration making every requirement hold, or report
@@ -260,9 +233,11 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     with max_k 0, the class template alone. A clause template, or the
     given one, that has a model answers. The class template can express
     every configuration up to request class, so its unsat answer is
-    exhaustive and is returned at once (stats["clauses_reached"] is then
-    1); its model is kept and answers if every later clause template
-    fails. complete_cap bounds the number of request classes the class
+    returned at once (stats["clauses_reached"] is then 1). It is
+    exhaustive unless a universal until meets no deadlock-freeness
+    requirement: the until rewrite reads a dead end past the entry
+    vacuously, where the checker does not. Its model is kept and
+    answers if every later clause template fails. complete_cap bounds the number of request classes the class
     template may have; past it "complete" answers cap-exceeded, while
     "dnf" skips the class template and answers a non-exhaustive unsat if
     every clause template fails. timeout is one deadline per attempt, so
@@ -284,8 +259,7 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         raise ValueError("template must be 'dnf', 'complete', or a Template")
     if solver_cmd is not None and solver != "external":
         raise ValueError("a solver command is for the external solver only")
-    eff = effective_requirements(S, reqs, deadlock_free, deny_by_default,
-                                 entry_label)
+    eff = effective_requirements(reqs, deadlock_free, deny_by_default)
     stats: Dict[str, object] = {"solver": solver, "requirements": len(eff)}
     t_start = time.perf_counter()
     made = until_subproblems()
@@ -335,6 +309,10 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         plan = [1, "class", *range(2, max_k + 1)]
     kept = None                         # the class template, its model and record
     out_of_reach: Optional[CapExceeded] = None
+    # whether a dead end past the entry can make the encoding of an
+    # until stricter than the checker
+    stalls = any(contains_au(r.constraint) for r in eff) and not any(
+        isinstance(r.target, Top) and is_deadlock_freeness(r.constraint) for r in eff)
     for step in plan:
         t_build = time.perf_counter()
         try:
@@ -355,6 +333,12 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
         if step == "class":
             # the class template is complete: its unsat answer is every
             # wider clause template's too
+            if model is None and stalls:
+                return finish_unsat(False, "no configuration in the class template "
+                                    "works, but without deadlock freeness A[.. U ..] "
+                                    "is encoded more strictly than it is checked, so "
+                                    "one may exist; --deadlock-free auto rules out "
+                                    "the dead ends where the two differ")
             if model is None:
                 return finish_unsat(True, "no configuration at all can satisfy "
                                     "these requirements")
@@ -377,7 +361,7 @@ def verify(S: ResourceStructure, reqs: Sequence[Requirement],
            config: Configuration, deadlock_free: str = "off") -> HoldsReport:
     """Check a configuration against the requirements, optionally with
     the deadlock-freeness requirement appended."""
-    eff = effective_requirements(S, reqs, deadlock_free)
+    eff = effective_requirements(reqs, deadlock_free)
     return holds(S, config, eff)
 
 

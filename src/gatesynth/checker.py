@@ -139,7 +139,8 @@ def policy_doors(S: ResourceStructure, c: Configuration) -> Dict[Formula, List[E
     order the sorted doors first meet the policies."""
     doors: Dict[Formula, List[Edge]] = {}
     for e, fixed in sorted(S.edges.items()):
-        doors.setdefault(c[e] if fixed is None else fixed, []).append(e)   # policy_of
+        # a fixed door keeps its own policy, a controlled one takes c's
+        doors.setdefault(c[e] if fixed is None else fixed, []).append(e)
     return doors
 
 

@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import __version__
 from .app import minimal_conflict, simulate, synth, verify
 from .encoder import SolverError
-from .formulas import RESOURCE, Requirement
+from .formulas import Requirement
 from .model import (
     ModelError, SynthesisError, _expect, _parse_edge_key, load_config,
     load_model, save_config, save_model, scale_replicate,
@@ -28,7 +28,6 @@ from .model import (
 from .rules import (
     ParseError, format_request, format_requirement, format_target,
     parse_constraint, parse_request, parse_requirements, parse_target,
-    parse_value,
 )
 from .templates import MenuTemplate, SingletonTemplate
 
@@ -36,20 +35,6 @@ from .templates import MenuTemplate, SingletonTemplate
 def _load_requirements(path: str, sig) -> List[Requirement]:
     with open(path) as fh:
         return parse_requirements(fh.read(), sig)
-
-
-def _parse_label_value(text: str, sig):
-    if "=" not in text:
-        raise ValueError("expected attr=value, got %r" % text)
-    attr, raw = text.split("=", 1)
-    attr = attr.strip()
-    if attr not in sig:
-        raise ValueError("unknown attribute %r" % attr)
-    decl = sig.get(attr)
-    if decl.cls != RESOURCE:
-        raise ValueError("%s is not a resource attribute, so it labels no space"
-                         % attr)
-    return attr, parse_value(raw, decl)
 
 
 def _make_template(spec: str, S):
@@ -97,9 +82,6 @@ def _print_report(S, report) -> None:
 def _cmd_synth(args) -> int:
     S = load_model(args.model)
     reqs = _load_requirements(args.requirements, S.sig)
-    entry_label = None
-    if args.entry_label:
-        entry_label = _parse_label_value(args.entry_label, S.sig)
     options = dict(template=_make_template(args.template, S),
                    max_k=args.max_k,
                    solver=args.solver,
@@ -107,7 +89,6 @@ def _cmd_synth(args) -> int:
                    timeout=args.timeout,
                    deadlock_free=args.deadlock_free,
                    deny_by_default=args.deny_by_default,
-                   entry_label=entry_label,
                    complete_cap=args.cap)
     result = synth(S, reqs, emit_smt=args.emit_smt, **options)
     if args.stats == "json":
@@ -212,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="add the everyone-keeps-moving requirement (default auto)")
     ps.add_argument("--deny-by-default", action="store_true",
                     help="requests no granting requirement matches stay at the entry")
-    ps.add_argument("--entry-label",
-                    help="attr=value identifying the entry, for --deny-by-default")
     ps.add_argument("--cap", type=int, default=4096,
                     help="request-class cap for the complete template (default 4096)")
     ps.add_argument("-o", "--output", help="write the configuration as JSON")

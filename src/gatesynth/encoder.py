@@ -186,7 +186,13 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
         elif isinstance(f, Not):
             out = cnot(tau(f.sub, r))
         elif isinstance(f, And):
-            out = cand([tau(f.left, r), tau(f.right, r)])
+            parts = []      # a left-nested chain, in one loop down its spine
+            g = f
+            while isinstance(g, And):
+                parts.append(g.right)
+                g = g.left
+            parts.append(g)
+            out = cand([tau(p, r) for p in reversed(parts)])
         elif isinstance(f, EX):
             out = cor([cand([guard[(r, s)], tau(f.sub, s)])
                        for s in S.successors(r)])

@@ -194,11 +194,6 @@ class ResourceStructure:
                                  {e: p for e, p in self.edges.items() if e in keep})
 
 
-def policy_of(S: ResourceStructure, c: Configuration, e: Edge) -> Formula:
-    fixed = S.edges[e]
-    return fixed if fixed is not None else c[e]
-
-
 def validate_configuration(S: ResourceStructure, c: Configuration) -> None:
     controlled = set(S.controlled_edges())
     if set(c) != controlled:
@@ -232,8 +227,8 @@ def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest,
 def granted_edges(S: ResourceStructure, c: Configuration, q: AccessRequest) -> Set[Edge]:
     """The edges whose policy grants q: each distinct policy's bit on
     q's own one-region RegionSet, from one target_masks fold."""
-    policies = {e: c[e] if fixed is None else fixed        # policy_of, inlined
-                for e, fixed in S.edges.items()}
+    # a fixed door keeps its own policy, a controlled one takes c's
+    policies = {e: c[e] if fixed is None else fixed for e, fixed in S.edges.items()}
     alone = RegionSet(S.sig, {d.name: [q.get(d.name, BOTTOM)]
                               for d in S.sig.request_attrs()})
     masks = target_masks(policies.values(), alone, 0, 1)

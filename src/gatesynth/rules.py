@@ -162,13 +162,18 @@ class _Parser:
         return f
 
     def nesting(self, f: Formula) -> int:
-        """The number of nodes on the longest path from f to a leaf. The
-        nodes the grammar builds at an operator are all checked by
-        nested(), so this recurses only through the few nodes one token
-        adds."""
+        """The number of nodes on the longest path from f to a leaf, where
+        an and chain's spine counts once: every walk goes down it in a
+        loop, so And(l, r) nests max(l, 1 + r). The nodes the grammar
+        builds at an operator are all checked by nested(), so this
+        recurses only through the few nodes one token adds."""
         got = self.depth.get(f)
         if got is None:
-            got = self.depth[f] = 1 + max((self.nesting(c) for c in children(f)), default=0)
+            if isinstance(f, And):
+                got = max(self.nesting(f.left), 1 + self.nesting(f.right))
+            else:
+                got = 1 + max((self.nesting(c) for c in children(f)), default=0)
+            self.depth[f] = got
         return got
 
     def validated(self, check, f: Formula) -> Formula:

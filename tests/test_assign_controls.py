@@ -67,7 +67,7 @@ def templates(S, eff):
 def test_top_down_decisions_build_the_bottom_up_rebuild(seed):
     rng = random.Random(seed)
     S, reqs = random_structure(rng)
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     for tpl in templates(S, eff):
         expanded = expand_guards(guard_formula, tpl)

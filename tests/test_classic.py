@@ -242,7 +242,7 @@ def test_class_template_agrees_with_the_enumerated_menu(seed):
     if len(reqs) == 1 and S.fixed_edges() and rng.random() < 0.5:
         # one non-trivial fixed door refines the classes
         S.edges[S.fixed_edges()[0]] = random_policy(rng, S.sig)
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     menu = enumerated_menu(S, eff)
     by_menu = synth(S, reqs, template=MenuTemplate(
         S, {e: menu for e in S.controlled_edges()}))

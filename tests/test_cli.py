@@ -8,7 +8,8 @@ from gatesynth import cli
 from gatesynth.cli import main
 from gatesynth.formulas import collect_atoms
 from gatesynth.model import SynthesisError, load_config, load_model, save_model
-from gatesynth.rules import MAX_NESTING, format_request, parse_request
+from gatesynth.encoder import rewrite_constraint
+from gatesynth.rules import MAX_NESTING, format_request, parse_constraint, parse_request
 
 from oracle import per_value_region_count
 
@@ -199,20 +200,20 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["conjure", OFFICE])
 
 
-def test_bad_entry_label_exits_with_code_2(capsys):
-    base = ["synth", OFFICE, OFFICE_RULES, "--deny-by-default", "--entry-label"]
-    assert main(base + ["nosuch=1"]) == 2
-    assert "error: unknown attribute 'nosuch'" in capsys.readouterr().err
-    assert main(base + ["role=visitor"]) == 2
-    assert "error: role is not a resource attribute" in capsys.readouterr().err
-    assert main(base + ["id=out"]) == 0
-    capsys.readouterr()
-
-
-def test_an_entry_label_value_is_read_as_a_request_value_is(capsys):
-    base = ["synth", OFFICE, OFFICE_RULES, "--deny-by-default", "--entry-label"]
-    assert main(base + ["id=\u00b2"]) == 2
-    assert "error: value '\u00b2' not admissible for 'id'" in capsys.readouterr().err
+def test_deny_by_default_needs_no_entry_label(tmp_path, capsys):
+    # no label singles out the entry a: b is lit too
+    doc = {"attributes": {"subject": {"who": {"kind": "enum", "values": ["u", "v"]}},
+                          "resource": {"lit": {"kind": "boolean"}}},
+           "entry": "a",
+           "resources": [{"id": r, "labels": {"lit": r != "c"}} for r in "abc"],
+           "edges": [{"from": x, "to": y, "mode": "controlled"}
+                     for x, y in ("ab", "bc", "ca")]}
+    model = tmp_path / "three.json"
+    model.write_text(json.dumps(doc))
+    rules = tmp_path / "three.rules"
+    rules.write_text("who = u => grant(not lit)\n")
+    assert main(["synth", str(model), str(rules), "--deny-by-default"]) == 0
+    assert "a -> b := who = u" in capsys.readouterr().out
 
 
 def test_a_repeated_request_attribute_exits_with_code_2(capsys):
@@ -248,11 +249,6 @@ def test_a_solver_command_without_the_external_solver_exits_with_code_2(capsys):
     assert main(["synth", OFFICE, OFFICE_RULES, "--solver-cmd", "z3"]) == 2
     assert "error: a solver command is for the external solver only" \
         in capsys.readouterr().err
-
-
-def test_an_entry_label_without_deny_by_default_exits_with_code_2(capsys):
-    assert main(["synth", OFFICE, OFFICE_RULES, "--entry-label", "id=out"]) == 2
-    assert "error: an entry label is for deny-by-default only" in capsys.readouterr().err
 
 
 def test_a_search_cut_off_by_the_cap_says_so_and_exits_with_code_1(capsys):
@@ -329,8 +325,11 @@ def test_a_crash_exits_with_code_4_and_one_line(monkeypatch, capsys):
 
 
 def visitor_chain(depth):
-    """`role = visitor` and-ed with itself: a target nested depth deep."""
-    return " and ".join(["role = visitor"] * depth)
+    """`role = visitor` or-ed with itself: a target nested depth deep.
+    Each `or` adds two levels, not(not a and not b), and an and chain's
+    spine none, so an odd depth puts `role = visitor and` in front."""
+    chain = " or ".join(["role = visitor"] * (depth // 2))
+    return chain if depth % 2 == 0 else "role = visitor and (%s)" % chain
 
 
 RULE_SHAPES = {
@@ -353,6 +352,25 @@ def test_rules_nested_to_the_bound_synthesize_and_deeper_ones_are_refused(
         err = capsys.readouterr().err
         assert code in codes, (depth, err[-300:])
         assert ("formula nested too deeply" in err) == (code == 2)
+
+
+def test_a_3000_link_and_chain_parses_rewrites_and_synthesizes(tmp_path, capsys, office):
+    # every walk goes down an and chain's spine in a loop, so its length
+    # is no nesting: the chain rewrites to its one conjunct's guards, and
+    # the office with it synthesizes what it does without it
+    chain = " and ".join(["not sec_zone"] * 3000)
+    deep = parse_constraint("EX (%s)" % chain, office.sig)
+    assert rewrite_constraint(office, deep, office.entry) is rewrite_constraint(
+        office, parse_constraint("EX not sec_zone", office.sig), office.entry)
+    with open(OFFICE_RULES) as fh:
+        office_rules = fh.read()
+    rules = tmp_path / "long.rules"
+    rules.write_text(office_rules.replace(
+        "role = visitor and", " and ".join(["role = visitor"] * 3000) + " and"))
+    assert main(["synth", OFFICE, OFFICE_RULES]) == 0
+    plain = capsys.readouterr().out
+    assert main(["synth", OFFICE, str(rules)]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

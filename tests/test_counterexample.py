@@ -72,7 +72,7 @@ def templates(S, eff):
 def test_the_compiled_check_returns_the_residue_loops_request(seed, chunk):
     rng = random.Random(seed)
     S, reqs = random_structure(rng)
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formulas, "CHUNK", chunk)

@@ -512,7 +512,7 @@ def test_frontier_keys_build_the_visited_set_rewrite_on_the_bundled_buildings(
         "role = guest => deny(zone = secure)\n"
         "role = staff => AF id = c3_3\n", grid.sig)
     for S, reqs in ((office, office_reqs), (firm, firm_reqs), (grid, grid_reqs)):
-        for r in effective_requirements(S, reqs, "on", False, None):
+        for r in effective_requirements(reqs, "on", False):
             new = rewrite_constraint(S, r.constraint, S.entry)
             assert new is visited_set_rewrite(S, r.constraint, S.entry), r.source
 
@@ -1021,7 +1021,7 @@ def test_quantified_script_names_each_thing_once(tmp_path):
     out = tmp_path / "clash.smt2"
     res = synth(S, reqs, emit_smt=str(out))
     assert res.ok and res.stats["attempts"][-1]["template"]["kind"] == "DnfTemplate"
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     tpl = dnf_template(S, eff, 1)
     variables = tpl.control_vars()
     script = out.read_text()
@@ -1129,7 +1129,7 @@ def test_grounded_scripts_are_the_recursive_printers(case, q):
 @pytest.mark.parametrize("building", ["office", "firm"])
 def test_full_groundings_print_as_the_recursive_printer_did(request, building):
     S = request.getfixturevalue(building)
-    eff = effective_requirements(S, request.getfixturevalue(building + "_reqs"))
+    eff = effective_requirements(request.getfixturevalue(building + "_reqs"))
     body = cand([encode(S, r) for r in eff])
     for tpl in (dnf_template(S, eff, 1), complete_template(S, eff)):
         grounded = ground_forall(expand_guards(body, tpl), S.sig)

@@ -175,7 +175,7 @@ def test_subformulas_walks_in_the_order_of_the_pair_stack_walk(draw):
 
 
 def test_subformulas_walks_the_firms_expanded_formula_in_the_old_order(firm, firm_reqs):
-    eff = effective_requirements(firm, firm_reqs)
+    eff = effective_requirements(firm_reqs)
     expanded = expand_guards(cand([encode(firm, r) for r in eff]), dnf_template(firm, eff, 2))
     got = list(subformulas(expanded))
     assert len(got) > 1000

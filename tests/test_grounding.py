@@ -83,7 +83,7 @@ def test_the_loop_finds_the_full_groundings_least_model(seed):
     if S.controlled_edges() and rng.random() < 0.4:
         S = with_a_fixed_door(rng, S)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     with pytest.MonkeyPatch.context() as mp:
         solved = record_solved(mp)
@@ -115,7 +115,7 @@ def test_counterexample_finds_a_failing_request_exactly_when_one_exists(seed):
     S = random_model(rng, rng.randint(2, 4), backbone_fixed_true=rng.random() < 0.5,
                      with_numeric=True)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     for tpl in templates(S, eff):
         expanded = expand_guards(guard_formula, tpl)
@@ -172,7 +172,7 @@ def test_synth_encodes_each_requirement_once(monkeypatch, office):
 
 
 def test_solver_counters_sum_over_iterations(monkeypatch, office, office_reqs):
-    eff = effective_requirements(office, office_reqs)
+    eff = effective_requirements(office_reqs)
     tpl = dnf_template(office, eff, 1)
     solved = record_solved(monkeypatch)
     stats = {}
@@ -207,7 +207,7 @@ def record_grounded(monkeypatch):
 
 def bundled_attempts(S, reqs):
     """The one-clause and the class template's attempt inputs."""
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     return [(guard_formula, tpl) for tpl in (dnf_template(S, eff, 1),
                                             complete_template(S, eff, 4096))]
@@ -265,7 +265,7 @@ def test_handing_over_one_instance_solves_as_the_whole_conjunction(seed):
     S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
                      with_numeric=True)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 4))]
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     tpls = [dnf_template(S, eff, k) for k in (1, 2, 3)]
     try:
@@ -408,7 +408,7 @@ def random_attempts(rng):
     S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
                      with_numeric=True, two_way=0.3)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     tpls = [dnf_template(S, eff, k) for k in (1, 2, 3)]
     try:
@@ -526,7 +526,7 @@ def test_external_timeout_is_one_deadline_per_attempt(tmp_path, office, office_r
     # so the loop calls the solver again
     cmd = fake_solver(tmp_path, 'echo x >> %s\nsleep 0.4\necho sat\necho "((dummy 0))"\n'
                       % log)
-    eff = effective_requirements(office, office_reqs)
+    eff = effective_requirements(office_reqs)
     tpl = dnf_template(office, eff, 1)
     with pytest.raises(SolverError, match="timed out"):
         synth(office, office_reqs, template=tpl, solver="external", solver_cmd=cmd,

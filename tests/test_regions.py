@@ -185,7 +185,7 @@ def test_holds_gives_the_old_verdicts_and_witnesses(seed):
 def test_counterexample_is_the_old_loops_request(seed):
     rng = random.Random(seed)
     S, reqs = random_structure(rng)
-    eff = effective_requirements(S, reqs)
+    eff = effective_requirements(reqs)
     guard_formula = cand([encode(S, r) for r in eff])
     templates = [dnf_template(S, eff, 1)]
     try:

@@ -342,17 +342,18 @@ def test_short_input_nested_past_the_bound_is_refused(office):
 
 
 def test_nesting_errors_quote_a_window_with_the_caret_where_the_bound_is_crossed(office):
-    # a 1,200-test `and` chain crosses the bound at its 400th `and`: the
-    # conjunction built there is the first to nest 401 nodes deep
-    text = " and ".join(["role = visitor"] * 1200)
+    # a 1,200-test `or` chain, two levels per `or`, crosses the bound at
+    # its 200th `or`: the disjunction built there is the first to nest
+    # 402 nodes deep
+    text = " or ".join(["role = visitor"] * 1200)
     with pytest.raises(ParseError, match="nested too deeply") as ei:
         parse_target(text, office.sig)
-    crossing = [m.start() for m in re.finditer(" and ", text)][399] + 2
+    crossing = [m.start() for m in re.finditer(" or ", text)][199] + 2
     assert ei.value.col == crossing
     message = str(ei.value)
     assert len(message) < 200, len(message)
     _, quote, caret = message.split("\n")
-    assert caret.endswith("^") and quote[len(caret) - 1:].startswith("and role")
+    assert caret.endswith("^") and quote[len(caret) - 1:].startswith("or role")
     # right-nested: the 101st of 500 `not`s builds the 401st level
     with pytest.raises(ParseError, match="nested too deeply") as ei:
         parse_constraint("not " * 500 + "sec_zone", office.sig)

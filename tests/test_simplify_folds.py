@@ -205,7 +205,7 @@ def test_derive_builds_what_reading_the_residue_back_first_built(seed):
     S = random_model(rng, rng.randint(2, 5), backbone_fixed_true=rng.random() < 0.5,
                      max_symbols=3, with_numeric=True)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
-    for tpl in templates(S, effective_requirements(S, reqs)):
+    for tpl in templates(S, effective_requirements(reqs)):
         for _ in range(5):
             m = {v.name: rng.randrange(v.size) for v in tpl.control_vars()
                  if rng.random() < 0.75}

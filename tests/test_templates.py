@@ -323,7 +323,7 @@ def assert_two_pass_layout(tpl):
 def test_clause_template_lays_out_what_the_two_pass_template_did(
         k, office, office_reqs, firm, firm_reqs):
     for S, reqs in ((office, office_reqs), (firm, firm_reqs)):
-        assert_two_pass_layout(dnf_template(S, effective_requirements(S, reqs), k))
+        assert_two_pass_layout(dnf_template(S, effective_requirements(reqs), k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,7 +372,7 @@ def random_setting(seed):
         edges[rng.choice(S.controlled_edges())] = random_policy(rng, S.sig)
         S = ResourceStructure(S.sig, S.entry, S.labels, edges)
     reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
-    return rng, S, effective_requirements(S, reqs)
+    return rng, S, effective_requirements(reqs)
 
 
 def random_assignments(rng, tpl, count):
