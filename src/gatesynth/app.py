@@ -2,13 +2,17 @@
 
 synth() glues the pipeline together: inject the deadlock-freeness
 requirement when universal untils call for it, optionally add a
-deny-by-default floor, encode the requirements once, expand them over
-a template, ground and solve request by request until the model holds
-at every request, extract a configuration, and verify it with the
-independent checker before handing it back. The templates it tries,
-and in which order, are synth's plan (see its docstring). Every
-template tried is recorded in stats["attempts"]; deriving and verifying
-the configuration found are timed as derive_seconds and verify_seconds.
+deny-by-default floor, encode the requirements once, solve them over a
+template, extract a configuration, and verify it with the independent
+checker before handing it back. Over a clause or menu template the
+requirements are expanded, then grounded and solved request by request
+until the model holds at every request. Over the class template they
+are solved class by class: a class's instance is the guard formula's
+cofactor at the class's member, which mentions that class's bits alone,
+so each is solved on its own. The templates synth tries, and in which
+order, are its plan (see its docstring). Every template tried is
+recorded in stats["attempts"]; deriving and verifying the configuration
+found are timed as derive_seconds and verify_seconds.
 """
 
 from __future__ import annotations
@@ -19,21 +23,25 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formulas import (
-    AX, AccessRequest, ControlFormula, Formula, NEGATIVE, POSITIVE, Not,
-    Requirement, Top, UNKNOWN, conj, contains_au, deadlock_free_constraint,
-    falsum, is_deadlock_freeness,
+    AX, BOTTOM, AccessRequest, Atom, CFalse, CGuard, ControlFormula, CVarEq,
+    Formula, NEGATIVE, POSITIVE, Not, Requirement, Top, UNKNOWN, conj,
+    contains_au, deadlock_free_constraint, eval_target, falsum,
+    is_deadlock_freeness,
 )
 from . import encoder
 from .checker import HoldsReport, holds
 from .encoder import (
     SolverError, cand, emit_smtlib, encode, expand_guards, formula_edges,
-    formula_size, ground_forall, run_external, sat_solve, until_subproblems,
+    formula_size, ground_forall, run_external, sat_solve, substitute,
+    until_subproblems,
 )
 from .model import (
     Configuration, Edge, ResourceStructure, SynthesisError, granted_edges, to_dot,
 )
 from .rules import format_request
-from .templates import CapExceeded, Template, complete_template, dnf_template
+from .templates import (
+    CapExceeded, ClassTemplate, Template, complete_template, dnf_template,
+)
 
 
 @dataclass
@@ -90,11 +98,12 @@ def deny_by_default_requirement(reqs: Sequence[Requirement]) -> Requirement:
     return Requirement(target, AX(falsum()), NEGATIVE, source=DENY_DEFAULT_SOURCE)
 
 
-def _solve(instances: List[ControlFormula], template: Template, solver: str,
-           solver_cmd: Optional[str], store: encoder._Cnf, counters: Dict[str, int]):
-    """The least model of the instances so far, or None. The built-in
-    store holds all but the newest, so it gets that one (Top at first)."""
-    variables = template.control_vars()
+def _solve(instances: List[ControlFormula], solver: str, solver_cmd: Optional[str],
+           store: encoder._Cnf, counters: Dict[str, int]):
+    """The least model of the instances so far over the store's control
+    variables, or None. The built-in store holds all but the newest, so
+    it gets that one (Top at first)."""
+    variables = store.variables
     if solver == "builtin":
         store.time_left()               # raises once the deadline has passed
         return sat_solve(instances[-1] if instances else Top(), variables, counters, store)
@@ -135,26 +144,14 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
              template: Template, solver: str, solver_cmd: Optional[str],
              timeout: Optional[float], emit_smt: Optional[str],
              stats: Dict[str, object], build_seconds: float = 0.0):
-    """Expand, ground and solve the guard formula over one template, and
-    append its sizes, seconds and counters to stats["attempts"].
-
-    Grounding is counterexample-guided: solve over the instances of the
-    requests picked so far (at first none, so the first model is all
-    zeros), ask counterexample() for a request at which the model fails
-    the expanded formula (which has no edge guards), and add that
-    request's instance. The expanded formula is compiled once for those
-    checks and for grounding; its size and the regions stat are read
-    off that compiled form. The instances' conjunction has
-    a superset of the full grounding's models, so its least model, once
-    it holds at every request, is the full grounding's too; an unsat
-    answer is already one of the full grounding. The built-in solver's
-    store is the one copy of that conjunction: handed each new instance
-    alone, it translates and searches only what the instance adds. The
-    instance list serves the grounding-gap check, external scripts and
-    grounded_size; nothing the attempt builds outlives it. timeout is one
-    deadline for the attempt, kept by the store: it is checked before
-    every solver call, inside the built-in search, and it bounds every
-    external solver run.
+    """Solve the guard formula over one template, and append its sizes,
+    seconds and counters to stats["attempts"]. A class template is
+    solved class by class (_by_class), any other template by the
+    counterexample loop over its expansion (_by_loop); a class attempt
+    expands the guard formula only to write the emit_smt script. timeout
+    is one deadline for the attempt, shared by every store it makes: it
+    is checked before every solver call, inside the built-in search,
+    and it bounds every external solver run.
 
     The stage seconds are disjoint: expand_seconds the template's
     construction (build_seconds, timed by the caller) and expansion,
@@ -163,12 +160,51 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     to clauses, and solve_seconds the rest of the solver calls (the
     search, or the external runs)."""
     t0 = time.perf_counter()
-    expanded = expand_guards(guard_formula, template)
+    by_class = isinstance(template, ClassTemplate)
+    expanded = None if by_class and not emit_smt else expand_guards(guard_formula, template)
     t1 = time.perf_counter()
     if emit_smt:
         _write_script(emit_smt, S, expanded, template)
-    store = encoder._Cnf(template.control_vars(), timeout)
+    attempt: Dict[str, object] = {
+        "template": template.describe(),
+        "control_vars": len(template.control_vars()),
+        "control_bits": template.bit_count(),
+        "expand_seconds": build_seconds + t1 - t0,
+    }
     counters: Dict[str, int] = {}
+    if by_class:
+        model = _by_class(S, guard_formula, template, solver, solver_cmd, timeout,
+                          attempt, counters)
+    else:
+        model = _by_loop(S, expanded, template, solver, solver_cmd, timeout,
+                         attempt, counters)
+    attempt["cnf_seconds"] = counters.pop("cnf_seconds", 0.0)
+    attempt["solve_seconds"] -= attempt["cnf_seconds"]
+    attempt.update(counters)
+    stats.setdefault("attempts", []).append(attempt)
+    return model
+
+
+def _by_loop(S: ResourceStructure, expanded: ControlFormula, template: Template,
+             solver: str, solver_cmd: Optional[str], timeout: Optional[float],
+             attempt: Dict[str, object], counters: Dict[str, int]):
+    """Ground the expanded formula counterexample-guided and solve it.
+
+    Solve over the instances of the requests picked so far (at first
+    none, so the first model is all zeros), ask counterexample() for a
+    request at which the model fails the expanded formula (which has no
+    edge guards), and add that request's instance. The expanded formula
+    is compiled once for those checks and for grounding; its size and
+    the regions stat are read off that compiled form. The instances'
+    conjunction has a superset of the full grounding's models, so its
+    least model, once it holds at every request, is the full grounding's
+    too; an unsat answer is already one of the full grounding. The
+    built-in solver's store is the one copy of that conjunction: handed
+    each new instance alone, it translates and searches only what the
+    instance adds. The instance list serves the grounding-gap check,
+    external scripts and grounded_size; nothing the loop builds outlives
+    the attempt."""
+    store = encoder._Cnf(template.control_vars(), timeout)
     solve_seconds = 0.0
     t2 = time.perf_counter()
     compiled = encoder.Compiled(expanded)
@@ -177,7 +213,7 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
     instances: List[ControlFormula] = []
     while True:
         t = time.perf_counter()
-        model = _solve(instances, template, solver, solver_cmd, store, counters)
+        model = _solve(instances, solver, solver_cmd, store, counters)
         t3 = time.perf_counter()
         solve_seconds += t3 - t
         failing = None if model is None else encoder.counterexample(
@@ -191,25 +227,79 @@ def _attempt(S: ResourceStructure, guard_formula: ControlFormula,
                 "the model fails request %r, whose instance it was solved "
                 "over; this indicates a grounding gap" % (failing,))
         instances.append(instance)
-    ground_seconds = time.perf_counter() - t2 - solve_seconds - check_seconds
-    cnf_seconds = counters.pop("cnf_seconds", 0.0)
-    attempt: Dict[str, object] = {
-        "template": template.describe(),
-        "expanded_size": len(compiled.nodes),
-        "grounded_size": formula_size(cand(instances)),
-        "control_vars": len(template.control_vars()),
-        "control_bits": template.bit_count(),
-        "regions": regions,
-        "instances": len(instances),
-        "iterations": len(instances) + 1,
-        "expand_seconds": build_seconds + t1 - t0,
-        "ground_seconds": ground_seconds,
-        "check_seconds": check_seconds,
-        "cnf_seconds": cnf_seconds,
-        "solve_seconds": solve_seconds - cnf_seconds,
-    }
-    attempt.update(counters)
-    stats.setdefault("attempts", []).append(attempt)
+    attempt.update(
+        expanded_size=len(compiled.nodes),
+        grounded_size=formula_size(cand(instances)),
+        regions=regions,
+        instances=len(instances),
+        iterations=len(instances) + 1,
+        ground_seconds=time.perf_counter() - t2 - solve_seconds - check_seconds,
+        check_seconds=check_seconds,
+        solve_seconds=solve_seconds)
+    return model
+
+
+def _by_class(S: ResourceStructure, guard_formula: ControlFormula,
+              template: ClassTemplate, solver: str, solver_cmd: Optional[str],
+              timeout: Optional[float], attempt: Dict[str, object],
+              counters: Dict[str, int]):
+    """Solve a class template class by class.
+
+    At a class's member every class test is constant, so the expanded
+    formula folds there to the guard formula's cofactor (Shannon; Bryant,
+    IEEE TC 1986): each controlled door's guard becomes the door's bit of
+    that class clear, each fixed door's guard and attribute test its
+    verdict. Every request of the class folds to that instance, which
+    mentions the class's bits alone, so the full grounding's least model
+    is the union of the instances' least models, each solved alone in a
+    store over its class's bits. The first refuted class ends the
+    attempt and names its member in refuted_request. The grounding is
+    exact, so nothing is checked."""
+    start = time.monotonic()
+    model: Optional[Dict[str, int]] = {v.name: 0 for v in template.control_vars()}
+    instances: List[ControlFormula] = []
+    ground_seconds = solve_seconds = 0.0
+    for c, member in enumerate(template.members):
+        t = time.perf_counter()
+        bits = template.class_bits(c)
+
+        def leaf(g: ControlFormula) -> ControlFormula:
+            kind = type(g)
+            if kind is CGuard:
+                bit = bits.get(g.edge)
+                if bit is not None:
+                    return CVarEq(bit.name, 0)
+                return Top() if eval_target(member, S.edges[g.edge]) else CFalse()
+            if kind is Atom:
+                return Top() if member.get(g.attr, BOTTOM) in g.values else CFalse()
+            return g
+
+        instance = substitute(guard_formula, leaf)
+        t1 = time.perf_counter()
+        ground_seconds += t1 - t
+        if isinstance(instance, Top):
+            continue
+        instances.append(instance)
+        found: Dict[str, int] = {}
+        part = _solve([instance], solver, solver_cmd,
+                      encoder._Cnf(bits.values(), timeout, start), found)
+        for key, value in found.items():
+            counters[key] = counters.get(key, 0) + value
+        solve_seconds += time.perf_counter() - t1
+        if part is None:
+            attempt["refuted_request"] = format_request(member, S.sig)
+            model = None
+            break
+        model.update(part)
+    attempt.update(
+        expanded_size=0,
+        grounded_size=formula_size(cand(instances)),
+        regions=len(template.classes),
+        instances=len(instances),
+        iterations=len(instances),
+        ground_seconds=ground_seconds,
+        check_seconds=0.0,
+        solve_seconds=solve_seconds)
     return model
 
 
@@ -236,18 +326,23 @@ def synth(S: ResourceStructure, reqs: Sequence[Requirement],
     returned at once (stats["clauses_reached"] is then 1). It is
     exhaustive unless a universal until meets no deadlock-freeness
     requirement: the until rewrite reads a dead end past the entry
-    vacuously, where the checker does not. Its model is kept and
-    answers if every later clause template fails. complete_cap bounds the number of request classes the class
+    vacuously, where the checker does not. A refuting class attempt
+    names the member of the first class it refuted in
+    stats["refuted_request"]. A class model is kept and answers if every
+    later clause template fails.
+
+    complete_cap bounds the number of request classes the class
     template may have; past it "complete" answers cap-exceeded, while
     "dnf" skips the class template and answers a non-exhaustive unsat if
-    every clause template fails. timeout is one deadline per attempt, so
-    the class attempt can time out before two clauses are tried. The
-    requirements are encoded once; every template tried expands that one
-    guard formula. solver_cmd is the external solver's command line;
-    giving one with the built-in solver is a ValueError. The top-level
-    stats are set once, when synth answers: the answering attempt's (the
-    one whose model gives the configuration, or else the last one), with
-    each *_seconds key summed over every attempt.
+    every clause template fails. timeout is one deadline per attempt,
+    spanning all of its solver calls, so the class attempt can time out
+    before two clauses are tried. The requirements are encoded once;
+    every template tried solves that one guard formula. solver_cmd is
+    the external solver's command line; giving one with the built-in
+    solver is a ValueError. The top-level stats are set once, when synth
+    answers: the answering attempt's (the one whose model gives the
+    configuration, or else the last one), with each *_seconds key summed
+    over every attempt.
     """
     if max_k < 0:
         raise ValueError("max_k must be at least 0, got %d" % max_k)

@@ -6,17 +6,21 @@ template then expands each guard into its symbolic policy over control
 variables, ground_forall() instantiates the request attributes with
 representatives of request regions, and the result is a pure
 control-variable formula that a solver can search for a model of.
-Synthesis grounds counterexample-guided: it instantiates only the
-requests that counterexample() returns, each one where the current
-model fails, while ground_forall() over every region stays the
-reference and the source of grounded scripts. Expansion and evaluation
-are one rebuild, substitute(), which replaces a formula's leaves
-top-down on an explicit stack and stops at a connective's deciding
-child. Synthesis compiles each expanded formula once into a flat
-postorder array (Compiled), which also records which attribute each
-node tests. Every check runs a three-valued pass under the model over
-it, then evaluates what is still unknown on each chunk of regions that
-RegionSet.chunks() gives, one bit per region, and builds nothing.
+Synthesis grounds a clause or menu template counterexample-guided: it
+instantiates only the requests that counterexample() returns, each one
+where the current model fails, while ground_forall() over every region
+stays the reference and the source of grounded scripts. The class
+template needs neither expansion nor checks: at a class's member every
+class test is constant, so the instance there is the guard formula's
+cofactor, which substitute() builds straight from it. Expansion,
+cofactoring and evaluation are that one rebuild, substitute(), which
+replaces a formula's leaves top-down on an explicit stack and stops at
+a connective's deciding child. Synthesis compiles each expanded formula
+once into a flat postorder array (Compiled), which also records which
+attribute each node tests. Every check runs a three-valued pass under
+the model over it, then evaluates what is still unknown on each chunk
+of regions that RegionSet.chunks() gives, one bit per region, and
+builds nothing.
 Grounding, fold_atoms(), is one loop over the same array that decides every
 attribute test: a node that tests no attribute stays as it is, one
 that tests one is rebuilt once per value of it in the attempt, its
@@ -33,12 +37,14 @@ intervals of their IntervalSet.
 The built-in solver, sat_solve(), translates control formulas to
 clauses (Tseitin) and searches them with conflict learning. Its store,
 _Cnf, lasts as long as its caller keeps it: synthesis keeps one per
-template attempt, so each grounding iteration translates only the nodes
-its new instance adds and searches again from the clauses, learned
-clauses and watches already there; its assignment and watch lists are
-indexed by literal. Decisions follow the control bits in declaration
-order, 0 first, so every answer is the least model of what the store
-holds, the one a fresh store would find.
+clause or menu template attempt, so each grounding iteration translates
+only the nodes its new instance adds and searches again from the
+clauses, learned clauses and watches already there, and one per class
+of a class attempt, each over that class's bits, all counting down one
+deadline. Its assignment and watch lists are indexed by literal.
+Decisions follow the control bits in declaration order, 0 first, so
+every answer is the least model of what the store holds, the one a
+fresh store would find.
 
 Control formulas use the node classes of formulas, Top, Atom and Not
 included, so a policy's tests enter them as they are. Nodes are
@@ -448,9 +454,10 @@ def fold_atoms(f: ControlFormula, q: AccessRequest,
     built does under a rebuild. Each attribute's group is folded under
     q's value of it, or taken from the form's cache of such folds, and
     the nodes that test several attributes are folded last. Calls that
-    share one form (synthesis keeps one per attempt) fold each group
-    once per value. Values are cache keys, so a shared form wants
-    validated requests, whose values are of their attribute's kind."""
+    share one form (synthesis keeps one per clause or menu attempt) fold
+    each group once per value. Values are cache keys, so a shared form
+    wants validated requests, whose values are of their attribute's
+    kind."""
     c = Compiled(f) if compiled is None else compiled
     if c.nodes[-1] is not f:
         raise ValueError("the compiled form is not that of the formula folded")
@@ -618,14 +625,17 @@ class _Cnf:
     assigned), so assign[var] reads a variable's value. The clause set
     only grows and every learned clause is implied by it, so a search
     continued from this state finds what a fresh store would.
-    The store also keeps the deadline of its timeout, counted from its
-    creation.
+    The store also keeps the deadline of its timeout, counted from start,
+    a time.monotonic() reading, or else from its creation: stores that
+    share a start share one deadline.
     """
 
-    def __init__(self, variables: Sequence[ControlVar], timeout: Optional[float] = None):
+    def __init__(self, variables: Sequence[ControlVar], timeout: Optional[float] = None,
+                 start: Optional[float] = None):
         self.variables = list(variables)
         self.timeout = timeout
-        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.deadline = None if timeout is None else (
+            time.monotonic() if start is None else start) + timeout
         self.n_vars = 0
         self.clauses: List[List[int]] = []      # problem clauses, in the order added
         self.attached = 0                        # clauses[:attached] are watched or settled

@@ -14,8 +14,9 @@ of up to k clauses, each a conjunction of up to k attribute tests,
 with equality and disequality on finite attributes (the unset value is
 a first-class candidate) and interval bounds on numeric attributes. A
 class template gives every edge one bit per request class; a set bit
-denies that class. It can express every configuration up to request
-class, so a failed search over it refutes them all.
+denies that class, and one member request stands for each class. It
+can express every configuration up to request class, so a failed
+search over it refutes them all.
 
 Each template states its policy family once, as the symbolic policy of
 every controlled edge. The solver searches that formula, and derive()
@@ -31,10 +32,11 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formulas import (
-    NUMERIC, Atom, AttributeSignature, ControlFormula, CVarEq, Formula,
-    IntervalSet, Not, Requirement, Top, ValueSet, build_regions, cand, cnot,
-    collect_atoms, conj, cor, interval_ends, refine, simplify_policy,
-    target_equiv, target_masks, target_to_control, validate_target,
+    NUMERIC, AccessRequest, Atom, AttributeSignature, ControlFormula, CVarEq,
+    Formula, IntervalSet, Not, Requirement, Top, ValueSet, build_regions, cand,
+    cnot, collect_atoms, conj, cor, interval_ends, lowest_bit, refine,
+    simplify_policy, target_equiv, target_masks, target_to_control,
+    validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import ControlAssignment, ControlVar, assign_controls, var_bits
@@ -278,11 +280,18 @@ class ClassTemplate(Template):
     what some configuration of this family does: the one that denies a
     class exactly where the given one denies a member of it. The
     all-zero assignment grants everyone everywhere.
+
+    members holds one request of each class, in the order of classes. At
+    a member every class test is constant, so a door's policy there is
+    its one bit of the member's class: class_bits(c) are those bits, in
+    door order.
     """
 
-    def __init__(self, S: ResourceStructure, classes: Sequence[Formula]):
+    def __init__(self, S: ResourceStructure, classes: Sequence[Formula],
+                 members: Sequence[AccessRequest]):
         super().__init__(S)
         self.classes = list(classes)
+        self.members = list(members)
         self._outside = [cnot(target_to_control(t)) for t in self.classes]
         self._bits: Dict[Edge, List[ControlVar]] = {
             e: [ControlVar("deny_%d_%d" % (ei, ci), 2)
@@ -291,6 +300,9 @@ class ClassTemplate(Template):
 
     def control_vars(self) -> List[ControlVar]:
         return [v for bits in self._bits.values() for v in bits]
+
+    def class_bits(self, c: int) -> Dict[Edge, ControlVar]:
+        return {e: bits[c] for e, bits in self._bits.items()}
 
     def _controlled_policy(self, e: Edge) -> ControlFormula:
         return cand([cor([CVarEq(v.name, 0), outside])
@@ -321,7 +333,8 @@ def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
     sees depends on those too. Each distinct vector of verdicts over
     these splitters among the region representatives is one class, whose
     target conjoins each splitter or its negation, in the order of the
-    first region in it. More than cap classes raise CapExceeded.
+    first region in it; that region's representative is the class's
+    member. More than cap classes raise CapExceeded.
     """
     splitters = [r.target for r in reqs] + [
         S.edges[e] for e in S.fixed_edges()
@@ -329,6 +342,7 @@ def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
     atoms = [a for t in splitters for a in collect_atoms(t)]
     regions = build_regions(S.sig, atoms)
     classes: Dict[Tuple[bool, ...], Formula] = {}
+    members: List[AccessRequest] = []
     for start, width in regions.chunks():
         masks = target_masks(splitters, regions, start, width)
         split = [masks[t] for t in splitters]
@@ -341,4 +355,5 @@ def complete_template(S: ResourceStructure, reqs: Sequence[Requirement],
                 raise CapExceeded(cap + 1, cap)
             classes[verdicts] = conj([t if v else Not(t)
                                       for t, v in zip(splitters, verdicts)])
-    return ClassTemplate(S, list(classes.values()))
+            members.append(regions.representative(start + lowest_bit(group)))
+    return ClassTemplate(S, list(classes.values()), members)
