@@ -42,9 +42,15 @@ only the nodes its new instance adds and searches again from the
 clauses, learned clauses and watches already there, and one per class
 of a class attempt, each over that class's bits, all counting down one
 deadline. Its assignment and watch lists are indexed by literal.
-Decisions follow the control bits in declaration order, 0 first, so
-every answer is the least model of what the store holds, the one a
-fresh store would find.
+Two-literal clauses, most of them Tseitin links, are tuples, watched by
+their other literal: an int in a watch list, and the falsified literal,
+an int, as the reason of what it forces. Longer and learned clauses are
+lists watched on two of their literals. Each call restarts at level 0:
+it keeps the trail's level-0 facts, rebuilds the assignment from them
+in one allocation, settles the new clauses against them, and searches
+in one loop of propagation, backjumps and decisions. Decisions follow
+the control bits in declaration order, 0 first, so every answer is the
+least model of what the store holds, the one a fresh store would find.
 
 Control formulas use the node classes of formulas, Top, Atom and Not
 included, so a policy's tests enter them as they are. Nodes are
@@ -92,7 +98,7 @@ import os
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 from .formulas import (
@@ -625,6 +631,14 @@ class _Cnf:
     assigned), so assign[var] reads a variable's value. The clause set
     only grows and every learned clause is implied by it, so a search
     continued from this state finds what a fresh store would.
+
+    A two-literal problem clause is a tuple, and it is watched by its
+    other literal: watches[a] holds the int b for the clause (a, b),
+    read as "once a is false, b must be true", beside the lists of the
+    longer and the learned clauses, each watched on its first two
+    literals. reason[var] is the clause that forced the variable, or,
+    for a two-literal clause, the int of its other literal, the one that
+    was false; None for a decision.
     The store also keeps the deadline of its timeout, counted from start,
     a time.monotonic() reading, or else from its creation: stores that
     share a start share one deadline.
@@ -637,14 +651,14 @@ class _Cnf:
         self.deadline = None if timeout is None else (
             time.monotonic() if start is None else start) + timeout
         self.n_vars = 0
-        self.clauses: List[List[int]] = []      # problem clauses, in the order added
+        self.clauses: List[Sequence[int]] = []  # problem clauses, in the order added
         self.attached = 0                        # clauses[:attached] are watched or settled
         self.learned: List[List[int]] = []
         self.ok = True                           # False once the clauses are unsat
         # by literal, -n_vars..n_vars, through negative indices (see _dpll)
-        self.watches: List[List[List[int]]] = [[]]
+        self.watches: List[List[Union[int, List[int]]]] = [[]]
         self.assign: List[Optional[bool]] = [None]
-        self.reason: List[Optional[List[int]]] = [None]     # by variable
+        self.reason: List[Union[None, int, List[int]]] = [None]     # by variable
         self.level: List[int] = [0]
         self.trail: List[int] = []               # literals in assignment order
         self.trail_lim: List[int] = []           # trail length at each decision level
@@ -659,13 +673,14 @@ class _Cnf:
             lits = self.bits[v.name] = [self.fresh() for _ in range(b)]
             self.decision.extend(lits)
             for code in range(v.size, 1 << b):
-                self.add([-lits[i] if (code >> i) & 1 else lits[i] for i in range(b)])
+                clause = [-lits[i] if (code >> i) & 1 else lits[i] for i in range(b)]
+                self.add(tuple(clause) if b == 2 else clause)
 
     def fresh(self) -> int:
         self.n_vars += 1
         return self.n_vars
 
-    def add(self, clause: List[int]):
+    def add(self, clause: Sequence[int]):
         self.clauses.append(clause)
 
     def time_left(self) -> Optional[float]:
@@ -681,9 +696,9 @@ class _Cnf:
     def literal(self, f: ControlFormula) -> int:
         """The literal standing for f. Every node not yet in the memo gets
         a definitional variable and clauses (Tseitin); nodes translated by
-        earlier calls cost a lookup."""
+        earlier calls cost a lookup. Two-literal clauses are tuples."""
         memo, sizes, bits = self.memo, self.sizes, self.bits
-        true_lit, fresh, add = self.true_lit, self.fresh, self.add
+        true_lit, fresh, add = self.true_lit, self.fresh, self.clauses.append
 
         def define_and(lits: List[int]) -> int:
             if not lits:
@@ -692,7 +707,7 @@ class _Cnf:
                 return lits[0]
             x = fresh()
             for lit in lits:
-                add([-x, lit])
+                add((-x, lit))
             add([x] + [-lit for lit in lits])
             return x
 
@@ -703,7 +718,7 @@ class _Cnf:
                 return lits[0]
             x = fresh()
             for lit in lits:
-                add([x, -lit])
+                add((x, -lit))
             add([-x] + lits)
             return x
 
@@ -794,9 +809,64 @@ def sat_solve(f: ControlFormula,
         counters.update(cnf_vars=cnf.n_vars, cnf_clauses=len(cnf.clauses))
     if not _dpll(cnf, cnf.decision, counters):
         return None
-    assign = cnf.assign
-    return {v.name: sum(1 << i for i, lit in enumerate(cnf.bits[v.name]) if assign[lit])
-            for v in cnf.variables}
+    assign, bits = cnf.assign, cnf.bits
+    model = {}
+    for v in cnf.variables:
+        value, bit = 0, 1
+        for lit in bits[v.name]:
+            if assign[lit]:
+                value |= bit
+            bit <<= 1
+        model[v.name] = value
+    return model
+
+
+def _analyze(confl: Sequence[int], trail: List[int], lvl: int, n: int,
+             reason: List[Union[None, int, List[int]]],
+             level: List[int]) -> Tuple[List[int], int]:
+    """Resolve a conflict at level lvl back to its first unique
+    implication point; returns the learned clause (asserting literal
+    first) and the level to jump back to. An int reason is the falsified
+    literal of a two-literal clause (see _Cnf)."""
+    seen = bytearray(n + 1)
+    learned: List[int] = []
+    counter = 0
+    p: Optional[int] = None
+    idx = len(trail) - 1
+    while True:
+        for q in confl:
+            if p is not None and q == p:
+                continue
+            var = abs(q)
+            if not seen[var] and level[var] > 0:
+                seen[var] = 1
+                if level[var] >= lvl:
+                    counter += 1
+                else:
+                    learned.append(q)
+        while not seen[abs(trail[idx])]:
+            idx -= 1
+        p = trail[idx]
+        var = abs(p)
+        seen[var] = 0
+        counter -= 1
+        idx -= 1
+        if counter == 0:
+            learned.insert(0, -p)
+            break
+        confl = reason[var]
+        if type(confl) is int:      # the two-literal clause (p, confl)
+            confl = (confl,)
+    if len(learned) == 1:
+        back = 0
+    else:
+        back = max(level[abs(q)] for q in learned[1:])
+        # keep a watch on the backjump level
+        for j in range(1, len(learned)):
+            if level[abs(learned[j])] == back:
+                learned[1], learned[j] = learned[j], learned[1]
+                break
+    return learned, back
 
 
 def _dpll(cnf: _Cnf, decision: List[int],
@@ -805,14 +875,20 @@ def _dpll(cnf: _Cnf, decision: List[int],
     the decision literals in order, 0 first; True when it finds a model,
     which is then the store's assignment.
 
-    The search goes on from the store's state: it backtracks to level
-    0, settles the clauses added since the last call against the level-0
-    facts (a satisfied one needs no watch, a unit one is a new fact, an
-    empty one makes the store unsat for good), watches the rest on two
-    literals that are not false, and searches again, keeping every
-    learned clause. Decisions, conflicts, propagations and learned
-    clauses are added to counters, as MiniSat counts them. The store's
-    deadline is checked at every conflict and every 256 decisions.
+    The search goes on from the store's state. It restarts at level 0:
+    the trail is cut to its level-0 facts, which the last call left
+    propagated, and the assignment is built afresh from them, with room
+    for the variables the store gained since. Then it settles the
+    clauses added since the last call against those facts (a satisfied
+    one needs no watch, a unit one is a new fact, an empty one makes the
+    store unsat for good), watches the rest, and searches again, keeping
+    every learned clause. The settling, and the search's one loop of
+    propagation, backjumps and decisions, are written out here, the
+    solver's innermost code; an int in a watch list is a two-literal
+    clause's other literal (see _Cnf). Decisions, conflicts,
+    propagations and learned clauses are added to counters once per
+    call, as MiniSat counts them. The store's deadline is checked at
+    every conflict and every 256 decisions.
 
     The assignment and the watch lists are indexed by literal, a
     negative literal through Python's negative indices, so the
@@ -824,187 +900,178 @@ def _dpll(cnf: _Cnf, decision: List[int],
         return False
     n = cnf.n_vars
     reason, level = cnf.reason, cnf.level
+    trail, trail_lim = cnf.trail, cnf.trail_lim
+    if trail_lim:
+        del trail[trail_lim[0]:]
+        trail_lim.clear()
     grow = n + 1 - len(reason)
     if grow:
         half = len(reason)
-        cnf.assign = cnf.assign[:half] + [None] * (2 * grow) + cnf.assign[half:]
         cnf.watches = (cnf.watches[:half] + [[] for _ in range(2 * grow)]
                        + cnf.watches[half:])
         reason.extend([None] * grow)
         level.extend([0] * grow)
-    assign, watches = cnf.assign, cnf.watches
-    trail, trail_lim = cnf.trail, cnf.trail_lim
-    qhead = 0                        # trail[:qhead] is propagated
-
-    def enqueue(lit: int, why: Optional[List[int]]) -> None:
-        """Make the unassigned literal lit true."""
+    watches = cnf.watches
+    assign = cnf.assign = [None] * (2 * n + 1)
+    for lit in trail:
         assign[lit] = True
         assign[-lit] = False
-        var = abs(lit)
-        reason[var] = why
-        level[var] = len(trail_lim)
-        trail.append(lit)
+    head = len(trail)                # trail[:head] is propagated
+    lvl = 0                          # the decision level, len(trail_lim)
 
-    def attach(cl: List[int]) -> bool:
-        """Settle a new clause at level 0, moving two literals that are
-        not false to its front and watching them; False if every literal
-        is false."""
-        k = 0
-        for j, lit in enumerate(cl):
-            v = assign[lit]
-            if v is True:
-                return True
-            if v is None:
-                cl[k], cl[j] = cl[j], cl[k]
-                k += 1
-                if k == 2:
-                    break
-        if k == 0:
-            return False
-        if k == 1:
-            enqueue(cl[0], cl)
-            return True
-        watches[cl[0]].append(cl)
-        watches[cl[1]].append(cl)
-        return True
-
-    def propagate() -> Optional[List[int]]:
-        """Exhaust unit propagation; return a falsified clause, if any.
-        Reading a literal's value, making one true and watching one are
-        written out here, the search's innermost loop."""
-        nonlocal qhead
-        head = start = qhead
-        lvl = len(trail_lim)
-        while head < len(trail):
-            falsified = -trail[head]
-            head += 1
-            watching = watches[falsified]
-            i, end = 0, len(watching)
-            while i < end:
-                cl = watching[i]
-                # make sure falsified is at position 1
-                if cl[0] == falsified:
-                    cl[0], cl[1] = cl[1], cl[0]
-                first = cl[0]
-                if assign[first] is True:
-                    i += 1
+    decisions, conflicts = count["decisions"], count["conflicts"]
+    propagations, n_learned = count["propagations"], count["learned"]
+    try:
+        clauses = cnf.clauses
+        for cl in clauses[cnf.attached:]:
+            if len(cl) == 2:
+                a, b = cl
+                va, vb = assign[a], assign[b]
+                if va is True or vb is True:
                     continue
-                for j in range(2, len(cl)):
-                    lit = cl[j]
-                    if assign[lit] is not False:
-                        cl[1], cl[j] = lit, cl[1]
-                        watches[lit].append(cl)
-                        end -= 1
-                        watching[i] = watching[end]
-                        watching.pop()
-                        break
+                if va is None and vb is None:
+                    watches[a].append(b)
+                    watches[b].append(a)
+                    continue
+                if va is None:
+                    unit, why = a, b
+                elif vb is None:
+                    unit, why = b, a
                 else:
-                    if assign[first] is False:
-                        qhead = head
-                        count["propagations"] += head - start
-                        return cl
-                    assign[first] = True
-                    assign[-first] = False
-                    var = first if first > 0 else -first
-                    reason[var] = cl
-                    level[var] = lvl
-                    trail.append(first)
-                    i += 1
-        qhead = head
-        count["propagations"] += head - start
-        return None
-
-    def analyze(confl: List[int]) -> Tuple[List[int], int]:
-        """Resolve the conflict back to its first unique implication
-        point; returns the learned clause (asserting literal first) and
-        the level to jump back to."""
-        seen = bytearray(n + 1)
-        learned: List[int] = []
-        counter = 0
-        p: Optional[int] = None
-        idx = len(trail) - 1
-        cur = len(trail_lim)
-        while True:
-            for q in confl:
-                if p is not None and q == p:
+                    cnf.ok = False
+                    return False
+            else:
+                # move two literals that are not false to the front,
+                # unless one is true
+                k, v = 0, None
+                for j, lit in enumerate(cl):
+                    v = assign[lit]
+                    if v is True:
+                        break
+                    if v is None:
+                        cl[k], cl[j] = cl[j], cl[k]
+                        k += 1
+                        if k == 2:
+                            break
+                if v is True:
                     continue
-                var = abs(q)
-                if not seen[var] and level[var] > 0:
-                    seen[var] = 1
-                    if level[var] >= cur:
-                        counter += 1
+                if k == 2:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+                    continue
+                if k == 0:
+                    cnf.ok = False
+                    return False
+                unit, why = cl[0], cl
+            assign[unit] = True
+            assign[-unit] = False
+            reason[abs(unit)] = why
+            level[abs(unit)] = 0
+            trail.append(unit)
+        cnf.attached = len(clauses)
+
+        di = 0
+        while True:
+            # unit propagation to exhaustion or to a falsified clause
+            confl = None
+            start = head
+            while head < len(trail):
+                falsified = -trail[head]
+                head += 1
+                watching = watches[falsified]
+                i, end = 0, len(watching)
+                while i < end:
+                    cl = watching[i]
+                    if type(cl) is int:
+                        v = assign[cl]
+                        if v is None:
+                            assign[cl] = True
+                            assign[-cl] = False
+                            var = cl if cl > 0 else -cl
+                            reason[var] = falsified
+                            level[var] = lvl
+                            trail.append(cl)
+                        elif v is False:
+                            confl = [cl, falsified]
+                            break
+                        i += 1
+                        continue
+                    # make sure falsified is at position 1
+                    if cl[0] == falsified:
+                        cl[0], cl[1] = cl[1], cl[0]
+                    first = cl[0]
+                    if assign[first] is True:
+                        i += 1
+                        continue
+                    for j in range(2, len(cl)):
+                        lit = cl[j]
+                        if assign[lit] is not False:
+                            cl[1], cl[j] = lit, cl[1]
+                            watches[lit].append(cl)
+                            end -= 1
+                            watching[i] = watching[end]
+                            watching.pop()
+                            break
                     else:
-                        learned.append(q)
-            while not seen[abs(trail[idx])]:
-                idx -= 1
-            p = trail[idx]
-            var = abs(p)
-            seen[var] = 0
-            counter -= 1
-            idx -= 1
-            if counter == 0:
-                learned.insert(0, -p)
-                break
-            confl = reason[var]
-        if len(learned) == 1:
-            back = 0
-        else:
-            back = max(level[abs(q)] for q in learned[1:])
-            # keep a watch on the backjump level
-            for j in range(1, len(learned)):
-                if level[abs(learned[j])] == back:
-                    learned[1], learned[j] = learned[j], learned[1]
+                        if assign[first] is False:
+                            confl = cl
+                            break
+                        assign[first] = True
+                        assign[-first] = False
+                        var = first if first > 0 else -first
+                        reason[var] = cl
+                        level[var] = lvl
+                        trail.append(first)
+                        i += 1
+                if confl is not None:
                     break
-        return learned, back
+            propagations += head - start
 
-    def cancel_until(lvl: int):
-        nonlocal qhead
-        if len(trail_lim) > lvl:
-            mark = trail_lim[lvl]
-            del trail_lim[lvl:]
-            for lit in trail[mark:]:
-                assign[lit] = assign[-lit] = None
-                reason[abs(lit)] = None
-            del trail[mark:]
-        qhead = len(trail)
+            if confl is not None:
+                conflicts += 1
+                if not lvl:
+                    cnf.ok = False
+                    return False
+                cnf.time_left()
+                learned, lvl = _analyze(confl, trail, lvl, n, reason, level)
+                mark = trail_lim[lvl]
+                del trail_lim[lvl:]
+                for lit in trail[mark:]:
+                    assign[lit] = assign[-lit] = None
+                del trail[mark:]
+                head = mark
+                cnf.learned.append(learned)
+                n_learned += 1
+                first = learned[0]              # unassigned after the backjump
+                if len(learned) >= 2:
+                    watches[first].append(learned)
+                    watches[learned[1]].append(learned)
+                assign[first] = True
+                assign[-first] = False
+                reason[abs(first)] = learned
+                level[abs(first)] = lvl
+                trail.append(first)
+                di = 0
+                continue
 
-    # every call ends with level 0 propagated, so this sets qhead past it
-    cancel_until(0)
-    clauses = cnf.clauses
-    while cnf.attached < len(clauses):
-        cl = clauses[cnf.attached]
-        cnf.attached += 1
-        if not attach(cl):
-            cnf.ok = False
-            return False
-    di = 0
-    while True:
-        confl = propagate()
-        if confl is not None:
-            count["conflicts"] += 1
-            if not trail_lim:
-                cnf.ok = False
-                return False
-            cnf.time_left()
-            learned, back = analyze(confl)
-            cancel_until(back)
-            cnf.learned.append(learned)
-            count["learned"] += 1
-            if len(learned) >= 2:
-                watches[learned[0]].append(learned)
-                watches[learned[1]].append(learned)
-            enqueue(learned[0], learned)    # unassigned after the backjump
-            di = 0
-            continue
-        while di < len(decision) and assign[decision[di]] is not None:
-            di += 1
-        if di >= len(decision):
-            return True
-        count["decisions"] += 1
-        if not count["decisions"] & 255:
-            cnf.time_left()
-        trail_lim.append(len(trail))
-        enqueue(-decision[di], None)  # try 0 first
+            while di < len(decision) and assign[decision[di]] is not None:
+                di += 1
+            if di >= len(decision):
+                return True
+            decisions += 1
+            if not decisions & 255:
+                cnf.time_left()
+            trail_lim.append(len(trail))
+            lvl += 1
+            var = decision[di]
+            assign[-var] = True             # try 0 first
+            assign[var] = False
+            reason[var] = None
+            level[var] = lvl
+            trail.append(-var)
+    finally:
+        count.update(decisions=decisions, conflicts=conflicts,
+                     propagations=propagations, learned=n_learned)
 
 
 # ---------------------------------------------------------------------------

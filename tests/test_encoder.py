@@ -810,6 +810,82 @@ def test_one_store_answers_as_fresh_solves(seed):
                 assert any(assign[abs(lit)] is (lit > 0) for lit in clause), clause
 
 
+def extend_to_definitions(store, m):
+    """Every variable of the store under the control assignment m: the
+    control bits read off m, and each definitional variable as the value
+    of the memo's nodes it stands for, evaluated children first (the
+    memo holds them in that order)."""
+    value = {}
+    for g in store.memo:
+        kind = type(g)
+        if kind is CAnd:
+            value[g] = all(value[a] for a in g.args)
+        elif kind is COr:
+            value[g] = any(value[a] for a in g.args)
+        elif kind is CNot:
+            value[g] = not value[g.sub]
+        elif kind is CImplies:
+            value[g] = not value[g.left] or value[g.right]
+        elif kind is CVarEq:
+            value[g] = m[g.var] == g.value
+        else:
+            value[g] = kind is CTrue
+    var = {store.true_lit: True}
+    for v in store.variables:
+        for i, lit in enumerate(store.bits[v.name]):
+            var[lit] = bool((m[v.name] >> i) & 1)
+    for g, lit in store.memo.items():
+        got = value[g] if lit > 0 else not value[g]
+        assert var.setdefault(abs(lit), got) is got, (g, lit)
+    assert sorted(var) == list(range(1, store.n_vars + 1))
+    return var
+
+
+def test_every_kept_clause_holds_in_every_model():
+    """Learned clauses must be implied by the problem clauses: each one,
+    like each problem clause, holds in every model of the formulas
+    asserted so far, not only in the one the search stopped at."""
+    def holds(clause, var):
+        return any(var[abs(lit)] is (lit > 0) for lit in clause)
+
+    rng = random.Random(2029)
+    counters = {}
+    for _ in range(400):
+        vars_ = [ControlVar("v%d" % i, rng.randint(2, 5)) for i in range(rng.randint(2, 4))]
+        store = _Cnf(vars_)
+        prefix = []
+        for _ in range(rng.randint(2, 7)):
+            prefix.append(random_control_formula(rng, vars_, rng.randint(2, 4)))
+            got = sat_solve(prefix[-1], vars_, counters, store)
+            whole = cand(prefix)
+            models = [m for m in (dict(zip([v.name for v in vars_], combo))
+                                  for combo in itertools.product(*[range(v.size) for v in vars_]))
+                      if eval_formula(whole, {}, m)]
+            assert (got is None) == (not models), prefix
+            for m in models:
+                var = extend_to_definitions(store, m)
+                for clause in store.clauses + store.learned:
+                    assert holds(clause, var), (prefix, m, clause)
+    assert counters["conflicts"] > 0 and counters["learned"] > 0
+
+    # a level-0 fact makes a new two-literal clause unit: x = 1 is a
+    # fact, so the clause (z, not x) of z <-> (x = 1 or y = 1) forces z
+    x, y = ControlVar("x", 2), ControlVar("y", 2)
+    store = _Cnf([x, y])
+    bx, by = store.bits["x"][0], store.bits["y"][0]
+    assert sat_solve(x_eq(1), None, None, store) == {"x": 1, "y": 0}
+    assert sat_solve(cor([x_eq(1), y_eq(1)]), None, None, store) == {"x": 1, "y": 0}
+    z = store.memo[cor([x_eq(1), y_eq(1)])]
+    assert (z, -bx) in store.clauses and (z, -by) in store.clauses
+    assert store.assign[z] is True and store.reason[z] == -bx and store.level[z] == 0
+    assert sat_solve(y_eq(1), None, None, store) == {"x": 1, "y": 1}
+    # a level-0 fact makes one empty: the store is unsat from then on
+    store.add((-bx, -by))
+    assert sat_solve(CTrue(), None, None, store) is None
+    assert not store.ok
+    assert sat_solve(x_eq(1), None, None, store) is None
+
+
 def test_sat_solve_agrees_with_brute_force():
     rng = random.Random(4242)
     for _ in range(200):

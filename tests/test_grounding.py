@@ -40,6 +40,7 @@ from gatesynth.templates import (
 from genutil import (
     random_config, random_model, random_pattern_requirement, random_policy, random_request,
 )
+from test_class_attempt import office_with_flags
 
 
 def conjuncts(f):
@@ -362,6 +363,28 @@ def test_the_solver_work_on_the_firm_is_pinned(firm, firm_reqs, template):
     assert len(attempts) == 1
     want = FIRM_WORK[template]
     assert {key: attempts[0][key] for key in want} == want
+
+
+# The firm makes one conflict, so the solver's work on the office with 6
+# boolean flags, under the default plan, is pinned beside it: the
+# k = 2 attempt learns a clause at each of its 1,140 conflicts. Per
+# attempt (k = 1, the class template, k = 2): instances, iterations,
+# decisions, conflicts, propagations, learned, cnf_vars, cnf_clauses.
+FLAGS_WORK_KEYS = ("instances", "iterations", "decisions", "conflicts", "propagations",
+                   "learned", "cnf_vars", "cnf_clauses")
+FLAGS_WORK = [(13, 14, 4332, 69, 23833, 68, 997, 3387),
+              (69, 69, 210, 0, 879, 0, 879, 1730),
+              (28, 29, 103208, 1140, 774523, 1140, 5598, 20231)]
+
+
+def test_the_solver_work_on_a_conflict_heavy_office_is_pinned():
+    S, reqs = office_with_flags(6)
+    res = synth(S, reqs)
+    assert res.ok
+    assert [a["template"]["kind"] for a in res.stats["attempts"]] == [
+        "DnfTemplate", "ClassTemplate", "DnfTemplate"]
+    assert [tuple(a[key] for key in FLAGS_WORK_KEYS)
+            for a in res.stats["attempts"]] == FLAGS_WORK
 
 
 def recursive_substitute(f, leaf):
