@@ -11,23 +11,26 @@ may deny a request), so the dead-end cases matter:
   unless psi already holds there.
 
 Satisfaction sets are int masks over the structure's space index
-(`ResourceStructure.index`, bit i for `S.nodes[i]`), computed bottom-up
-per subformula in the linear-time manner of Clarke, Emerson and Sistla:
-EX from predecessor masks, EU by SpaceIndex.walk backwards from the
-goal through the spaces where the left side holds, AU by counting the
-successors of each space not yet in the set.
+(`ResourceStructure.index`, bit `index.bit[r]` for space r, within
+`index.full`), computed bottom-up per subformula in the linear-time
+manner of Clarke, Emerson and Sistla: an atom from its mask in a table
+of atom masks, EX from predecessor masks, EU by SpaceIndex.walk
+backwards from the goal through the spaces where the left side holds,
+AU by counting the successors of each space not yet in the set.
 
 holds() checks a configuration for every request. Requests fall into
 finitely many regions; the regions are grouped by the doors they open,
-and each group's restricted structure is built from those doors and
-checked once per distinct constraint, for the requirements whose
-targets meet the group.
+and each group's restricted structure, a view of the building that
+shares its numbering, is built from those doors and checked once per
+distinct constraint, for the requirements whose targets meet the group.
+The atoms are labelled once per call, over the building, and each
+view reads its part of an atom's mask with `& full`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .formulas import (
     AU, AX, BOTTOM, EU, EX, AccessRequest, And, Atom, Formula, Not,
@@ -39,8 +42,32 @@ from .model import (
 )
 
 
-def label_structure(S: ResourceStructure, f: Formula) -> Dict[Formula, int]:
-    """Satisfaction mask over S.nodes for every subformula of f."""
+def atom_masks(S: ResourceStructure, atoms: Iterable[Atom]) -> Dict[Atom, int]:
+    """The mask over S.index of the spaces of S where each atom holds:
+    one pass over the spaces per attribute tested, then each atom joins
+    the masks of the values it admits."""
+    bit = S.index.bit
+    by_attr: Dict[str, List[Atom]] = {}
+    for a in dict.fromkeys(atoms):
+        by_attr.setdefault(a.attr, []).append(a)
+    table: Dict[Atom, int] = {}
+    for attr, tests in by_attr.items():
+        of_value: Dict[object, int] = {}
+        for r, label in S.labels.items():
+            v = label.get(attr, BOTTOM)
+            of_value[v] = of_value.get(v, 0) | bit[r]
+        for a in tests:     # the value masks are disjoint: their sum is their union
+            table[a] = sum(m for v, m in of_value.items() if v in a.values)
+    return table
+
+
+def label_structure(S: ResourceStructure, f: Formula,
+                    atoms: Optional[Dict[Atom, int]] = None) -> Dict[Formula, int]:
+    """Satisfaction mask over S.index for every subformula of f. `atoms`
+    holds the mask of every atom of f over S or over the building S is a
+    view of; without it, the atoms are labelled over S."""
+    if atoms is None:
+        atoms = atom_masks(S, collect_atoms(f))
     ix = S.index
     full = ix.full
     sat: Dict[Formula, int] = {}
@@ -49,10 +76,7 @@ def label_structure(S: ResourceStructure, f: Formula) -> Dict[Formula, int]:
         if kind is Top:
             x = full
         elif kind is Atom:
-            x = 0
-            for r, b in ix.bit.items():
-                if S.labels[r].get(g.attr, BOTTOM) in g.values:
-                    x |= b
+            x = atoms[g] & full
         elif kind is Not:
             x = full ^ sat[g.sub]
         elif kind is And:
@@ -101,13 +125,16 @@ def _au(ix: SpaceIndex, hold: int, goal: int) -> int:
     return z
 
 
-def check_at(S: ResourceStructure, node: str, f: Formula) -> bool:
-    return bool(label_structure(S, f)[f] & S.index.bit[node])
+def check_at(S: ResourceStructure, node: str, f: Formula,
+             atoms: Optional[Dict[Atom, int]] = None) -> bool:
+    return bool(label_structure(S, f, atoms)[f] & S.index.bit[node])
 
 
-def model_check(S: ResourceStructure, f: Formula) -> bool:
-    """Does the structure satisfy f at its entry?"""
-    return check_at(S, S.entry, f)
+def model_check(S: ResourceStructure, f: Formula,
+                atoms: Optional[Dict[Atom, int]] = None) -> bool:
+    """Does the structure satisfy f at its entry? `atoms` as for
+    label_structure."""
+    return check_at(S, S.entry, f, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +163,9 @@ class HoldsReport:
 
 def policy_doors(S: ResourceStructure, c: Configuration) -> Dict[Formula, List[Edge]]:
     """Every distinct door policy with the doors that carry it, in the
-    order the sorted doors first meet the policies."""
+    order S.edges first meets the policies."""
     doors: Dict[Formula, List[Edge]] = {}
-    for e, fixed in sorted(S.edges.items()):
+    for e, fixed in S.edges.items():
         # a fixed door keeps its own policy, a controlled one takes c's
         doors.setdefault(c[e] if fixed is None else fixed, []).append(e)
     return doors
@@ -170,14 +197,17 @@ def holds(S: ResourceStructure, c: Configuration,
     gets a mask of the regions it holds in, and the policy masks split
     the regions into groups that open the same doors: a policy's doors
     are open for a whole group when its mask meets the group. Each
-    group's restricted structure is built from those doors, and each
-    distinct constraint of the requirements whose target meets the group
-    is labelled on it once. A failing requirement's witness is the
-    lowest region of its target in a group where it fails: the first
-    failing representative.
+    group's restricted structure is built from those doors, as a view of
+    S, and each distinct constraint of the requirements whose target
+    meets the group is labelled on it once. The constraints' atoms are
+    labelled once, over S, and every view narrows their masks to its
+    spaces. A failing requirement's witness is the lowest region of its
+    target in a group where it fails: the first failing representative.
     """
     doors = policy_doors(S, c)
     regions = build_regions(S.sig, verification_atoms(S, c, reqs, doors))
+    atoms = atom_masks(S, [a for phi in dict.fromkeys(r.constraint for r in reqs)
+                           for a in collect_atoms(phi)])
     policies = list(doors)
     verdicts = [RequirementVerdict(i, r, True) for i, r in enumerate(reqs)]
     structures = 0
@@ -206,7 +236,7 @@ def holds(S: ResourceStructure, c: Configuration,
                 phi = v.requirement.constraint
                 ok = checked.get(phi)
                 if ok is None:
-                    ok = checked[phi] = model_check(sub, phi)
+                    ok = checked[phi] = model_check(sub, phi, atoms)
                 if not ok:
                     failed[v.index] = first
                     v.witness_structure = sub

@@ -42,7 +42,8 @@ import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 
@@ -705,13 +706,16 @@ def children(f: Node) -> Tuple[Node, ...]:
     return ()
 
 
-def subformulas(f: Node) -> Iterator[Node]:
+def subformulas(f: Node, seen: Optional[Set[Node]] = None) -> Iterator[Node]:
     """Postorder traversal, children before parents, each node once; of
     a node's children the last comes out first. Iterative, so a deep
     formula does not run into the recursion limit: a node's marker, the
     1-tuple (node,), goes on the stack below its children and yields
-    the node when it comes off."""
-    seen = set()
+    the node when it comes off. A walk given `seen` neither yields nor
+    enters the nodes in it, and adds the nodes it yields, so walks that
+    share the set visit each node once between them."""
+    if seen is None:
+        seen = set()
     stack: List[object] = [f]
     while stack:
         g = stack.pop()
@@ -821,19 +825,28 @@ def eval_target(q: AccessRequest, f: Formula) -> bool:
 def target_to_control(f: Node) -> ControlFormula:
     """f in the n-ary control form: And becomes CAnd through cand() and
     Not goes through cnot(), so constants fold and conjunctions flatten.
-    Top, atoms and control nodes pass through. A fold over subformulas()."""
+    Top, atoms and control nodes pass through."""
+    return targets_to_control([f])[0]
+
+
+def targets_to_control(fs: Iterable[Node]) -> List[ControlFormula]:
+    """target_to_control() of each target, in one fold over subformulas()
+    that converts a node the targets share once."""
     control: Dict[Node, ControlFormula] = {}
-    for g in subformulas(f):
-        kind = type(g)
-        if kind is And:
-            control[g] = cand((control[g.left], control[g.right]))
-        elif kind is Not:
-            control[g] = cnot(control[g.sub])
-        elif kind in TEMPORAL_NODES:
-            raise TypeError("not a target node: %r" % (g,))
-        else:
-            control[g] = g
-    return control[f]
+    seen: Set[Node] = set()
+    fs = list(fs)
+    for f in fs:
+        for g in subformulas(f, seen):
+            kind = type(g)
+            if kind is And:
+                control[g] = cand((control[g.left], control[g.right]))
+            elif kind is Not:
+                control[g] = cnot(control[g.sub])
+            elif kind in TEMPORAL_NODES:
+                raise TypeError("not a target node: %r" % (g,))
+            else:
+                control[g] = g
+    return [control[f] for f in fs]
 
 
 # ---------------------------------------------------------------------------

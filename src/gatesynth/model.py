@@ -18,10 +18,14 @@ mask per space, read straight from the edges. It is the structure's one
 adjacency: successors() and predecessors() read their names off its
 masks, and SpaceIndex.walk is the one reachability walk, which
 reachable() runs forwards from the entry, the model checker runs
-backwards for EU and the until rewrite runs for its memo keys. The
-index is built on first use and then kept. Which doors grant a request
-is one target_masks fold over the distinct policies, on the request's
-own one-region RegionSet.
+backwards for EU and the until rewrite runs for its memo keys. A
+building's index is built on first use and then kept. A restricted
+structure is a view of its building: its index shares the building's
+numbering, its `full` is the mask of the reached spaces, and its
+adjacency holds the granted doors out of them, so a mask over the
+building narrows to it with `& full`. Which doors grant a request is one
+target_masks fold over the distinct policies, on the request's own
+one-region RegionSet.
 """
 
 from __future__ import annotations
@@ -50,12 +54,13 @@ class ModelError(ValueError):
 
 
 class SpaceIndex:
-    """The spaces of a structure in sorted order, at[r] the position of
-    r and bit[r] its bit. succ[i] and pred[i] are the masks of the
-    successors and the predecessors of order[i] over the given edges;
-    full is the mask of every space. Edges with an endpoint outside
-    order are skipped, so validate() can report them as a model error
-    instead of a crash."""
+    """The spaces of a building in sorted order, at[r] the position of
+    r and bit[r] its bit. full is the mask of the structure's spaces:
+    every space of a building, the reached ones of a view. succ[i] and
+    pred[i] are the masks of the successors and the predecessors of
+    order[i] over the structure's edges, 0 outside full. Edges with an
+    endpoint outside order are skipped, so validate() can report them as
+    a model error instead of a crash."""
     __slots__ = ("order", "at", "bit", "succ", "pred", "full")
 
     def __init__(self, order: List[str], edges: Iterable[Edge]):
@@ -63,22 +68,32 @@ class SpaceIndex:
         at = self.at = {r: i for i, r in enumerate(order)}
         self.bit = {r: 1 << i for r, i in at.items()}
         self.full = (1 << len(order)) - 1
-        succ = self.succ = [0] * len(order)
-        pred = self.pred = [0] * len(order)
-        for a, b in edges:
-            if a in at and b in at:
-                i, j = at[a], at[b]
-                succ[i] |= 1 << j
-                pred[j] |= 1 << i
+        self.succ, self.pred = self.over(edges)
 
-    def succ_over(self, edges: Iterable[Edge]) -> List[int]:
-        """The successor masks over `edges` alone."""
-        at = self.at
+    def over(self, edges: Iterable[Edge]) -> Tuple[List[int], List[int]]:
+        """The successor and the predecessor masks over `edges` alone."""
+        at, bit = self.at, self.bit
         succ = [0] * len(self.order)
+        pred = [0] * len(self.order)
         for a, b in edges:
-            if a in at and b in at:
-                succ[at[a]] |= 1 << at[b]
-        return succ
+            try:
+                succ[at[a]] |= bit[b]
+            except KeyError:    # an endpoint outside order: skipped, nothing written
+                continue
+            pred[at[b]] |= bit[a]
+        return succ, pred
+
+    def view(self, full: int, succ: List[int], pred: List[int]) -> "SpaceIndex":
+        """The index of a sub-structure on the spaces of `full`, numbered
+        as this one, with the adjacency `over` gave for its edges, kept
+        within `full`. No edge may leave `full`, as none of the granted
+        doors out of the reached spaces does."""
+        ix = object.__new__(SpaceIndex)
+        ix.order, ix.at, ix.bit, ix.full = self.order, self.at, self.bit, full
+        ix.succ = [m if b & full else 0 for m, b in zip(succ, self.bit.values())]
+        # no edge leaves full, so a space outside it has no predecessor in it
+        ix.pred = [m & full for m in pred]
+        return ix
 
     def spaces(self, mask: int) -> List[str]:
         """The names in a mask, in order."""
@@ -122,8 +137,10 @@ class ResourceStructure:
 
     @property
     def nodes(self) -> List[str]:
-        """The spaces in sorted order: the index's list, not a copy."""
-        return self.index.order
+        """The spaces in sorted order: a building's is the index's list,
+        not a copy, and a view's the spaces of its index's full mask."""
+        ix = self.index
+        return ix.order if len(ix.order) == len(self.labels) else ix.spaces(ix.full)
 
     def successors(self, r: str) -> List[str]:
         ix = self.index
@@ -144,7 +161,7 @@ class ResourceStructure:
         of the structure's edges, alone if given."""
         ix = self.index
         start = ix.bit[self.entry]
-        adj = ix.succ if edges is None else ix.succ_over(edges)
+        adj = ix.succ if edges is None else ix.over(edges)[0]
         return ix.walk(start, start, adj, ix.full, ix.full)
 
     def reachable(self, edges: Optional[Iterable[Edge]] = None) -> Set[str]:
@@ -181,8 +198,9 @@ class ResourceStructure:
             unreachable = set(self.labels) - self.reachable()
             if unreachable:
                 raise ModelError("unreachable spaces: %s" % ", ".join(sorted(unreachable)))
-            for r, out in zip(self.nodes, self.index.succ):
-                if not out:
+            ix = self.index
+            for r in self.nodes:
+                if not ix.succ[ix.at[r]]:
                     raise ModelError("space %r has no outgoing edge" % r)
 
     # -- derived structures ----------------------------------------------
@@ -214,14 +232,25 @@ def restrict(S: ResourceStructure, c: Configuration, q: AccessRequest,
              granted: Optional[Set[Edge]] = None) -> ResourceStructure:
     """The structure the subject of request `q` experiences: only edges
     whose policy grants `q`, pruned to what the entry still reaches.
-    A caller that already knows those edges passes them as `granted`."""
+    A caller that already knows those edges passes them as `granted`.
+
+    The result is a view of S: its index is SpaceIndex.view of S's, with
+    the reached mask as `full` and the adjacency of the granted doors
+    that the reach walk itself reads, so nothing is sorted or
+    renumbered."""
     if granted is None:
         granted = granted_edges(S, c, q)
+    ix = S.index
+    succ, pred = ix.over(granted)
+    start = ix.bit[S.entry]
+    reached = ix.walk(start, start, succ, ix.full, ix.full)
     # in the order of S.nodes, whatever the hash seed
-    labels = {r: S.labels[r] for r in S.index.spaces(S.reach_mask(granted))}
+    labels = {r: S.labels[r] for r in ix.spaces(reached)}
     # a granted edge out of a reached space reaches its end too
     edges = {e: p for e, p in S.edges.items() if e in granted and e[0] in labels}
-    return ResourceStructure(S.sig, S.entry, labels, edges)
+    sub = ResourceStructure(S.sig, S.entry, labels, edges)
+    sub._index = ix.view(reached, succ, pred)
+    return sub
 
 
 def granted_edges(S: ResourceStructure, c: Configuration, q: AccessRequest) -> Set[Edge]:

@@ -36,7 +36,7 @@ from .formulas import (
     Formula, IntervalSet, Not, Requirement, Top, ValueSet, build_regions, cand,
     cnot, collect_atoms, conj, cor, interval_ends, lowest_bit, refine,
     simplify_policy, target_equiv, target_masks, target_to_control,
-    validate_target,
+    targets_to_control, validate_target,
 )
 from .model import Configuration, Edge, ResourceStructure
 from .encoder import ControlAssignment, ControlVar, assign_controls, var_bits
@@ -292,7 +292,7 @@ class ClassTemplate(Template):
         super().__init__(S)
         self.classes = list(classes)
         self.members = list(members)
-        self._outside = [cnot(target_to_control(t)) for t in self.classes]
+        self._outside = [cnot(c) for c in targets_to_control(self.classes)]
         self._bits: Dict[Edge, List[ControlVar]] = {
             e: [ControlVar("deny_%d_%d" % (ei, ci), 2)
                 for ci in range(len(self.classes))]

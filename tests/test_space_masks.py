@@ -5,6 +5,12 @@ restrict takes the granted doors from a caller that knows them, and the
 until rewrite holds its visited sets as masks. The references below are
 the set-based versions they replace; each answer must be the one the
 reference gives.
+
+holds checks each group of regions on a view of the building: the
+restricted structure shares the building's numbering, and the atoms
+are labelled once per call over the building. Its reference restricts
+to a structure with its own compact index, labels every atom on each
+restricted structure, and groups the doors in sorted order.
 """
 
 import random
@@ -14,20 +20,27 @@ from hypothesis import given, settings, strategies as st
 
 from gatesynth import checker, data, model
 from gatesynth.app import synth
-from gatesynth.checker import holds, label_structure
+from gatesynth.checker import (
+    HoldsReport, RequirementVerdict, holds, label_structure,
+)
 from gatesynth.encoder import (
     cand, cguard, cimplies, cnot, cor, rewrite_constraint,
 )
 from gatesynth.formulas import (
-    AX, BOTTOM, EU, EX, And, Atom, CFalse, Not, Top, subformulas,
+    AU, AX, BOTTOM, EU, EX, And, Atom, CFalse, Not, Requirement, Top,
+    build_regions, collect_atoms, lowest_bit, refine, subformulas, target_masks,
 )
-from gatesynth.model import granted_edges, load_model, restrict
+from gatesynth.model import (
+    ResourceStructure, granted_edges, load_model, model_to_json, restrict,
+    to_dot,
+)
 from gatesynth.rules import parse_requirements
 
 from genutil import (
     random_config, random_constraint, random_model, random_pattern_requirement,
-    random_request,
+    random_request, random_target,
 )
+from test_adjacency import structure
 
 
 # -- the set-based references ------------------------------------------------------
@@ -160,6 +173,92 @@ def old_rewrite_constraint(S, phi, start):
     return tau(phi, start)
 
 
+def compact_restrict(S, c, q, granted):
+    """restrict() with its own index: the reached spaces sorted and
+    numbered afresh, their adjacency read from the kept edges."""
+    labels = {r: S.labels[r] for r in S.index.spaces(S.reach_mask(granted))}
+    edges = {e: p for e, p in S.edges.items() if e in granted and e[0] in labels}
+    return ResourceStructure(S.sig, S.entry, labels, edges)
+
+
+def per_structure_label(S, f):
+    """label_structure() reading every atom off S's labels, space by space."""
+    ix = S.index
+    full = ix.full
+    sat = {}
+    for g in subformulas(f):
+        if isinstance(g, Top):
+            x = full
+        elif isinstance(g, Atom):
+            x = 0
+            for r, b in ix.bit.items():
+                if S.labels[r].get(g.attr, BOTTOM) in g.values:
+                    x |= b
+        elif isinstance(g, Not):
+            x = full ^ sat[g.sub]
+        elif isinstance(g, And):
+            x = sat[g.left] & sat[g.right]
+        elif isinstance(g, EX):
+            x = checker._pre(ix, sat[g.sub])
+        elif isinstance(g, AX):
+            x = full ^ checker._pre(ix, full ^ sat[g.sub])
+        elif isinstance(g, EU):
+            x = ix.walk(sat[g.right], sat[g.right], ix.pred, sat[g.left], full)
+        else:
+            assert isinstance(g, AU)
+            x = checker._au(ix, sat[g.left], sat[g.right])
+        sat[g] = x
+    return sat
+
+
+def old_holds(S, c, reqs):
+    """holds() on compact restricted structures, the doors grouped in
+    sorted order."""
+    doors = {}
+    for e, fixed in sorted(S.edges.items()):
+        doors.setdefault(c[e] if fixed is None else fixed, []).append(e)
+    regions = build_regions(S.sig, checker.verification_atoms(S, c, reqs, doors))
+    policies = list(doors)
+    verdicts = [RequirementVerdict(i, r, True) for i, r in enumerate(reqs)]
+    structures = 0
+    for start, width in regions.chunks():
+        live = [v for v in verdicts if v.ok]
+        if not live:
+            break
+        masks = target_masks(policies + [v.requirement.target for v in live],
+                             regions, start, width)
+        failed = {}
+        for group in refine((1 << width) - 1, [masks[p] for p in policies]):
+            applicable = []
+            for v in live:
+                meet = masks[v.requirement.target] & group
+                first = lowest_bit(meet) if meet else width
+                if first < failed.get(v.index, width):
+                    applicable.append((v, first))
+            if not applicable:
+                continue
+            granted = {e for p in policies if masks[p] & group for e in doors[p]}
+            sub = compact_restrict(S, c, regions.representative(start + lowest_bit(group)),
+                                   granted)
+            structures += 1
+            checked = {}
+            for v, first in applicable:
+                phi = v.requirement.constraint
+                ok = checked.get(phi)
+                if ok is None:
+                    sat = per_structure_label(sub, phi)
+                    ok = checked[phi] = bool(sat[phi] & sub.index.bit[sub.entry])
+                if not ok:
+                    failed[v.index] = first
+                    v.witness_structure = sub
+        for v in live:
+            if v.index in failed:
+                v.ok = False
+                v.witness = regions.representative(start + failed[v.index])
+    return HoldsReport(all(v.ok for v in verdicts), verdicts, regions.count(),
+                       structures)
+
+
 # -- inputs ------------------------------------------------------------------------
 
 def restricted(seed):
@@ -243,6 +342,62 @@ def test_the_space_index_numbers_the_sorted_spaces():
     assert ix.spaces(ix.full) == S.nodes
 
 
+def test_a_restricted_structure_is_a_view_of_the_building():
+    rng = random.Random(11)
+    S = random_model(rng, 7, max_symbols=3, two_way=0.4)
+    seen = set()
+    for n in range(40):
+        # the first configuration opens every door, so its view drops no space
+        c = random_config(rng, S) if n else {e: Top() for e in S.controlled_edges()}
+        q = S.sig.validate_request(random_request(rng, S.sig))
+        sub = restrict(S, c, q)
+        ix, own = sub.index, ResourceStructure(S.sig, S.entry, sub.labels, sub.edges)
+        assert ix.order is S.index.order
+        assert ix.at is S.index.at and ix.bit is S.index.bit
+        assert ix.full == S.reach_mask(granted_edges(S, c, q))
+        assert sub.nodes == sorted(sub.labels) == ix.spaces(ix.full) == own.nodes
+        for i, r in enumerate(S.nodes):
+            if r not in sub.labels:
+                assert ix.succ[i] == ix.pred[i] == 0
+        for r in sub.nodes:
+            assert sub.successors(r) == own.successors(r)
+            assert sub.predecessors(r) == own.predecessors(r)
+        assert sub.reachable() == own.reachable() == set(sub.labels)
+        assert model_to_json(sub) == model_to_json(own)
+        assert to_dot(sub, c) == to_dot(own, c)
+        for _ in range(3):
+            f = random_constraint(rng, S, rng.randint(1, 4))
+            shared = label_structure(sub, f, checker.atom_masks(S, collect_atoms(f)))
+            compact = label_structure(own, f)
+            assert shared == label_structure(sub, f)
+            for g, mask in shared.items():
+                assert mask & ~ix.full == 0
+                assert ix.spaces(mask) == own.index.spaces(compact[g])
+        seen.add(len(sub.labels))
+    assert len(seen) > 2 and len(S.labels) in seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_holds_on_views_is_holds_on_compact_structures(seed):
+    rng, S, c = structure(seed)
+    reqs = [random_pattern_requirement(rng, S) for _ in range(rng.randint(1, 3))]
+    reqs += [Requirement(random_target(rng, S.sig, 2),
+                         random_constraint(rng, S, rng.randint(1, 4)))
+             for _ in range(rng.randint(1, 3))]
+    got, want = holds(S, c, reqs), old_holds(S, c, reqs)
+    assert got.ok == want.ok
+    assert (got.representatives, got.structures) == (want.representatives, want.structures)
+    for g, w in zip(got.verdicts, want.verdicts):
+        assert (g.index, g.ok, g.witness) == (w.index, w.ok, w.witness)
+        if w.witness_structure is None:
+            assert g.witness_structure is None
+            continue
+        gs, ws = g.witness_structure, w.witness_structure
+        assert (gs.entry, gs.nodes, gs.labels) == (ws.entry, ws.nodes, ws.labels)
+        assert list(gs.edges.items()) == list(ws.edges.items())
+
+
 def test_holds_opens_doors_from_the_policy_masks_and_labels_each_constraint_once(
         monkeypatch):
     """On the firm's synthesized configuration: no door policy is evaluated
@@ -262,7 +417,7 @@ def test_holds_opens_doors_from_the_policy_masks_and_labels_each_constraint_once
     real = checker.label_structure
     monkeypatch.setattr(model, "granted_edges", refuse)
     monkeypatch.setattr(checker, "label_structure",
-                        lambda sub, f: labelled.append((sub, f)) or real(sub, f))
+                        lambda sub, f, *atoms: labelled.append((sub, f)) or real(sub, f, *atoms))
     report = holds(S, config, reqs)
     assert report.ok
     assert (report.representatives, report.structures) == (120, 6)

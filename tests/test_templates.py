@@ -422,6 +422,19 @@ def test_class_policy_agrees_with_the_old_one_at_every_request(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
+def test_the_classes_converted_through_one_table_are_the_classes_converted_alone(seed):
+    _, S, eff = random_setting(seed)
+    try:
+        tpl = complete_template(S, eff, 256)
+    except CapExceeded:
+        return
+    assert len(tpl._outside) == len(tpl.classes)
+    for t, outside in zip(tpl.classes, tpl._outside):
+        assert outside is cnot(target_to_control(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
 def test_a_singleton_is_the_old_singleton(seed):
     rng, S, eff = random_setting(seed)
     config = random_config(rng, S)
