@@ -25,10 +25,11 @@ Grounding, fold_atoms(), is one loop over the same array that decides every
 attribute test: a node that tests no attribute stays as it is, one
 that tests one is rebuilt once per value of it in the attempt, its
 group's fold cached in the compiled form, and one that tests several
-once per request. Neither walk recurses on formula depth. One
-printer, emit_smtlib(), writes both script forms in one fold over
-subformulas(), and each connective with two or more parents prints once,
-as a define-fun that in a quantified script takes the request as
+once per request. No walk of this module recurses: the rewrite runs
+its requests on an explicit stack, and so does the Tseitin translation
+its nodes. One printer, emit_smtlib(), writes both script forms in one
+fold over subformulas(), and each connective with two or more parents
+prints once, as a define-fun that in a quantified script takes the request as
 parameters. There every request attribute is one Int: a finite one holds
 its value's index in the attribute's domain, a numeric one the number,
 or -1 when unset, so numeric tests print as bounds read off the
@@ -174,117 +175,125 @@ def rewrite_constraint(S: ResourceStructure, phi: Formula, start: str) -> Contro
     guards. Untils unroll over simple paths; repeated subproblems are
     shared, so the result is a compact DAG. Sets of spaces are masks
     over S.index. EU keys on the spaces it can still read, and only AU
-    on its frontier."""
+    on its frontier.
+
+    tau, settle and unroll are generators that yield what they need, a
+    (formula, space), an (until,) or an (until, space, later) request,
+    and are sent its result. One loop runs them on an explicit stack, so
+    neither depth nor path length costs interpreter frames; it answers a
+    request in memo, decided or memo_u, or at a leaf, without a frame."""
     memo: Dict[Tuple[Formula, str], ControlFormula] = {}
     memo_u: Dict[Tuple[Formula, str, int], ControlFormula] = {}
-    decided: Dict[Formula, Tuple[Dict[str, ControlFormula], int, int]] = {}
+    decided: Dict[Tuple[Formula], Tuple[Dict[str, ControlFormula], int, int]] = {}
     guard = {e: cguard(e) for e in S.edges}     # held while the rewrite runs
     ix = S.index
     at, bit, succ, pred, full = ix.at, ix.bit, ix.succ, ix.pred, ix.full
 
-    def resource_atom(a: Atom, r: str) -> ControlFormula:
-        v = S.labels[r].get(a.attr, BOTTOM)
-        return Top() if v in a.values else CFalse()
-
-    def tau(f: Formula, r: str) -> ControlFormula:
-        key = (f, r)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(f, Top):
-            out: ControlFormula = Top()
-        elif isinstance(f, Atom):
-            out = resource_atom(f, r)
-        elif isinstance(f, Not):
-            out = cnot(tau(f.sub, r))
-        elif isinstance(f, And):
-            parts = []      # a left-nested chain, in one loop down its spine
+    def tau(f: Formula, r: str):
+        if isinstance(f, Not):
+            return cnot((yield f.sub, r))
+        if isinstance(f, And):
+            outs = []       # a left-nested chain, in one loop down its spine
             g = f
             while isinstance(g, And):
-                parts.append(g.right)
+                outs.append((yield g.right, r))
                 g = g.left
-            parts.append(g)
-            out = cand([tau(p, r) for p in reversed(parts)])
-        elif isinstance(f, EX):
-            out = cor([cand([guard[(r, s)], tau(f.sub, s)])
-                       for s in S.successors(r)])
-        elif isinstance(f, AX):
-            out = cand([cimplies(guard[(r, s)], tau(f.sub, s))
-                        for s in S.successors(r)])
-        elif isinstance(f, (EU, AU)):
-            out = tau_until(f, r, full)
-        else:
-            raise TypeError("unknown formula node %r" % (f,))
-        memo[key] = out
-        return out
+            outs.append((yield g, r))
+            return cand(outs[::-1])
+        if isinstance(f, (EX, AX)):
+            outs = []
+            for s in S.successors(r):
+                sub = yield f.sub, s
+                outs.append(cand([guard[(r, s)], sub]) if isinstance(f, EX)
+                            else cimplies(guard[(r, s)], sub))
+            return cor(outs) if isinstance(f, EX) else cand(outs)
+        if isinstance(f, (EU, AU)):
+            known = (yield (f,))[0]
+            if r in known:
+                return known[r]
+            return (yield f, r, later_of(f, r, full))
+        raise TypeError("unknown formula node %r" % (f,))
 
-    def settle(f: Formula) -> Tuple[Dict[str, ControlFormula], int, int]:
+    def settle(f: Formula):
         """The until's rewrite at each space that decides it alone: true
         where its right side holds outright, the right side's rewrite
         where its left side fails outright. Then the masks of the other,
         unsettled spaces and of the goals, where the right side is not
         CFalse."""
-        got = decided.get(f)
-        if got is None:
-            known: Dict[str, ControlFormula] = {}
-            steps = goals = 0
-            for s in ix.order:
-                here = tau(f.right, s)
-                if isinstance(here, Top) or isinstance(tau(f.left, s), CFalse):
-                    known[s] = here
-                else:
-                    steps |= bit[s]
-                if not isinstance(here, CFalse):
-                    goals |= bit[s]
-            got = decided[f] = (known, steps, goals)
-        return got
+        known: Dict[str, ControlFormula] = {}
+        steps = goals = 0
+        for s in ix.order:
+            here = yield f.right, s
+            if isinstance(here, Top) or isinstance((yield f.left, s), CFalse):
+                known[s] = here
+            else:
+                steps |= bit[s]
+            if not isinstance(here, CFalse):
+                goals |= bit[s]
+        return known, steps, goals
 
-    def tau_until(f: Formula, r: str, allowed: int) -> ControlFormula:
-        """The until f at r over the simple paths through `allowed`, the
-        spaces not yet visited. E and A differ only in the step and in
-        the key: the spaces the step may enter, which the children get as
-        theirs."""
-        known, steps, goals = settle(f)
-        if r in known:
-            return known[r]
+    def later_of(f: Formula, r: str, allowed: int) -> int:
+        """The key of the until f at r, a space it does not settle, over
+        the simple paths through `allowed`, the spaces not yet visited:
+        the spaces its step may enter, which its children get as theirs.
+        E and A differ only in the step and in this key."""
+        _, steps, goals = decided[(f,)]
         steps &= allowed
-        eu = type(f) is EU
-        if eu:
+        if type(f) is EU:
             # the spaces entered from r's successors through unsettled
             # ones, from which a path through unsettled ones leads to a
             # goal; from any other successor every path folds to CFalse
             allowed ^= bit[r]
             near = succ[at[r]] & allowed
             seen = ix.walk(near, near & steps, succ, allowed, steps)
-            later = ix.walk(seen & goals, seen & goals, pred, steps & seen, full)
-        elif allowed == full:
-            later = full ^ bit[r]
-        else:
-            # all but r and the frontier: the visited spaces entered from
-            # the unsettled spaces r reaches without re-entering them
-            frontier = ix.walk(bit[r], bit[r], succ, full, steps) & ~allowed
-            later = full ^ frontier ^ bit[r]
-        key = (f, r, later)
-        got = memo_u.get(key)
-        if got is not None:
-            return got
-        after = succ[at[r]]
-        if eu:
-            step = cor([cand([guard[(r, s)], tau_until(f, s, later)])
-                        for s in ix.spaces(after & later)])
-        else:
-            step = cand([cimplies(guard[(r, s)], tau_until(f, s, later))
-                         for s in ix.spaces(after & later)]
-                        + [cnot(guard[(r, s)]) for s in ix.spaces(after & ~later)])
-        out = cor([tau(f.right, r), cand([tau(f.left, r), step])])
-        memo_u[key] = out
-        return out
+            return ix.walk(seen & goals, seen & goals, pred, steps & seen, full)
+        if allowed == full:
+            return full ^ bit[r]
+        # all but r and the frontier: the visited spaces entered from
+        # the unsettled spaces r reaches without re-entering them
+        frontier = ix.walk(bit[r], bit[r], succ, full, steps) & ~allowed
+        return full ^ frontier ^ bit[r]
 
+    def unroll(f: Formula, r: str, later: int):
+        """The until f at r over the simple paths that may enter `later`."""
+        known = decided[(f,)][0]
+        eu = type(f) is EU
+        outs = []
+        for s in ix.spaces(succ[at[r]] & later):
+            sub = known[s] if s in known else (yield f, s, later_of(f, s, later))
+            outs.append(cand([guard[(r, s)], sub]) if eu else cimplies(guard[(r, s)], sub))
+        step = cor(outs) if eu else cand(
+            outs + [cnot(guard[(r, s)]) for s in ix.spaces(succ[at[r]] & ~later)])
+        return cor([memo[(f.right, r)], cand([memo[(f.left, r)], step])])
+
+    runs = {1: (decided, settle), 2: (memo, tau), 3: (memo_u, unroll)}
+    stack: List[tuple] = []
+    needed = (phi, start)
     try:
-        return tau(phi, start)
+        while True:
+            table, make = runs[len(needed)]
+            got = table.get(needed)
+            if got is None:
+                f = needed[0]
+                if type(f) is Top:      # a leaf is answered without a frame
+                    got = memo[needed] = f
+                elif type(f) is Atom:
+                    got = memo[needed] = (Top() if S.labels[needed[1]].get(f.attr, BOTTOM)
+                                          in f.values else CFalse())
+                else:
+                    stack.append((needed, make(*needed)))
+            while stack:        # run the top frame until it needs a request
+                request, run = stack[-1]
+                try:
+                    needed = run.send(got)
+                    break
+                except StopIteration as done:
+                    got = runs[len(request)][0][request] = done.value
+                    stack.pop()
+            else:               # no frame is left: got is the root's rewrite
+                return got
     finally:
         _made[0] += len(memo_u)
-        tau = tau_until = settle = None    # the walks refer to themselves
 
 
 def substitute(f: ControlFormula,
@@ -696,7 +705,11 @@ class _Cnf:
     def literal(self, f: ControlFormula) -> int:
         """The literal standing for f. Every node not yet in the memo gets
         a definitional variable and clauses (Tseitin); nodes translated by
-        earlier calls cost a lookup. Two-literal clauses are tuples."""
+        earlier calls cost a lookup. Two-literal clauses are tuples.
+
+        One loop on an explicit stack: a connective goes under a None
+        marker and its children, and is translated when the marker comes
+        off, so variables and clauses come out in postorder."""
         memo, sizes, bits = self.memo, self.sizes, self.bits
         true_lit, fresh, add = self.true_lit, self.fresh, self.clauses.append
 
@@ -722,13 +735,25 @@ class _Cnf:
             add([-x] + lits)
             return x
 
-        def lit_of(g: ControlFormula) -> int:
-            got = memo.get(g)
-            if got is not None:
-                return got
-            kind = type(g)      # most frequent class first
-            if kind is CAnd:
-                out = define_and([lit_of(a) for a in g.args])
+        stack: List[Optional[ControlFormula]] = [f]
+        pop, extend, literal_of = stack.pop, stack.extend, memo.__getitem__
+        while stack:
+            g = pop()
+            kind = type(g)
+            if g is None:       # the marker: the connective under it is next
+                g = pop()
+                kind = type(g)
+            elif g in memo:
+                continue
+            elif kind is CAnd or kind is COr:
+                extend((g, None))
+                extend(g.args[::-1])
+                continue
+            elif kind is Not or kind is CImplies:
+                extend((g, None) + children(g)[::-1])
+                continue
+            if kind is CAnd:    # most frequent class first
+                out = define_and(list(map(literal_of, g.args)))
             elif kind is CVarEq:
                 if g.var not in sizes:
                     raise SolverError("formula mentions undeclared control variable %r" % g.var)
@@ -738,11 +763,11 @@ class _Cnf:
                     out = define_and([lit if (g.value >> i) & 1 else -lit
                                       for i, lit in enumerate(bits[g.var])])
             elif kind is COr:
-                out = define_or([lit_of(a) for a in g.args])
+                out = define_or(list(map(literal_of, g.args)))
             elif kind is Not:
-                out = -lit_of(g.sub)
+                out = -memo[g.sub]
             elif kind is CImplies:
-                out = define_or([-lit_of(g.left), lit_of(g.right)])
+                out = define_or([-memo[g.left], memo[g.right]])
             elif kind is Top:
                 out = true_lit
             elif kind is CFalse:
@@ -750,12 +775,7 @@ class _Cnf:
             else:
                 raise SolverError("cannot solve over unexpanded node %r" % (g,))
             memo[g] = out
-            return out
-
-        try:
-            return lit_of(f)
-        finally:
-            lit_of = None   # lit_of refers to itself and, through add, to the store
+        return memo[f]
 
 
 def _infer_variables(f: ControlFormula) -> List[ControlVar]:

@@ -311,6 +311,9 @@ def scale_replicate(S: ResourceStructure, copies: int) -> ResourceStructure:
     for k in range(1, copies + 1):
         suffix = "@%d" % k
         for r, lab in S.labels.items():
+            if r + suffix == S.entry:
+                raise ModelError("copy %d of space %r would take the name of the entry %r"
+                                 % (k, r, S.entry))
             if r != S.entry:
                 labels[r + suffix] = dict(lab)
         for (a, b), pol in S.edges.items():

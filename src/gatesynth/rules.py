@@ -7,10 +7,11 @@ One requirement per line:
 where the body is a pattern call (grant, deny, waypoint, blocking) or a
 raw branching-time formula. `#` starts a comment. Operator precedence,
 tightest first: not and the unary temporal operators, `and`, `or`,
-`->` (right associative). The temporal operators and the patterns are
-looked up in tables (_PREFIX, _PATH, _PATTERNS) that name the
+`->` (right associative). The operators and the patterns are looked up
+in tables (_PREFIX, _PATH, _BINARY, _PATTERNS) that name the
 constructor of formulas each one stands for, so the parser builds
-exactly what those constructors build.
+exactly what those constructors build. Neither the parser nor the
+printer recurses, so a formula nests as deep as its line allows.
 
 Membership shorthands, all desugared at parse time:
 
@@ -30,13 +31,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .formulas import (
     AF, AG, AU, AX, BOOLEAN, BOTTOM, EF, EG, ENUM, EU, EX, NEGATIVE, NUMERIC,
     POSITIVE, RESOURCE, UNKNOWN, AccessRequest, And, Atom, AttributeDecl,
     AttributeSignature, Formula, IntervalSet, Not, Requirement, Top, Value,
-    ValueSet, blocking, children, deny, disj, falsum, format_value, grant,
+    ValueSet, blocking, deny, disj, falsum, format_value, grant,
     implies, intervals_of, is_deadlock_freeness, release, validate_constraint,
     validate_target, value_key, waypoint,
 )
@@ -45,6 +46,15 @@ from .formulas import (
 # quantifier and separator, each with the constructor it stands for.
 _PREFIX = {"EX": EX, "AX": AX, "EF": EF, "AG": AG, "AF": AF, "EG": EG}
 _PATH = {("E", "U"): EU, ("A", "U"): AU, ("A", "R"): release}
+
+# Precedences, loosest 0, shared by the parser and the printer, and the
+# binary connectives by keyword, with their precedence and constructor.
+_PREC_ATOMIC = 4
+_PREC_UNARY = 3
+_PREC_AND = 2
+_PREC_OR = 1
+_PREC_IMPL = 0
+_BINARY = {"and": (_PREC_AND, And), "or": (_PREC_OR, disj), "->": (_PREC_IMPL, implies)}
 
 # The requirement patterns: name -> (constructor, arity, polarity).
 _PATTERNS = {
@@ -102,6 +112,12 @@ def _tokenize(text: str, line_no: int) -> List[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError("unexpected character %r" % text[pos], text, line_no, pos + 1)
+        if m.lastgroup == "num":
+            try:
+                int(m.group())
+            except ValueError:      # longer than int() converts from a string
+                raise ParseError("number too long (%d digits)" % (m.end() - pos),
+                                 text, line_no, pos + 1) from None
         if m.lastgroup != "ws":
             tokens.append(_Token(m.lastgroup, m.group(), pos + 1))
         pos = m.end()
@@ -110,7 +126,8 @@ def _tokenize(text: str, line_no: int) -> List[_Token]:
 
 
 class _Parser:
-    """Recursive descent over one logical line."""
+    """One logical line, read left to right: the requirement's parts by
+    plain calls, each expression in one loop (see expression())."""
 
     def __init__(self, text: str, sig: AttributeSignature, line_no: int = 1):
         self.text = text
@@ -118,11 +135,6 @@ class _Parser:
         self.line_no = line_no
         self.tokens = _tokenize(text, line_no)
         self.i = 0
-        # No token adds more than three levels (`a or b` is not(not a and
-        # not b)), so only a line of more tokens than a third of the
-        # bound can nest too deeply, and only its nodes are measured.
-        self.long = 3 * len(self.tokens) > MAX_NESTING
-        self.depth: Dict[Formula, int] = {}
 
     # -- token plumbing ----------------------------------------------
 
@@ -152,29 +164,6 @@ class _Parser:
     def fail(self, message: str, tok: Optional[_Token] = None):
         tok = tok or self.peek()
         raise ParseError(message, self.text, self.line_no, tok.col)
-
-    def nested(self, f: Formula, tok: _Token) -> Formula:
-        """f, built at the operator `tok`, unless it nests deeper than
-        MAX_NESTING nodes: then the caret goes under `tok`, where the
-        bound is crossed."""
-        if self.long and self.nesting(f) > MAX_NESTING:
-            self.fail("formula nested too deeply", tok)
-        return f
-
-    def nesting(self, f: Formula) -> int:
-        """The number of nodes on the longest path from f to a leaf, where
-        an and chain's spine counts once: every walk goes down it in a
-        loop, so And(l, r) nests max(l, 1 + r). The nodes the grammar
-        builds at an operator are all checked by nested(), so this
-        recurses only through the few nodes one token adds."""
-        got = self.depth.get(f)
-        if got is None:
-            if isinstance(f, And):
-                got = max(self.nesting(f.left), 1 + self.nesting(f.right))
-            else:
-                got = 1 + max((self.nesting(c) for c in children(f)), default=0)
-            self.depth[f] = got
-        return got
 
     def validated(self, check, f: Formula) -> Formula:
         """f once `check` accepts it under the signature; a rejection,
@@ -210,7 +199,7 @@ class _Parser:
                 self.expect(",")
                 args.append(self.expression(True))
             self.expect(")")
-            return self.nested(build(*args), t), polarity
+            return build(*args), polarity
         f = self.expression(True)
         if is_deadlock_freeness(f):
             return f, NEGATIVE
@@ -232,51 +221,60 @@ class _Parser:
     # temporal: whether temporal operators are allowed (constraints).
 
     def expression(self, temporal: bool) -> Formula:
-        left = self.disjunction(temporal)
-        if self.at("->"):
-            tok = self.next()
-            return self.nested(implies(left, self.expression(temporal)), tok)
-        return left
+        """One expression, in one loop on an explicit stack of what waits
+        for the operand being read: prefix operators, binary ones with
+        their left side, open parentheses and path operators. Tokens are
+        read and checked in the order of a recursive descent."""
+        stack: List[tuple] = []
+        while True:
+            t = self.peek()
+            if t.value == "not" or t.value in _PREFIX or t.value in ("E", "A"):
+                if t.value != "not" and not temporal:
+                    self.fail("temporal operator %r not allowed in a target" % t.value)
+                self.next()
+                if t.value in ("E", "A"):       # E[.. U ..] / A[.. U ..] / A[.. R ..]
+                    self.expect("[")
+                    stack.append(("[", t))
+                else:
+                    stack.append(("prefix", _PREFIX.get(t.value, Not)))
+                continue
+            if t.value == "(":
+                self.next()
+                stack.append(("(",))
+                continue
+            f = self.primary()
+            while True:     # f is an operand: apply what waits for it
+                while stack and stack[-1][0] == "prefix":
+                    f = stack.pop()[1](f)
+                prec, build = _BINARY.get(self.peek().value, (-1, None))
+                # close the operators that bind tighter than the next one,
+                # or as tightly if they group to the left (all but `->`)
+                while stack and stack[-1][0] == "binary" and (
+                        stack[-1][1] > prec or stack[-1][1] == prec != _PREC_IMPL):
+                    _, _, closing, left = stack.pop()
+                    f = closing(left, f)
+                if build is not None:
+                    self.next()
+                    stack.append(("binary", prec, build, f))
+                    break
+                if not stack:
+                    return f
+                opened = stack.pop()
+                if opened[0] == "(":
+                    self.expect(")")
+                elif opened[0] == "[":
+                    sep = self.next()
+                    if sep.value not in ("U", "R"):
+                        self.fail("expected U or R inside the path operator", sep)
+                    if (opened[1].value, sep.value) not in _PATH:
+                        self.fail("release is only supported under A[..]", sep)
+                    stack.append(("]", _PATH[opened[1].value, sep.value], f))
+                    break
+                else:
+                    self.expect("]")
+                    f = opened[1](opened[2], f)
 
-    def disjunction(self, temporal: bool) -> Formula:
-        f = self.conjunction(temporal)
-        while self.at("or"):
-            tok = self.next()
-            f = self.nested(disj(f, self.conjunction(temporal)), tok)
-        return f
-
-    def conjunction(self, temporal: bool) -> Formula:
-        f = self.unary(temporal)
-        while self.at("and"):
-            tok = self.next()
-            f = self.nested(And(f, self.unary(temporal)), tok)
-        return f
-
-    def unary(self, temporal: bool) -> Formula:
-        t = self.peek()
-        if t.value == "not":
-            self.next()
-            return self.nested(Not(self.unary(temporal)), t)
-        if t.value in _PREFIX or t.value in ("E", "A"):
-            if not temporal:
-                self.fail("temporal operator %r not allowed in a target" % t.value)
-            self.next()
-            if t.value in _PREFIX:
-                return self.nested(_PREFIX[t.value](self.unary(temporal)), t)
-            # E[.. U ..] / A[.. U ..] / A[.. R ..]
-            self.expect("[")
-            left = self.expression(temporal)
-            sep = self.next()
-            if sep.value not in ("U", "R"):
-                self.fail("expected U or R inside the path operator", sep)
-            if (t.value, sep.value) not in _PATH:
-                self.fail("release is only supported under A[..]", sep)
-            right = self.expression(temporal)
-            self.expect("]")
-            return self.nested(_PATH[t.value, sep.value](left, right), t)
-        return self.primary(temporal)
-
-    def primary(self, temporal: bool) -> Formula:
+    def primary(self) -> Formula:
         t = self.peek()
         if t.value == "true":
             self.next()
@@ -284,10 +282,6 @@ class _Parser:
         if t.value == "false":
             self.next()
             return falsum()
-        if self.accept("("):
-            f = self.expression(temporal)
-            self.expect(")")
-            return f
         if t.kind == "num":
             return self.bounded_interval()
         if t.kind == "ident":
@@ -408,27 +402,8 @@ class _Parser:
 # Public parsing API
 # ---------------------------------------------------------------------------
 
-# The deepest formula the parser hands on. Synthesis, verification and
-# the printer walk formulas recursively, with up to about two interpreter
-# frames per level; this keeps them inside the default recursion limit.
-MAX_NESTING = 400
-
-
-def _parse(text: str, sig: AttributeSignature, line_no: int, entry):
-    """Run one entry point of the parser. A formula nested deeper than
-    MAX_NESTING nodes, or too deep for the parser's own recursion, is
-    reported as a parse error, with the caret under the token where the
-    bound is crossed."""
-    parser = _Parser(text, sig, line_no)
-    try:
-        return entry(parser)
-    except RecursionError:
-        where = parser.tokens[min(parser.i, len(parser.tokens) - 1)]
-        raise ParseError("formula nested too deeply", text, line_no, where.col) from None
-
-
 def parse_requirement(text: str, sig: AttributeSignature, line_no: int = 1) -> Requirement:
-    return _parse(text, sig, line_no, _Parser.requirement)
+    return _Parser(text, sig, line_no).requirement()
 
 
 def parse_requirements(text: str, sig: AttributeSignature) -> List[Requirement]:
@@ -442,11 +417,11 @@ def parse_requirements(text: str, sig: AttributeSignature) -> List[Requirement]:
 
 
 def parse_target(text: str, sig: AttributeSignature) -> Formula:
-    return _parse(text, sig, 1, _Parser.target_only)
+    return _Parser(text, sig).target_only()
 
 
 def parse_constraint(text: str, sig: AttributeSignature) -> Formula:
-    return _parse(text, sig, 1, _Parser.constraint_only)
+    return _Parser(text, sig).constraint_only()
 
 
 def parse_value(text: str, decl: AttributeDecl) -> Value:
@@ -458,7 +433,11 @@ def parse_value(text: str, decl: AttributeDecl) -> Value:
     elif text in ("true", "false"):
         v = text == "true"
     elif re.fullmatch(r"\d+", text):
-        v = int(text)
+        try:
+            v = int(text)
+        except ValueError:      # longer than int() converts from a string
+            raise ValueError("value of %r: number too long (%d digits)"
+                             % (decl.name, len(text))) from None
     else:
         v = text
     if not decl.admits(v):
@@ -488,13 +467,6 @@ def parse_request(text: str, sig: AttributeSignature) -> AccessRequest:
 # Printing. Never emits sugar unless the AST is exactly the shape the
 # sugar desugars to, so parse(format(f)) returns f.
 # ---------------------------------------------------------------------------
-
-_PREC_ATOMIC = 4
-_PREC_UNARY = 3
-_PREC_AND = 2
-_PREC_OR = 1
-_PREC_IMPL = 0
-
 
 def _single_member(values: ValueSet) -> Optional[Value]:
     """v if values == {v}, else None."""
@@ -550,69 +522,71 @@ def _lower_bound_of(f: Formula) -> Optional[Tuple[str, int]]:
 
 
 def _fmt(f: Formula, sig: Optional[AttributeSignature], prec: int) -> str:
-    text, my_prec = _fmt_prec(f, sig)
-    if my_prec < prec:
-        return "(%s)" % text
-    return text
+    """f's text, parenthesised if it binds looser than prec. One loop
+    expands the pieces of _fmt_prec on an explicit stack, so nesting
+    costs no interpreter frames."""
+    out: List[str] = []
+    stack: List[object] = [(f, prec)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            pieces, my_prec = _fmt_prec(item[0], sig)
+            stack.extend(reversed(["(", *pieces, ")"] if my_prec < item[1] else pieces))
+    return "".join(out)
 
 
-def _fmt_prec(f: Formula, sig) -> Tuple[str, int]:
+def _fmt_prec(f: Formula, sig) -> Tuple[list, int]:
+    """f's text as pieces, strings and (subformula, precedence) pairs,
+    with the precedence f binds at."""
     if isinstance(f, Top):
-        return "true", _PREC_ATOMIC
+        return ["true"], _PREC_ATOMIC
     if isinstance(f, Atom):
         # atoms parse as one unit, comparison suffix included
-        return _atom_str(f, sig), _PREC_ATOMIC
+        return [_atom_str(f, sig)], _PREC_ATOMIC
     if isinstance(f, Not):
         if isinstance(f.sub, Top):
-            return "false", _PREC_ATOMIC
+            return ["false"], _PREC_ATOMIC
         v = _single_member(f.sub.values) if isinstance(f.sub, Atom) else None
         if v is not None:
-            return "%s != %s" % (f.sub.attr, format_value(v)), _PREC_ATOMIC
+            return ["%s != %s" % (f.sub.attr, format_value(v))], _PREC_ATOMIC
         lb = _lower_bound_of(f)
         if lb is not None:
-            return "%s >= %d" % lb, _PREC_ATOMIC
+            return ["%s >= %d" % lb], _PREC_ATOMIC
         if isinstance(f.sub, EU):
             eu = f.sub
             if eu.left == Top() and isinstance(eu.right, Not):
-                return "AG %s" % _fmt(eu.right.sub, sig, _PREC_UNARY), _PREC_UNARY
+                return ["AG ", (eu.right.sub, _PREC_UNARY)], _PREC_UNARY
             if isinstance(eu.left, Not) and isinstance(eu.right, Not):
-                return ("A[%s R %s]" % (_fmt(eu.left.sub, sig, 0),
-                                        _fmt(eu.right.sub, sig, 0)), _PREC_ATOMIC)
+                return (["A[", (eu.left.sub, 0), " R ", (eu.right.sub, 0), "]"],
+                        _PREC_ATOMIC)
         if isinstance(f.sub, And):
             a = f.sub
             if isinstance(a.left, Not) and isinstance(a.right, Not):
-                return ("%s or %s" % (_fmt(a.left.sub, sig, _PREC_OR),
-                                      _fmt(a.right.sub, sig, _PREC_OR + 1)), _PREC_OR)
+                return ([(a.left.sub, _PREC_OR), " or ", (a.right.sub, _PREC_OR + 1)],
+                        _PREC_OR)
             if isinstance(a.right, Not):
-                return ("%s -> %s" % (_fmt(a.left, sig, _PREC_IMPL + 1),
-                                      _fmt(a.right.sub, sig, _PREC_IMPL)), _PREC_IMPL)
-        return "not %s" % _fmt(f.sub, sig, _PREC_UNARY), _PREC_UNARY
+                return ([(a.left, _PREC_IMPL + 1), " -> ", (a.right.sub, _PREC_IMPL)],
+                        _PREC_IMPL)
+        return ["not ", (f.sub, _PREC_UNARY)], _PREC_UNARY
     if isinstance(f, And):
-        rights = []     # a left-nested chain, in one loop down its spine
-        while isinstance(f, And):
-            lb = _lower_bound_of(f.left)
-            if lb is not None and isinstance(f.right, Atom) and f.right.attr == lb[0] \
-                    and _upper_bound(f.right.values) is not None:
-                break
-            rights.append(f.right)
-            f = f.left
-        if not rights:
+        lb = _lower_bound_of(f.left)
+        if lb is not None and isinstance(f.right, Atom) and f.right.attr == lb[0]:
             hi = _upper_bound(f.right.values)
-            return "%d <= %s <= %d" % (lb[1], lb[0], hi), _PREC_ATOMIC
-        parts = [_fmt(r, sig, _PREC_AND + 1) for r in reversed(rights)]
-        return " and ".join([_fmt(f, sig, _PREC_AND)] + parts), _PREC_AND
+            if hi is not None:
+                return ["%d <= %s <= %d" % (lb[1], lb[0], hi)], _PREC_ATOMIC
+        return [(f.left, _PREC_AND), " and ", (f.right, _PREC_AND + 1)], _PREC_AND
     if isinstance(f, EX):
-        return "EX %s" % _fmt(f.sub, sig, _PREC_UNARY), _PREC_UNARY
+        return ["EX ", (f.sub, _PREC_UNARY)], _PREC_UNARY
     if isinstance(f, AX):
-        return "AX %s" % _fmt(f.sub, sig, _PREC_UNARY), _PREC_UNARY
+        return ["AX ", (f.sub, _PREC_UNARY)], _PREC_UNARY
     if isinstance(f, EU):
         if f.left == Top():
-            return "EF %s" % _fmt(f.right, sig, _PREC_UNARY), _PREC_UNARY
-        return ("E[%s U %s]" % (_fmt(f.left, sig, 0), _fmt(f.right, sig, 0)),
-                _PREC_ATOMIC)
+            return ["EF ", (f.right, _PREC_UNARY)], _PREC_UNARY
+        return ["E[", (f.left, 0), " U ", (f.right, 0), "]"], _PREC_ATOMIC
     if isinstance(f, AU):
-        return ("A[%s U %s]" % (_fmt(f.left, sig, 0), _fmt(f.right, sig, 0)),
-                _PREC_ATOMIC)
+        return ["A[", (f.left, 0), " U ", (f.right, 0), "]"], _PREC_ATOMIC
     raise TypeError("cannot format %r" % (f,))
 
 

@@ -207,6 +207,25 @@ def test_scale_replicate_shares_the_entry(office):
         scale_replicate(office, 0)
 
 
+def two_spaces(entry, other):
+    """Two spaces joined both ways by controlled doors, entered at `entry`."""
+    sig = AttributeSignature([AttributeDecl("id", RESOURCE, ENUM, (entry, other))])
+    return ResourceStructure(sig, entry, {entry: {"id": entry}, other: {"id": other}},
+                             {(entry, other): None, (other, entry): None})
+
+
+def test_a_copy_that_would_take_the_entrys_name_is_a_model_error():
+    # copy 1 of `x` is named `x@1`, the entry's name: it would replace the
+    # entry's labels and give it a door to itself
+    S = two_spaces("x@1", "x")
+    S.validate()
+    for copies in (1, 2):
+        with pytest.raises(ModelError, match="copy 1 of space 'x' would take the name "
+                                             "of the entry 'x@1'"):
+            scale_replicate(S, copies)
+    assert scale_replicate(two_spaces("x@3", "x"), 2).nodes == ["x@1", "x@2", "x@3"]
+
+
 def test_scale_one_is_a_renaming(office):
     S1 = scale_replicate(office, 1)
     assert len(S1.nodes) == len(office.nodes)

@@ -1,5 +1,4 @@
 import json
-import re
 import tracemalloc
 
 import pytest
@@ -13,9 +12,8 @@ from gatesynth.formulas import (
     Top, children, deadlock_free_constraint, strict_deadlock_free_constraint,
     subformulas,
 )
-from gatesynth import rules
 from gatesynth.rules import (
-    MAX_NESTING, RESERVED, ParseError, format_constraint, format_request, format_requirement, format_target,
+    RESERVED, ParseError, format_constraint, format_request, format_requirement, format_target,
     parse_constraint, parse_request, parse_requirement, parse_requirements,
     parse_target,
 )
@@ -318,46 +316,29 @@ def nesting(f):
     return depth[f]
 
 
-@settings(max_examples=300, deadline=None)
-@given(_OFFICE_LINES)
-def test_no_token_adds_more_than_three_levels(office, line):
-    # the parser's nesting check walks only input of more than
-    # MAX_NESTING / 3 tokens, which rests on this
-    try:
-        r = parse_requirement(line, office.sig)
-    except ParseError:
-        return
-    tokens = len(rules._tokenize(line, 1))
-    assert max(nesting(r.target), nesting(r.constraint)) <= 3 * tokens, line
+def test_deep_formulas_parse_to_their_depth(office):
+    # no bound on nesting: 2,000 AGs are 6,001 nodes deep, 2,000 `not`s
+    # and 2,000 parentheses cost what their nodes do
+    deep = parse_constraint("AG " * 2000 + "sec_zone", office.sig)
+    assert nesting(deep) == 3 * 2000 + 1
+    assert nesting(parse_constraint("not " * 2000 + "sec_zone", office.sig)) == 2001
+    assert parse_constraint("(" * 2000 + "sec_zone" + ")" * 2000, office.sig) \
+        is parse_constraint("sec_zone", office.sig)
 
 
-def test_short_input_nested_past_the_bound_is_refused(office):
-    # AG is not(EF not ..), three levels per token: 133 of them and an
-    # atom nest exactly MAX_NESTING deep in 135 tokens
-    assert 3 * 133 + 1 == MAX_NESTING
-    deep = "AG " * 133 + "sec_zone"
-    assert nesting(parse_constraint(deep, office.sig)) == MAX_NESTING
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_constraint("not " + deep, office.sig)
-
-
-def test_nesting_errors_quote_a_window_with_the_caret_where_the_bound_is_crossed(office):
-    # a 1,200-test `or` chain, two levels per `or`, crosses the bound at
-    # its 200th `or`: the disjunction built there is the first to nest
-    # 402 nodes deep
-    text = " or ".join(["role = visitor"] * 1200)
-    with pytest.raises(ParseError, match="nested too deeply") as ei:
+def test_errors_in_long_lines_quote_a_window_with_the_caret_at_the_error(office):
+    # a 1,200-test `or` chain with an unknown symbol in its 700th test:
+    # the message quotes the line around that value, not the whole line
+    tests = ["role = visitor"] * 1200
+    tests[699] = "role = nobody"
+    text = " or ".join(tests)
+    with pytest.raises(ParseError, match="not a declared symbol") as ei:
         parse_target(text, office.sig)
-    crossing = [m.start() for m in re.finditer(" or ", text)][199] + 2
-    assert ei.value.col == crossing
+    assert ei.value.col == text.index("nobody") + 1
     message = str(ei.value)
     assert len(message) < 200, len(message)
     _, quote, caret = message.split("\n")
-    assert caret.endswith("^") and quote[len(caret) - 1:].startswith("or role")
-    # right-nested: the 101st of 500 `not`s builds the 401st level
-    with pytest.raises(ParseError, match="nested too deeply") as ei:
-        parse_constraint("not " * 500 + "sec_zone", office.sig)
-    assert ei.value.col == 4 * 100 + 1
+    assert caret.endswith("^") and quote[len(caret) - 1:].startswith("nobody or role")
 
 
 def test_parse_errors_quote_short_lines_whole(office):
@@ -391,12 +372,37 @@ def test_malformed_requirements_raise_parse_errors(office, text):
 def test_validation_failures_and_deep_nesting_are_parse_errors(office):
     for text in ["id = mr => grant(id = mr)", "role in {3} => deny(sec_zone)",
                  "role = visitor => grant(role = visitor)",
-                 "(" * 500 + "true" + ")" * 500 + " => deny(sec_zone)",
-                 "true => " + " -> ".join(["sec_zone"] * 2000)]:
+                 "(" * 500 + "true" + ")" * 499 + " => deny(sec_zone)",
+                 "true => " + " -> ".join(["sec_zone"] * 2000) + " ->"]:
         with pytest.raises(ParseError):
             parse_requirements(text, office.sig)
     with pytest.raises(ParseError, match="not numeric"):
         parse_requirements("role in {0..3} => deny(sec_zone)", office.sig)
+
+
+@pytest.mark.parametrize("line", [
+    "time <= {} => deny(sec_zone)", "time >= {} => deny(sec_zone)",
+    "time = {} => deny(sec_zone)", "time in {{1, {}}} => deny(sec_zone)",
+    "time in {{1..{}}} => deny(sec_zone)", "{} <= time <= 20 => deny(sec_zone)",
+    "8 <= time <= {} => deny(sec_zone)"])
+def test_over_long_numbers_are_parse_errors_at_their_column(office, line):
+    """A number longer than the interpreter converts from a string is a
+    parse error at its column, and the message names no interpreter
+    setting."""
+    digits = "9" * 5000
+    text = line.format(digits)
+    with pytest.raises(ParseError, match="number too long [(]5000 digits[)]") as ei:
+        parse_requirements(text, office.sig)
+    assert ei.value.col == text.index(digits) + 1
+    assert "set_int_max_str_digits" not in str(ei.value)
+    assert parse_requirements(line.format("9" * 30), office.sig)    # long is fine
+
+
+def test_over_long_numbers_in_requests_name_the_attribute(office):
+    with pytest.raises(ValueError, match="'time': number too long [(]5000 digits[)]") as ei:
+        parse_request("role=visitor, time=" + "9" * 5000, office.sig)
+    assert "set_int_max_str_digits" not in str(ei.value)
+    assert parse_request("time=" + "9" * 30, office.sig)["time"] == int("9" * 30)
 
 
 @settings(max_examples=200, deadline=None)
